@@ -24,7 +24,8 @@ Runs write ``trace.csv`` (one row per outer Newton iteration, full float
 precision, no locale dependence) and ``summary.json`` into the output
 directory. Exit codes: of the failures the solver can diagnose, a parse or
 validation problem is 2, an infeasible start 3, inner non-convergence 4, a
-failed line search 5, and an outer iteration cap 6.
+failed line search 5, an outer iteration cap 6, and a NaN or infinite
+derivative or inner residual 7.
 """
 
 import argparse
@@ -42,6 +43,7 @@ from .errors import (
     InfeasibleStartError,
     IterationCapError,
     LineSearchError,
+    NonFiniteError,
     ParseError,
     SolverError,
     StructureError,
@@ -65,6 +67,7 @@ EXIT_INFEASIBLE = 3
 EXIT_INNER = 4
 EXIT_LINESEARCH = 5
 EXIT_CAP = 6
+EXIT_NONFINITE = 7
 
 MODES = ("newton", "ipm", "oracle-newton", "oracle-ipm", "compare")
 
@@ -500,6 +503,9 @@ def main(argv=None):
     except IterationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except NonFiniteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONFINITE
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,12 +23,13 @@ agents; one flooded AND per iteration turns the local declarations into a
 global stop.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .errors import DisconnectedNetworkError
+from .errors import DisconnectedNetworkError, NonFiniteError
 from .network import all_agree, exchange_shared_components
 from .problem import gather_average, scatter
 
@@ -64,9 +65,12 @@ class DirectionWorkspace:
         self.max_iter = config.admm_max_iter
         self.points = [np.asarray(s, dtype=float) for s in points]
         self.agents = []
-        for blk, s, idx in zip(stage, self.points, coupling.index_arrays):
+        for i, (blk, s, idx) in enumerate(zip(stage, self.points, coupling.index_arrays)):
             g = blk.h.gradient(s)
             H = blk.h.hessian(s)
+            for quantity, arr in (("gradient", g), ("Hessian", H)):
+                if not np.isfinite(arr).all():
+                    raise NonFiniteError(i, quantity)
             if blk.A_eq is None:
                 fac = linalg.factor_spd(H + self.rho * np.eye(len(s)))
             else:
@@ -167,6 +171,11 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
             v[i] += dz_new[i] - ds[i]
             e_dual = float(np.sum((dz_new[i] - dz[i]) ** 2))
             e_pri = float(np.sum((ds[i] - dz_new[i]) ** 2))
+            # max() below would drop a NaN and let the iteration run to its cap
+            if not math.isfinite(e_pri):
+                raise NonFiniteError(i, "primal residual")
+            if not math.isfinite(e_dual):
+                raise NonFiniteError(i, "dual residual")
             flags.append(e_dual <= eps_dual_i and e_pri <= eps_pri_i)
             pri = max(pri, e_pri)
             dua = max(dua, e_dual)

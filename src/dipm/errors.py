@@ -56,6 +56,15 @@ class DirectionConvergenceError(SolverError):
         self.dual_residual = dual_residual
 
 
+class NonFiniteError(SolverError):
+    """A computed quantity came out NaN or infinite; names the agent and the quantity."""
+
+    def __init__(self, agent, quantity):
+        super().__init__(f"agent {agent}: {quantity} is not finite")
+        self.agent = agent
+        self.quantity = quantity
+
+
 class LineSearchError(SolverError):
     """An agent exhausted its backtracking budget; ``agent`` identifies it."""
 

@@ -6,6 +6,14 @@ that share at least one variable may exchange messages. Message counts are
 exact and kept per agent and per message kind, so tests can assert the
 communication pattern of an algorithm rather than trust it.
 
+A round is one flat, edge-indexed payload laid out by the scheduler's
+``RoundPlan``, built once from the coupling graph: one message per directed
+edge, edges listed receiver-major with senders ascending. A consensus round
+carries one scalar per edge; a shared-component round carries, edge by
+edge, the sender's values of the variables both parties own. A message to
+a non-neighbour therefore cannot be expressed, and every round credits
+each agent with exactly its degree.
+
 Consensus primitives (boolean AND, minimum) are realized by flooding,
 which is exact after diameter-many rounds on a connected graph. On a
 disconnected graph with more than one agent they raise, since values
@@ -13,11 +21,11 @@ cannot propagate between components; solvers reject such problems up
 front. Fully decoupled single-agent problems are trivially connected.
 
 Within a round, each agent's update is a pure function of its own state
-and inbox; the round boundary is the only synchronization point. Inboxes
-are sorted by sender so reductions are reproducible.
+and the segments addressed to it; the round boundary is the only
+synchronization point. Received values are reduced in ascending sender
+order, so reductions are reproducible.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,36 +37,8 @@ KIND_FLAG = "convergence-flag"
 KIND_MIN = "step-candidate"
 
 
-@dataclass(frozen=True)
-class SharedComponentMsg:
-    """Contributions of one agent to the variables it shares with the receiver."""
-
-    sender: int
-    indices: np.ndarray
-    values: np.ndarray
-
-
-def _bfs_components(neighbors):
-    n = len(neighbors)
-    comp = [-1] * n
-    c = 0
-    for root in range(n):
-        if comp[root] >= 0:
-            continue
-        comp[root] = c
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in neighbors[u]:
-                if comp[w] < 0:
-                    comp[w] = c
-                    stack.append(w)
-        c += 1
-    return comp, c
-
-
 def _diameter(neighbors):
-    """Exact graph diameter by BFS from every node (desk-scale graphs)."""
+    """Exact graph diameter by BFS from every node; None if disconnected."""
     n = len(neighbors)
     best = 0
     for root in range(n):
@@ -73,8 +53,84 @@ def _diameter(neighbors):
                         dist[w] = dist[u] + 1
                         nxt.append(w)
             frontier = nxt
+        if min(dist) < 0:
+            return None
         best = max(best, max(dist))
     return best
+
+
+@dataclass(frozen=True, eq=False)
+class RoundPlan:
+    """Index arrays wiring every round over one coupling graph.
+
+    Edge e runs from ``edge_src[e]`` to ``edge_dst[e]``, sorted by receiver
+    then sender; ``recv_start[i]`` is agent i's first incoming edge (the
+    ``reduceat`` offsets). In a shared-component payload edge e owns entries
+    ``seg_start[e]:seg_start[e + 1]``; entry k is global variable
+    ``seg_global[k]``, read at ``send_pos[k]`` of the concatenated local
+    vectors, of which agent i owns ``agent_start[i]:agent_start[i + 1]``.
+    Averaging sums own and received entries, permuted by ``acc_order`` into
+    ascending sender order, into slots ``acc_slot`` of that concatenation.
+    """
+
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+    recv_start: np.ndarray
+    out_degree: np.ndarray
+    seg_start: np.ndarray
+    seg_global: np.ndarray
+    send_pos: np.ndarray
+    agent_start: np.ndarray
+    acc_order: np.ndarray
+    acc_slot: np.ndarray
+    local_degrees: np.ndarray
+
+    @property
+    def n_edges(self):
+        return len(self.edge_src)
+
+    def payload_length(self, kind):
+        return len(self.seg_global) if kind == KIND_SHARED else self.n_edges
+
+
+def _build_round_plan(coupling):
+    """Lay out the directed edges and the shared-component segments once."""
+    neighbors = coupling.neighbors
+    g2l = coupling.global_to_local
+    index_lists = [idx.tolist() for idx in coupling.index_arrays]
+    agent_start = [0]
+    for idx in index_lists:
+        agent_start.append(agent_start[-1] + len(idx))
+    edge = {}
+    src, dst, recv_start, seg_start = [], [], [], [0]
+    seg_global, send_pos, recv_slot = [], [], []
+    for d, senders in enumerate(neighbors):
+        recv_start.append(len(src))
+        for s in senders:
+            shared = [g for g in index_lists[s] if g in g2l[d]]
+            edge[s, d] = len(src)
+            src.append(s)
+            dst.append(d)
+            seg_start.append(seg_start[-1] + len(shared))
+            seg_global += shared
+            send_pos += [agent_start[s] + g2l[s][g] for g in shared]
+            recv_slot += [agent_start[d] + g2l[d][g] for g in shared]
+    # the terms of every average in ascending sender order, as gather_average
+    # adds them: each sender's own values (the head of the summed array), then
+    # the segments it sent (the payload, after them)
+    acc_order, acc_slot = [], []
+    for s, receivers in enumerate(neighbors):
+        own = range(agent_start[s], agent_start[s + 1])
+        acc_order += own
+        acc_slot += own
+        for d in receivers:
+            a, b = seg_start[edge[s, d]], seg_start[edge[s, d] + 1]
+            acc_order += range(agent_start[-1] + a, agent_start[-1] + b)
+            acc_slot += recv_slot[a:b]
+    arrays = (src, dst, recv_start, [len(ne) for ne in neighbors], seg_start, seg_global,
+              send_pos, agent_start, acc_order, acc_slot)
+    return RoundPlan(*(np.array(a, dtype=np.intp) for a in arrays),
+                     local_degrees=coupling.degrees[np.concatenate(coupling.index_arrays)])
 
 
 class RoundScheduler:
@@ -88,60 +144,34 @@ class RoundScheduler:
         self.coupling = coupling
         self.n_agents = coupling.n_agents
         self.neighbors = coupling.neighbors
-        self._neighbor_sets = [set(ne) for ne in self.neighbors]
         self.round_index = 0
         self.sent = np.zeros(self.n_agents, dtype=np.int64)
         self.sent_by_kind = {}
         self.total_sent = 0
         self.total_delivered = 0
-        _, n_comp = _bfs_components(self.neighbors)
-        self.is_connected = n_comp == 1
-        self.diameter = _diameter(self.neighbors) if self.is_connected else None
-        # wiring for the shared-component exchange, built once
-        self._plan = self._build_exchange_plan(coupling)
+        self.diameter = _diameter(self.neighbors)
+        self.is_connected = self.diameter is not None
+        self.plan = _build_round_plan(coupling)
 
-    def _build_exchange_plan(self, coupling):
-        plan = []
-        for i in range(self.n_agents):
-            g2l_i = coupling.global_to_local[i]
-            entries = []
-            for j in self.neighbors[i]:
-                shared = [
-                    g for g in coupling.index_arrays[i].tolist()
-                    if g in coupling.global_to_local[j]
-                ]
-                g_idx = np.array(shared, dtype=np.intp)
-                local_pos = np.array([g2l_i[g] for g in shared], dtype=np.intp)
-                entries.append((j, g_idx, local_pos))
-            plan.append(entries)
-        return plan
+    def deliver_round(self, payload, kind):
+        """Deliver one synchronous round of ``kind`` laid out by ``self.plan``.
 
-    def deliver_round(self, outgoing, kind):
-        """Deliver one synchronous round.
-
-        ``outgoing[i]`` is a list of (destination, payload) pairs from agent
-        i. Returns per-agent inboxes as lists of (sender, payload), sorted
-        by sender. Raises if a pair of non-neighbors tries to communicate.
+        Every directed edge carries one message. Returns the delivered
+        payload; raises if its length does not match the plan.
         """
-        inboxes = [[] for _ in range(self.n_agents)]
-        count = self.sent_by_kind.setdefault(kind, np.zeros(self.n_agents, dtype=np.int64))
-        for src, msgs in enumerate(outgoing):
-            for dst, payload in msgs:
-                if dst not in self._neighbor_sets[src]:
-                    raise StructureError(
-                        f"agent {src} may not message agent {dst}: not neighbors"
-                    )
-                if kind == KIND_MIN and not math.isfinite(payload):
-                    raise StructureError("consensus payload must be finite")
-                inboxes[dst].append((src, payload))
-                self.sent[src] += 1
-                count[src] += 1
-                self.total_sent += 1
-        for box in inboxes:
-            box.sort(key=lambda sv: sv[0])
-            self.total_delivered += len(box)
+        plan = self.plan
+        if len(payload) != plan.payload_length(kind):
+            raise StructureError(f"{kind} payload has {len(payload)} entries; "
+                                 f"the round plan lays out {plan.payload_length(kind)}")
+        count = self.sent_by_kind.get(kind)
+        if count is None:
+            count = self.sent_by_kind[kind] = np.zeros(self.n_agents, dtype=np.int64)
+        self.sent += plan.out_degree
+        count += plan.out_degree
+        self.total_sent += plan.n_edges
+        self.total_delivered += plan.n_edges
         self.round_index += 1
-        return inboxes
+        return payload
 
     def messages_of_kind(self, kind):
         arr = self.sent_by_kind.get(kind)
@@ -154,56 +184,31 @@ def exchange_shared_components(scheduler, contributions):
     Every agent sends one message per neighbor, carrying exactly the
     components both parties own. Each agent then averages, per variable,
     its own contribution with the received ones in ascending agent order,
-    which reproduces the dense consensus projection bit for bit.
+    which reproduces the dense consensus projection bit for bit. Returns
+    per-agent views into one averaged vector.
     """
-    coupling = scheduler.coupling
-    outgoing = []
-    for i, entries in enumerate(scheduler._plan):
-        s = contributions[i]
-        outgoing.append(
-            [(j, SharedComponentMsg(i, g_idx, s[local_pos].copy()))
-             for j, g_idx, local_pos in entries]
-        )
-    inboxes = scheduler.deliver_round(outgoing, KIND_SHARED)
-
-    # shared(i, j) is listed in ascending global order on both sides, so a
-    # payload from j lands at the positions of shared(i, j) in i's frame
-    recv_pos = [
-        {j: local_pos for j, _, local_pos in entries} for entries in scheduler._plan
-    ]
-    averaged = []
-    for i in range(scheduler.n_agents):
-        acc = np.zeros(len(coupling.index_arrays[i]))
-        own_added = False
-        for src, msg in inboxes[i]:
-            if not own_added and i < src:
-                acc += contributions[i]
-                own_added = True
-            acc[recv_pos[i][src]] += msg.values
-        if not own_added:
-            acc += contributions[i]
-        averaged.append(acc / coupling.degrees[coupling.index_arrays[i]])
-    return averaged
+    plan = scheduler.plan
+    flat = np.concatenate(contributions)
+    if flat.shape != (plan.agent_start[-1],):
+        raise StructureError("contributions do not match the agents' index sets")
+    received = scheduler.deliver_round(flat[plan.send_pos], KIND_SHARED)
+    terms = np.concatenate((flat, received))[plan.acc_order]
+    averaged = np.bincount(plan.acc_slot, weights=terms, minlength=flat.size)
+    averaged /= plan.local_degrees
+    bounds = plan.agent_start.tolist()
+    return [averaged[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _flood(scheduler, values, combine, kind):
+def _flood(scheduler, state, combine, kind):
     if not scheduler.is_connected:
-        raise DisconnectedNetworkError(
-            "coupling graph is disconnected; values cannot propagate between components"
-        )
-    state = list(values)
+        raise DisconnectedNetworkError("coupling graph is disconnected; "
+                                       "values cannot propagate between components")
+    plan = scheduler.plan
     rounds = scheduler.diameter
     for _ in range(rounds):
-        outgoing = [
-            [(j, state[i]) for j in scheduler.neighbors[i]]
-            for i in range(scheduler.n_agents)
-        ]
-        inboxes = scheduler.deliver_round(outgoing, kind)
-        state = [
-            combine(state[i], [payload for _, payload in inboxes[i]])
-            for i in range(scheduler.n_agents)
-        ]
-    return state, rounds
+        received = scheduler.deliver_round(state[plan.edge_src], kind)
+        state = combine(state, combine.reduceat(received, plan.recv_start))
+    return state[0], rounds
 
 
 def all_agree(scheduler, flags):
@@ -212,19 +217,14 @@ def all_agree(scheduler, flags):
     Returns (decision, rounds_used); after diameter-many rounds every agent
     holds the same decision.
     """
-    flags = [bool(f) for f in flags]
-    state, rounds = _flood(
-        scheduler, flags, lambda own, recv: own and all(recv), KIND_FLAG
-    )
-    return state[0], rounds
+    state, rounds = _flood(scheduler, np.array(flags, dtype=bool), np.logical_and, KIND_FLAG)
+    return bool(state), rounds
 
 
 def min_consensus(scheduler, values):
     """Minimum of per-agent scalars, flooded over the coupling graph."""
-    values = [float(v) for v in values]
-    if not all(math.isfinite(v) for v in values):
+    values = np.array(values, dtype=float)
+    if not np.isfinite(values).all():
         raise StructureError("consensus values must be finite")
-    state, rounds = _flood(
-        scheduler, values, lambda own, recv: min([own] + recv), KIND_MIN
-    )
-    return state[0], rounds
+    state, rounds = _flood(scheduler, values, np.minimum, KIND_MIN)
+    return float(state), rounds

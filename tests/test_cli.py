@@ -10,6 +10,7 @@ from dipm.cli import (
     EXIT_INFEASIBLE,
     EXIT_INNER,
     EXIT_LINESEARCH,
+    EXIT_NONFINITE,
     EXIT_PARSE,
     emit_problem,
     main,
@@ -216,6 +217,17 @@ class TestMainExitCodes:
         code = main(["run", "--mode", "newton", "--problem", path,
                      "--out", str(tmp_path / "o"), "--newton-max-iter", "0"])
         assert code == EXIT_CAP
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_nonfinite_gradient(self, tmp_path):
+        # finite data whose gradient overflows at the start point
+        doc = chain_doc()
+        doc["agents"][1]["objective"]["P"] = [[1e308, 0.0], [0.0, 1.0]]
+        doc["x0"] = [0.0, 10.0, 0.0]
+        path = write_doc(tmp_path / "p.json", doc)
+        code = main(["run", "--mode", "newton", "--problem", path,
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_NONFINITE
 
     def test_disconnected_problem_is_a_validation_error(self, tmp_path):
         doc = {

@@ -1,6 +1,7 @@
 """Distributed direction computation against hand values and the dense oracle."""
 
 import numpy as np
+import pytest
 
 from dipm.barrier import BarrierFunction
 from dipm.config import SolverConfig
@@ -11,13 +12,15 @@ from dipm.direction import (
     prox_step_equality,
     prox_step_unconstrained,
 )
+from dipm.errors import NonFiniteError
 from dipm.generator import random_qp
 from dipm.linalg import factor_kkt, factor_spd, factorization_count
 from dipm.network import RoundScheduler
-from dipm.newton import plain_stage
+from dipm.newton import plain_stage, solve_newton
 from dipm.oracle import direct_direction
 from dipm.problem import (
     AgentBlock,
+    CustomFunction,
     LooselyCoupledProblem,
     QuadraticFunction,
     build_coupling,
@@ -219,3 +222,30 @@ class TestComputeDirection:
         assert not res.converged
         assert res.iterations == 3
         assert res.primal_residual > 0 or res.dual_residual > 0
+
+
+class TestNonFinite:
+    def test_nan_gradient_fails_fast_naming_agent(self):
+        # the NaN must stop the solve where it appears, not vanish in a
+        # max() of residuals and leave the inner iteration to run to its cap
+        nan_grad = CustomFunction(
+            2, lambda s: 0.5 * float(s @ s), lambda s: np.full(2, np.nan), lambda s: np.eye(2)
+        )
+        prob = LooselyCoupledProblem(n=3, blocks=(
+            AgentBlock(index_set=(0, 1), objective=QuadraticFunction(np.eye(2), np.zeros(2))),
+            AgentBlock(index_set=(1, 2), objective=nan_grad),
+        ))
+        with pytest.raises(NonFiniteError, match="agent 1: gradient") as info:
+            solve_newton(prob, np.zeros(3), SolverConfig())
+        assert (info.value.agent, info.value.quantity) == (1, "gradient")
+
+    def test_nan_residual_stops_in_first_iteration(self):
+        prob = chain_qp()
+        coupling, sched, cfg = setup_instance(prob)
+        ws = DirectionWorkspace(plain_stage(prob), scatter(np.zeros(3), coupling), coupling, cfg)
+        v0 = [np.zeros(2), np.array([np.nan, 0.0])]
+        with pytest.raises(NonFiniteError) as info:
+            compute_direction(ws, sched, v0=v0)
+        # agent 1's NaN reaches agent 0 through the shared variable first
+        assert (info.value.agent, info.value.quantity) == (0, "primal residual")
+        assert sched.round_index == 1

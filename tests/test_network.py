@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from dipm.errors import DisconnectedNetworkError, StructureError
 from dipm.network import (
@@ -89,32 +92,46 @@ class TestExchange:
             assert sched.sent[i] == len(c.neighbors[i])
 
     def test_non_neighbor_send_rejected(self):
+        # a payload has one segment per neighbour pair, so a message to a
+        # non-neighbour cannot be laid out; a payload of any other length is refused
         c = coupling_for([(0, 1), (1, 2), (3,), (2, 3)], 4)
         sched = RoundScheduler(c)
-        with pytest.raises(StructureError, match="not neighbors"):
-            sched.deliver_round([[(2, 1.0)], [], [], []], KIND_MIN)
+        plan = sched.plan
+        edges = set(zip(plan.edge_src.tolist(), plan.edge_dst.tolist()))
+        assert edges == {(i, j) for i, ne in enumerate(c.neighbors) for j in ne}
+        assert len(edges) == plan.n_edges
+        for kind, length in ((KIND_MIN, plan.n_edges), (KIND_SHARED, len(plan.seg_global))):
+            with pytest.raises(StructureError, match="round plan"):
+                sched.deliver_round(np.zeros(length + 1), kind)
+        assert sched.total_sent == 0 and sched.round_index == 0
 
     def test_payload_indices_owned_by_both_parties(self):
         # locality: only mutually owned components ever cross a boundary
         rng = np.random.default_rng(4)
-        c = coupling_for([(0, 1, 2), (1, 2, 3), (2, 3, 4)], 5)
+        blocks = [(0, 1, 2), (1, 2, 3), (2, 3, 4)]
+        c = coupling_for(blocks, 5)
         sched = RoundScheduler(c)
         sent = []
         original = sched.deliver_round
 
-        def spy(outgoing, kind):
-            for src, msgs in enumerate(outgoing):
-                for dst, payload in msgs:
-                    sent.append((src, dst, payload))
-            return original(outgoing, kind)
+        def spy(payload, kind):
+            sent.append((kind, payload.copy()))
+            return original(payload, kind)
 
         sched.deliver_round = spy
-        exchange_shared_components(sched, [rng.standard_normal(3) for _ in range(3)])
-        assert sent
-        blocks = [(0, 1, 2), (1, 2, 3), (2, 3, 4)]
-        for src, dst, msg in sent:
-            assert set(msg.indices.tolist()) <= set(blocks[src]) & set(blocks[dst])
-            assert msg.values.shape == msg.indices.shape
+        contributions = [rng.standard_normal(3) for _ in range(3)]
+        exchange_shared_components(sched, contributions)
+        assert [kind for kind, _ in sent] == [KIND_SHARED]
+        payload = sent[0][1]
+        plan = sched.plan
+        assert plan.n_edges > 0
+        for e, (src, dst) in enumerate(zip(plan.edge_src.tolist(), plan.edge_dst.tolist())):
+            seg = slice(plan.seg_start[e], plan.seg_start[e + 1])
+            g = plan.seg_global[seg]
+            assert g.size > 0
+            assert set(g.tolist()) <= set(blocks[src]) & set(blocks[dst])
+            local = [c.global_to_local[src][j] for j in g.tolist()]
+            np.testing.assert_array_equal(payload[seg], contributions[src][local])
 
 
 class TestConsensus:
@@ -180,3 +197,102 @@ class TestAccounting:
             min_consensus(sched, [3.0, 1.0, 2.0, 5.0, 4.0])
             return sched.sent.tolist(), sched.round_index
         assert run() == run()
+
+
+# ---------------------------------------------------------------------------
+# properties over couplings other than chains
+# ---------------------------------------------------------------------------
+
+def coupling_from_graph(n_agents, edges, groups=()):
+    """One private variable per agent, then one shared variable per edge
+    and one per group (a tuple of its owners)."""
+    sets = [[i] for i in range(n_agents)]
+    for var, owners in enumerate(list(edges) + list(groups), start=n_agents):
+        for a in owners:
+            sets[a].append(var)
+    return coupling_for(sets, n_agents + len(edges) + len(groups))
+
+
+def star(size, rng):
+    return coupling_from_graph(size, [(0, i) for i in range(1, size)])
+
+
+def tree(size, rng):
+    return coupling_from_graph(size, [(int(rng.integers(i)), i) for i in range(1, size)])
+
+
+def grid(size, rng):
+    rows, cols = 2 + size % 2, max(1, size // 2)
+    at = np.arange(rows * cols).reshape(rows, cols)
+    edges = [(int(a), int(b)) for a, b in zip(at[:, :-1].ravel(), at[:, 1:].ravel())]
+    edges += [(int(a), int(b)) for a, b in zip(at[:-1].ravel(), at[1:].ravel())]
+    return coupling_from_graph(rows * cols, edges)
+
+
+def random_overlap(size, rng):
+    # a random spanning tree keeps the graph connected; the groups add
+    # variables owned by up to four agents and repeated overlaps of a pair
+    edges = [(int(rng.integers(i)), i) for i in range(1, size)]
+    groups = [
+        tuple(sorted(rng.choice(size, size=int(rng.integers(2, min(4, size) + 1)),
+                                replace=False).tolist()))
+        for _ in range(size)
+    ]
+    return coupling_from_graph(size, edges, groups)
+
+
+SHAPES = {"star": star, "tree": tree, "grid": grid, "random-overlap": random_overlap}
+FINITE = st.floats(-1e6, 1e6)
+PROPERTY = settings(max_examples=40, deadline=None, database=None)
+
+
+@st.composite
+def shaped_coupling(draw):
+    shape = draw(st.sampled_from(sorted(SHAPES)))
+    size = draw(st.integers(2, 9))
+    return SHAPES[shape](size, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+def per_agent(data, c, elements):
+    return data.draw(st.lists(elements, min_size=c.n_agents, max_size=c.n_agents))
+
+
+class TestShapes:
+    @PROPERTY
+    @given(c=shaped_coupling(), data=st.data())
+    def test_exchange_is_the_dense_projection_bitwise(self, c, data):
+        contributions = [
+            np.array(data.draw(st.lists(FINITE, min_size=len(idx), max_size=len(idx))))
+            for idx in c.index_arrays
+        ]
+        out = exchange_shared_components(RoundScheduler(c), contributions)
+        expected = scatter(gather_average(contributions, c), c)
+        for got, want in zip(out, expected):
+            assert np.array_equal(got, want)
+
+    @PROPERTY
+    @given(c=shaped_coupling(), data=st.data())
+    def test_flooding_is_global_and_min_in_diameter_rounds(self, c, data):
+        sched = RoundScheduler(c)
+        adjacency = np.zeros((c.n_agents, c.n_agents))
+        for i, ne in enumerate(c.neighbors):
+            adjacency[i, list(ne)] = 1.0
+        assert sched.diameter == int(shortest_path(adjacency, unweighted=True).max())
+        flags = per_agent(data, c, st.booleans())
+        values = per_agent(data, c, FINITE)
+        assert all_agree(sched, flags) == (all(flags), sched.diameter)
+        assert min_consensus(sched, values) == (min(values), sched.diameter)
+        assert sched.round_index == 2 * sched.diameter
+
+    @PROPERTY
+    @given(c=shaped_coupling())
+    def test_per_agent_messages_are_rounds_times_degree(self, c):
+        sched = RoundScheduler(c)
+        exchange_shared_components(sched, [np.ones(len(idx)) for idx in c.index_arrays])
+        all_agree(sched, [True] * c.n_agents)
+        min_consensus(sched, [1.0] * c.n_agents)
+        degree = np.array([len(ne) for ne in c.neighbors])
+        rounds = {KIND_SHARED: 1, KIND_FLAG: sched.diameter, KIND_MIN: sched.diameter}
+        for kind, r in rounds.items():
+            np.testing.assert_array_equal(sched.sent_by_kind[kind], r * degree)
+        np.testing.assert_array_equal(sched.sent, (1 + 2 * sched.diameter) * degree)
