@@ -29,10 +29,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SolverConfig
-from .errors import BarrierDomainError, InfeasibleStartError
+from .errors import BarrierDomainError
 from .network import RoundScheduler
 from .newton import StageBlock, newton_solve
-from .problem import build_coupling, consistency_error, merge_slices, scatter
+from .problem import build_coupling, merge_slices, scatter
 
 # floor for the stage-scaled inner tolerances: squared-norm residuals of
 # double-precision iterates at unit scale bottom out around 1e-31, and the
@@ -124,28 +124,11 @@ class IpmResult:
     rows: list
 
 
-def _validate_start(problem, s_slices):
-    violations = []
-    for i, blk in enumerate(problem.blocks):
-        s = s_slices[i]
-        for c, g in enumerate(blk.inequality):
-            val = g.value(s)
-            if not val < 0.0:
-                violations.append(
-                    f"agent {i} inequality {c}: value {val:.6e} must be strictly negative"
-                )
-        if blk.A_eq is not None:
-            resid = float(np.abs(blk.A_eq @ s - blk.b_eq).max(initial=0.0))
-            if resid > 1e-9:
-                violations.append(f"agent {i} equality residual {resid:.3e} exceeds 1e-9")
-    if violations:
-        raise InfeasibleStartError("starting point is infeasible", violations)
-
-
 def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
     """Interior-point loop: distributed Newton per stage, geometric t schedule.
 
-    Requires a consistent, strictly feasible start. Stage q minimizes the
+    Requires a consistent, strictly feasible start; stage 0's Newton solve
+    checks both, with equalities held to 1e-9. Stage q minimizes the
     barrier transform at t = t0 mu^q starting from the previous stage's
     solution; the loop ends after the first stage whose duality-gap proxy
     m/t is below eps_p. Factorizations are never reused across stages since
@@ -155,11 +138,7 @@ def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
     (see the module docstring); the consistency-error budget therefore uses
     each stage's effective primal tolerance.
     """
-    points = [np.array(s, dtype=float) for s in s0_slices]
-    if consistency_error(points, coupling) > 1e-12:
-        raise InfeasibleStartError("starting slices are not consistent")
-    _validate_start(problem, points)
-
+    points = s0_slices
     m = problem.m_total
     rows_out = rows if rows is not None else []
     t = config.t0

@@ -16,7 +16,8 @@ Problem files are JSON with explicit dimensions and 0-based index sets:
 
 Objective kinds: "quadratic" (P, q, r) and "softplus_ridge" (ridge,
 optional linear). Inequalities are quadratic forms 1/2 s'Qs + a's + c <= 0
-with Q optional (affine when omitted). Unknown keys anywhere are rejected.
+with Q optional (affine when omitted). Unknown keys anywhere are rejected,
+and so are non-finite numbers (the NaN and Infinity literals).
 The starting point must be strictly feasible for all inequalities and
 satisfy equalities to 1e-9; it is validated before any solve.
 
@@ -57,6 +58,7 @@ from .problem import (
     QuadraticFunction,
     SoftplusRidge,
     build_coupling,
+    check_start,
     consistency_error,
     scatter,
 )
@@ -82,7 +84,12 @@ def _reject_unknown(obj, allowed, where):
         raise ParseError(f"unknown key '{unknown[0]}' in {where}")
 
 
-def _matrix(obj, key, where, rows=None, cols=None, required=True):
+def _array(obj, key, where, shape, required=True):
+    """``obj[key]`` as a float array of ``shape`` (None entries are free).
+
+    Python's json accepts the NaN and Infinity literals; any non-finite
+    entry is rejected here rather than surfacing later in the solve.
+    """
     if key not in obj:
         if required:
             raise ParseError(f"missing '{key}' in {where}")
@@ -91,25 +98,20 @@ def _matrix(obj, key, where, rows=None, cols=None, required=True):
         arr = np.array(obj[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"'{key}' in {where} is not numeric: {exc}") from exc
-    if cols is not None and (arr.ndim != 2 or arr.shape[1] != cols):
-        raise ParseError(f"'{key}' in {where} must be a matrix with {cols} columns")
-    if rows is not None and arr.shape[0] != rows:
-        raise ParseError(f"'{key}' in {where} must have {rows} rows")
+    if arr.ndim != len(shape) or any(k not in (None, m) for k, m in zip(shape, arr.shape)):
+        want = " x ".join("any" if k is None else str(k) for k in shape)
+        raise ParseError(f"'{key}' in {where} must be "
+                         + (f"an array of shape {want}" if shape else "a number"))
+    if not np.isfinite(arr).all():
+        raise ParseError(f"'{key}' in {where} must be finite")
     return arr
 
 
-def _vector(obj, key, where, length=None, required=True):
-    if key not in obj:
-        if required:
-            raise ParseError(f"missing '{key}' in {where}")
-        return None
-    try:
-        arr = np.array(obj[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"'{key}' in {where} is not numeric: {exc}") from exc
-    if arr.ndim != 1 or (length is not None and arr.shape[0] != length):
-        raise ParseError(f"'{key}' in {where} must be a vector of length {length}")
-    return arr
+def _scalar(obj, key, where, default=None):
+    """``obj[key]`` as a finite float; required unless a default is given."""
+    if key not in obj and default is not None:
+        return default
+    return float(_array(obj, key, where, ()))
 
 
 def _parse_objective(obj, dim, where):
@@ -118,18 +120,18 @@ def _parse_objective(obj, dim, where):
     kind = obj.get("kind")
     if kind == "quadratic":
         _reject_unknown(obj, ("kind", "P", "q", "r"), where)
-        P = _matrix(obj, "P", where, rows=dim, cols=dim)
-        q = _vector(obj, "q", where, length=dim)
-        r = float(obj.get("r", 0.0))
+        P = _array(obj, "P", where, (dim, dim))
+        q = _array(obj, "q", where, (dim,))
+        r = _scalar(obj, "r", where, 0.0)
         try:
             return QuadraticFunction(P, q, r, require_psd=True)
         except StructureError as exc:
             raise ParseError(f"objective in {where}: {exc}") from exc
     if kind == "softplus_ridge":
         _reject_unknown(obj, ("kind", "ridge", "linear"), where)
-        linear = _vector(obj, "linear", where, length=dim, required=False)
+        linear = _array(obj, "linear", where, (dim,), required=False)
         try:
-            return SoftplusRidge(dim, ridge=float(obj.get("ridge", 1.0)), linear=linear)
+            return SoftplusRidge(dim, ridge=_scalar(obj, "ridge", where, 1.0), linear=linear)
         except StructureError as exc:
             raise ParseError(f"objective in {where}: {exc}") from exc
     raise ParseError(f"objective in {where} has unknown kind {kind!r}")
@@ -139,14 +141,13 @@ def _parse_inequality(obj, dim, where):
     if not isinstance(obj, dict):
         raise ParseError(f"inequality in {where} must be an object")
     _reject_unknown(obj, ("Q", "a", "c"), where)
-    Q = _matrix(obj, "Q", where, rows=dim, cols=dim, required=False)
+    Q = _array(obj, "Q", where, (dim, dim), required=False)
     if Q is None:
         Q = np.zeros((dim, dim))
-    a = _vector(obj, "a", where, length=dim)
-    if "c" not in obj:
-        raise ParseError(f"missing 'c' in {where}")
+    a = _array(obj, "a", where, (dim,))
+    c = _scalar(obj, "c", where)
     try:
-        return QuadraticFunction(Q, a, float(obj["c"]), require_psd=True)
+        return QuadraticFunction(Q, a, c, require_psd=True)
     except StructureError as exc:
         raise ParseError(f"inequality in {where}: {exc}") from exc
 
@@ -177,8 +178,8 @@ def _parse_agent(obj, k, n):
         if not isinstance(eq, dict):
             raise ParseError(f"'equality' in {where} must be an object")
         _reject_unknown(eq, ("A", "b"), f"{where}.equality")
-        A = _matrix(eq, "A", f"{where}.equality", cols=dim)
-        b = _vector(eq, "b", f"{where}.equality", length=A.shape[0])
+        A = _array(eq, "A", f"{where}.equality", (None, dim))
+        b = _array(eq, "b", f"{where}.equality", (A.shape[0],))
     try:
         return AgentBlock(index_set=tuple(index_set), objective=objective,
                           inequality=tuple(ineqs), A_eq=A, b_eq=b)
@@ -194,25 +195,6 @@ def _parse_solver(obj):
         return SolverConfig(**obj)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"solver section: {exc}") from exc
-
-
-def _check_start_feasibility(problem, x0):
-    coupling = build_coupling(problem)
-    slices = scatter(x0, coupling)
-    violations = []
-    for i, blk in enumerate(problem.blocks):
-        for c, g in enumerate(blk.inequality):
-            val = g.value(slices[i])
-            if not val < 0.0:
-                violations.append(
-                    f"agent {i} inequality {c}: value {val:.6e} must be strictly negative"
-                )
-        if blk.A_eq is not None:
-            resid = float(np.abs(blk.A_eq @ slices[i] - blk.b_eq).max(initial=0.0))
-            if resid > 1e-9:
-                violations.append(f"agent {i} equality residual {resid:.3e} exceeds 1e-9")
-    if violations:
-        raise InfeasibleStartError("starting point x0 is infeasible", violations)
 
 
 def parse_problem(path):
@@ -242,9 +224,9 @@ def parse_problem(path):
         problem = LooselyCoupledProblem(n=n, blocks=blocks)
     except StructureError as exc:
         raise ParseError(str(exc)) from exc
-    x0 = _vector(doc, "x0", "top level", length=n)
+    x0 = _array(doc, "x0", "top level", (n,))
     config = _parse_solver(doc.get("solver", {}))
-    _check_start_feasibility(problem, x0)
+    check_start(problem.blocks, scatter(x0, build_coupling(problem)), 1e-9)
     return problem, config, x0
 
 
@@ -279,9 +261,7 @@ def emit_problem(problem, x0, config=None):
 # run orchestration
 # ---------------------------------------------------------------------------
 
-def _constraint_report(problem, x):
-    coupling = build_coupling(problem)
-    slices = scatter(x, coupling)
+def _constraint_report(problem, slices):
     worst_ineq = -np.inf
     worst_eq = 0.0
     for i, blk in enumerate(problem.blocks):
@@ -292,9 +272,7 @@ def _constraint_report(problem, x):
     return (None if worst_ineq == -np.inf else worst_ineq), worst_eq
 
 
-def _objective_value(problem, x):
-    coupling = build_coupling(problem)
-    slices = scatter(x, coupling)
+def _objective_value(problem, slices):
     return sum(blk.objective.value(s) for blk, s in zip(problem.blocks, slices))
 
 
@@ -302,15 +280,12 @@ def _distributed(mode, problem, x0, config):
     if mode == "newton":
         result, scheduler = solve_newton(problem, x0, config)
         stages = 1
-        e_c = result.e_c
     else:
         result, scheduler = solve_ipm(problem, x0, config)
         stages = result.stages
-        e_c = result.e_c
     summary = {
-        "objective_f": _objective_value(problem, result.x),
         "stages": stages,
-        "e_c_bound": e_c,
+        "e_c_bound": result.e_c,
         "max_consistency_error": result.max_consistency_error,
         "max_dual_average": result.max_dual_average,
         "max_eq_violation": result.max_eq_violation,
@@ -353,7 +328,7 @@ def _oracle(mode, problem, x0, config):
             alpha=alpha, max_primal_residual=0.0, max_dual_residual=0.0,
             objective_h=obj_h, objective_f=obj_f, messages=0, e_c_bound=0.0,
         ))
-    return x, rows, {"objective_f": _objective_value(problem, x)}
+    return x, rows, {}
 
 
 def run(mode, problem_path, out_dir, overrides=None):
@@ -382,17 +357,17 @@ def run(mode, problem_path, out_dir, overrides=None):
     elif mode == "compare":
         dist_mode = "ipm" if problem.m_total else "newton"
         x, rows, extra = _distributed(dist_mode, problem, x0, config)
-        x_ref, _, ref_extra = _oracle(
+        x_ref, _, _ = _oracle(
             "oracle-ipm" if problem.m_total else "oracle-newton", problem, x0, config
         )
-        extra["oracle_objective_f"] = ref_extra["objective_f"]
+        extra["oracle_objective_f"] = _objective_value(problem, scatter(x_ref, coupling))
         extra["gap_inf"] = float(np.abs(x - x_ref).max())
     else:
         raise ParseError(f"unknown mode {mode!r}")
 
     wall = time.perf_counter() - started
-    worst_ineq, worst_eq = _constraint_report(problem, x)
     slices = scatter(x, coupling)
+    worst_ineq, worst_eq = _constraint_report(problem, slices)
 
     summary = {
         "mode": mode,
@@ -405,6 +380,7 @@ def run(mode, problem_path, out_dir, overrides=None):
         "worst_equality_residual": worst_eq,
         "consistency_error": consistency_error(slices, coupling),
         "wall_time_s": wall,
+        "objective_f": _objective_value(problem, slices),
     }
     summary.update(extra)
 

@@ -1,5 +1,6 @@
 """Solver configuration record with conventional defaults."""
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -28,6 +29,10 @@ class SolverConfig:
     accept_unconverged_direction: bool = False
 
     def __post_init__(self):
+        # NaN passes every comparison below, so finiteness comes first
+        for f in fields(self):
+            if f.type is not bool and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         for name in ("eps_pri", "eps_dual", "eps_nt", "eps_p", "t0"):

@@ -31,7 +31,7 @@ import numpy as np
 from . import linalg
 from .errors import DisconnectedNetworkError, NonFiniteError
 from .network import all_agree, exchange_shared_components
-from .problem import gather_average, scatter
+from .problem import gather_average, merge_slices, scatter
 
 
 @dataclass
@@ -152,6 +152,8 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     max_eq_viol = 0.0
     pri = dua = np.inf
 
+    converged = False
+    iterations = workspace.max_iter
     for k in range(workspace.max_iter):
         ds = []
         for i, a in enumerate(agents):
@@ -184,31 +186,17 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
         max_dual_avg = max(max_dual_avg, float(np.abs(avg_v).max(initial=0.0)))
 
         dz = dz_new
-        done, _ = all_agree(scheduler, flags)
-        if done:
-            dx = np.zeros(coupling.n)
-            for i, idx in enumerate(coupling.index_arrays):
-                dx[idx] = dz[i]
-            return DirectionResult(
-                converged=True,
-                iterations=k + 1,
-                dx=dx,
-                ds_slices=[dx[idx].copy() for idx in coupling.index_arrays],
-                primal_residual=pri,
-                dual_residual=dua,
-                factorizations=workspace.factorizations,
-                max_dual_average=max_dual_avg,
-                max_eq_violation=max_eq_viol,
-            )
+        converged, _ = all_agree(scheduler, flags)
+        if converged:
+            iterations = k + 1
+            break
 
-    dx = np.zeros(coupling.n)
-    for i, idx in enumerate(coupling.index_arrays):
-        dx[idx] = dz[i]
+    dx = merge_slices(dz, coupling)
     return DirectionResult(
-        converged=False,
-        iterations=workspace.max_iter,
+        converged=converged,
+        iterations=iterations,
         dx=dx,
-        ds_slices=[dx[idx].copy() for idx in coupling.index_arrays],
+        ds_slices=scatter(dx, coupling),
         primal_residual=pri,
         dual_residual=dua,
         factorizations=workspace.factorizations,

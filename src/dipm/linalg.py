@@ -2,9 +2,19 @@
 
 Factorizations are computed once, then solved against arbitrarily many
 right-hand sides; the prox layer leans on this to amortize one
-factorization per agent across a whole inner-iteration run. Every solve is
-residual-checked against the original matrix; a single refinement step is
-attempted when the bound fails, after which the solve raises.
+factorization per agent across a whole inner-iteration run. One handle,
+``KKTFactorization``, serves every agent: it factors the shifted leading
+block G = H + rho I and, when the agent has p > 0 equality rows, the Schur
+complement of the saddle system; with p = 0 it is the plain positive
+definite solve (``SymmetricFactorization`` is that case with the primal
+part as its only return value). Every solve is residual-checked against
+the original matrix; a single refinement step is attempted when the bound
+fails, after which the solve raises.
+
+The Cholesky factor is computed by a hand-written loop rather than LAPACK:
+``scipy.linalg.cholesky`` rounds differently on small blocks, so switching
+would change solver iterates in the last bits and with them the recorded
+traces.
 
 Handles are immutable after construction and safe for concurrent solves.
 A module-level counter records every factorization event so callers can
@@ -68,7 +78,9 @@ def _cholesky_lower(M):
     return L
 
 
-def _inverse_from_cholesky(L):
+def _spd_inverse(M):
+    """Inverse of a positive definite M through its Cholesky factor."""
+    L = _cholesky_lower(M)
     n = L.shape[0]
     if n == 0:
         return np.zeros((0, 0))
@@ -76,142 +88,95 @@ def _inverse_from_cholesky(L):
     return Linv.T @ Linv
 
 
-class SymmetricFactorization:
-    """Solve handle for one symmetric positive definite matrix."""
-
-    def __init__(self, M):
-        M = np.array(M, dtype=float)
-        _require_symmetric(M, "matrix")
-        M = 0.5 * (M + M.T)
-        self._M = M
-        self._inv = _inverse_from_cholesky(_cholesky_lower(M))
-        self.shape = M.shape
-        self.norm_inf = float(np.linalg.norm(M, np.inf)) if M.size else 0.0
-        self.cond_inf = float(
-            self.norm_inf * np.linalg.norm(self._inv, np.inf)
-        ) if M.size else 1.0
-
-    def solve(self, r):
-        """Return x with M x = r, residual-checked and refined once if needed."""
-        r = np.asarray(r, dtype=float)
-        x = self._inv @ r
-        bound = _solve_bound(
-            float(np.abs(r).max(initial=0.0)),
-            self.norm_inf * float(np.abs(x).max(initial=0.0)),
-            r.size,
-        )
-        res = r - self._M @ x
-        if np.abs(res).max(initial=0.0) > bound:
-            x = x + self._inv @ res
-            res = r - self._M @ x
-            if np.abs(res).max(initial=0.0) > bound:
-                raise FactorizationError(
-                    f"solve residual {np.abs(res).max():.3e} exceeds bound {bound:.3e} after refinement"
-                )
-        return x
-
-
 class KKTFactorization:
-    """Solve handle for the saddle system [[H + rho I, A'], [A, 0]].
+    """Solve handle for the saddle system [[G, A'], [A, 0]] with p >= 0 rows in A.
 
-    Solves are carried out by block elimination through the positive
-    definite leading block. ``solve`` takes the top-block right-hand side
-    (the bottom block is zero in this solver) and returns the primal part
-    together with the multiplier; the primal part lies in the null space of
-    A to within the residual bound.
+    G is the symmetric, already shifted leading block (H + rho I). Solves
+    are carried out by block elimination through G; ``solve`` takes the
+    top-block right-hand side (the bottom block is zero in this solver) and
+    returns the primal part together with the multiplier; the primal part
+    lies in the null space of A to within the residual bound. With p = 0
+    the system is G itself and the multiplier has length zero.
     """
 
-    def __init__(self, H, rho, A):
-        H = np.array(H, dtype=float)
-        _require_symmetric(H, "H")
-        if rho <= 0:
-            raise StructureError("rho must be positive")
-        n = H.shape[0]
-        G = 0.5 * (H + H.T) + rho * np.eye(n)
-        try:
-            Ginv = _inverse_from_cholesky(_cholesky_lower(G))
-        except FactorizationError as exc:
-            raise FactorizationError(
-                f"leading block is indefinite even after adding rho I: {exc}",
-                pivot_index=exc.pivot_index,
-                pivot_value=exc.pivot_value,
-            ) from exc
+    def __init__(self, G, A=None):
         self._G = G
-        self._Ginv = Ginv
-        self.n = n
-        self.norm_inf = float(np.linalg.norm(G, np.inf))
-        self.cond_inf = float(self.norm_inf * np.linalg.norm(Ginv, np.inf))
+        self._Ginv = _spd_inverse(G)
+        self.n = n = G.shape[0]
+        self.norm_inf = float(np.linalg.norm(G, np.inf)) if n else 0.0
         A = np.zeros((0, n)) if A is None else np.array(A, dtype=float)
         if A.ndim != 2 or A.shape[1] != n:
             raise StructureError("A must have one column per primal variable")
         self.p = A.shape[0]
         self._A = A
         self._A_norm = float(np.linalg.norm(A, np.inf)) if self.p else 0.0
+        self._no_multiplier = np.zeros(0)
         if self.p:
             if np.linalg.matrix_rank(A) < self.p:
                 raise RankError("equality matrix is rank deficient")
-            W = A @ Ginv @ A.T
+            W = A @ self._Ginv @ A.T
             try:
-                self._Winv = _inverse_from_cholesky(_cholesky_lower(0.5 * (W + W.T)))
+                self._Winv = _spd_inverse(0.5 * (W + W.T))
             except FactorizationError as exc:
                 raise RankError(f"equality matrix is numerically rank deficient: {exc}") from exc
-            self.cond_inf = max(
-                self.cond_inf,
-                float(np.linalg.norm(W, np.inf) * np.linalg.norm(self._Winv, np.inf)),
-            )
-        else:
-            self._Winv = np.zeros((0, 0))
 
-    def _eliminate(self, r, c):
-        y = self._Ginv @ r
-        if self.p:
-            u = self._Winv @ (self._A @ y - c)
-            ds = y - self._Ginv @ (self._A.T @ u)
-        else:
-            u = np.zeros(0)
-            ds = y
-        return ds, u
-
-    def _bounds(self, r, ds, u):
-        ds_scale = float(np.abs(ds).max(initial=0.0))
-        u_scale = float(np.abs(u).max(initial=0.0))
-        top = _solve_bound(
-            float(np.abs(r).max(initial=0.0)),
-            self.norm_inf * ds_scale + self._A_norm * u_scale,
-            self.n,
-        )
-        bottom = _solve_bound(0.0, self._A_norm * ds_scale, self.n)
-        return top, bottom
-
-    def _residuals(self, r, ds, u):
-        res1 = r - self._G @ ds - (self._A.T @ u if self.p else 0.0)
-        res2 = -(self._A @ ds) if self.p else np.zeros(0)
-        return res1, res2
+    def _solve(self, r):
+        """Block elimination, residual check, and at most one refinement."""
+        r = np.asarray(r, dtype=float)
+        Ginv, A, p = self._Ginv, self._A, self.p
+        ds = Ginv @ r
+        u = self._no_multiplier
+        if p:
+            u = self._Winv @ (A @ ds)
+            ds = ds - Ginv @ (A.T @ u)
+        r_scale = float(np.abs(r).max(initial=0.0))
+        for refined in (False, True):
+            res = r - self._G @ ds
+            ds_scale = float(np.abs(ds).max(initial=0.0))
+            noise = self.norm_inf * ds_scale
+            err_eq = bound_eq = 0.0
+            if p:
+                res = res - A.T @ u
+                eq = A @ ds
+                noise = noise + self._A_norm * float(np.abs(u).max(initial=0.0))
+                err_eq = np.abs(eq).max(initial=0.0)
+                bound_eq = _solve_bound(0.0, self._A_norm * ds_scale, self.n)
+            err = np.abs(res).max(initial=0.0)
+            bound = _solve_bound(r_scale, noise, self.n)
+            # written so that a NaN passes: non-finite values are the
+            # caller's to diagnose, not a factorization failure
+            if not (err > bound or err_eq > bound_eq):
+                return ds, u
+            if refined:
+                raise FactorizationError(
+                    f"solve residuals ({err:.3e}, {err_eq:.3e}) exceed bounds "
+                    f"({bound:.3e}, {bound_eq:.3e}) after refinement"
+                )
+            y = Ginv @ res
+            if p:
+                du = self._Winv @ (A @ y - eq)
+                y = y - Ginv @ (A.T @ du)
+                u = u + du
+            ds = ds + y
 
     def solve(self, r):
         """Return (ds, u) solving the saddle system with bottom block zero."""
-        r = np.asarray(r, dtype=float)
-        ds, u = self._eliminate(r, np.zeros(self.p))
-        res1, res2 = self._residuals(r, ds, u)
-        top, bottom = self._bounds(r, ds, u)
-        if np.abs(res1).max(initial=0.0) > top or np.abs(res2).max(initial=0.0) > bottom:
-            d1, d2 = self._eliminate(res1, -res2)
-            ds = ds + d1
-            u = u + d2
-            res1, res2 = self._residuals(r, ds, u)
-            top, bottom = self._bounds(r, ds, u)
-            if np.abs(res1).max(initial=0.0) > top or np.abs(res2).max(initial=0.0) > bottom:
-                raise FactorizationError(
-                    f"saddle solve residuals ({np.abs(res1).max(initial=0.0):.3e}, "
-                    f"{np.abs(res2).max(initial=0.0):.3e}) exceed bounds "
-                    f"({top:.3e}, {bottom:.3e}) after refinement"
-                )
-        return ds, u
+        return self._solve(r)
+
+
+class SymmetricFactorization(KKTFactorization):
+    """Solve handle for one symmetric positive definite matrix (p = 0)."""
+
+    def solve(self, r):
+        """Return x with M x = r, residual-checked and refined once if needed."""
+        return self._solve(r)[0]
 
 
 def factor_spd(M):
     """Factor a symmetric positive definite matrix; counts one event."""
-    f = SymmetricFactorization(M)
+    M = np.array(M, dtype=float)
+    _require_symmetric(M, "matrix")
+    f = SymmetricFactorization(0.5 * (M + M.T))
     _count_one()
     return f
 
@@ -222,6 +187,18 @@ def factor_kkt(H, rho, A):
     With A empty this degenerates to the positive definite case but keeps
     the (ds, u) return shape, u having length zero.
     """
-    f = KKTFactorization(H, rho, A)
+    H = np.array(H, dtype=float)
+    _require_symmetric(H, "H")
+    if rho <= 0:
+        raise StructureError("rho must be positive")
+    G = 0.5 * (H + H.T) + rho * np.eye(H.shape[0])
+    try:
+        f = KKTFactorization(G, A)
+    except FactorizationError as exc:
+        raise FactorizationError(
+            f"leading block is indefinite even after adding rho I: {exc}",
+            pivot_index=exc.pivot_index,
+            pivot_value=exc.pivot_value,
+        ) from exc
     _count_one()
     return f

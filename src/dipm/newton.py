@@ -32,7 +32,7 @@ from .errors import (
     StructureError,
 )
 from .network import RoundScheduler, all_agree, min_consensus
-from .problem import build_coupling, consistency_error, merge_slices, scatter
+from .problem import build_coupling, check_start, consistency_error, merge_slices, scatter
 from .trace import TraceRow
 
 
@@ -77,23 +77,10 @@ def plain_stage(problem):
     ]
 
 
-@dataclass
-class LineSearchParams:
-    armijo_a: float = 0.2
-    shrink_b: float = 0.5
-    max_backtracks: int = 60
-    # keep at least this fraction of every constraint gap per step; the log
-    # barrier is finite arbitrarily close to the boundary while its curvature
-    # overflows, so bare strict feasibility is not a usable acceptance rule
-    boundary_fraction: float = 0.01
-
-    def __post_init__(self):
-        if not 0 < self.armijo_a < 0.5:
-            raise ValueError("armijo_a must lie in (0, 0.5)")
-        if not 0 < self.shrink_b < 1:
-            raise ValueError("shrink_b must lie in (0, 1)")
-        if not 0 < self.boundary_fraction < 1:
-            raise ValueError("boundary_fraction must lie in (0, 1)")
+# keep at least this fraction of every constraint gap per step; the log
+# barrier is finite arbitrarily close to the boundary while its curvature
+# overflows, so bare strict feasibility is not a usable acceptance rule
+BOUNDARY_FRACTION = 0.01
 
 
 def local_decrement(agent, ds):
@@ -109,7 +96,7 @@ def local_decrement(agent, ds):
     return max(val, 0.0)
 
 
-def agent_step_size(stage_block, s, ds, grad_dot, params):
+def agent_step_size(stage_block, s, ds, grad_dot, config):
     """Backtrack on one agent's own stage objective.
 
     Strict feasibility of the inequalities is restored first (the stage
@@ -118,16 +105,18 @@ def agent_step_size(stage_block, s, ds, grad_dot, params):
     may ascend along an individual agent's slice (grad_dot >= 0); such an
     agent cannot satisfy any local decrease test, so only feasibility binds
     it and the descending agents govern the step through the later min
-    reduction. Returns the accepted step, or None once the budget is spent.
+    reduction. ``config`` supplies the Armijo constant, the shrink factor
+    and the backtracking budget. Returns the accepted step, or None once the
+    budget is spent.
     """
     alpha = 1.0
     h0 = stage_block.h.value(s)
     descending = grad_dot < 0.0
-    gap_floor = [params.boundary_fraction * g.value(s) for g in stage_block.inequality]
+    gap_floor = [BOUNDARY_FRACTION * g.value(s) for g in stage_block.inequality]
     # resolution of the objective value itself; the acceptable decrease near
     # a stiff stage center can be smaller than one rounding step of h0
     noise = 8.0 * np.finfo(float).eps * (1.0 + abs(h0))
-    for _ in range(params.max_backtracks + 1):
+    for _ in range(config.max_backtracks + 1):
         cand = s + alpha * ds
         feasible = all(
             g.value(cand) <= floor
@@ -136,21 +125,21 @@ def agent_step_size(stage_block, s, ds, grad_dot, params):
         if feasible:
             if not descending:
                 return alpha
-            if stage_block.h.value(cand) <= h0 + params.armijo_a * alpha * grad_dot + noise:
+            if stage_block.h.value(cand) <= h0 + config.armijo_a * alpha * grad_dot + noise:
                 return alpha
-        alpha *= params.shrink_b
+        alpha *= config.shrink_b
     return None
 
 
-def distributed_line_search(stage, points, workspace, ds_slices, params, scheduler):
+def distributed_line_search(stage, points, workspace, ds_slices, config, scheduler):
     """Per-agent backtracking followed by min-consensus on the step size."""
     alphas = []
     for i, blk in enumerate(stage):
         grad_dot = float(workspace.agents[i].grad @ ds_slices[i])
-        alpha = agent_step_size(blk, points[i], ds_slices[i], grad_dot, params)
+        alpha = agent_step_size(blk, points[i], ds_slices[i], grad_dot, config)
         if alpha is None:
             raise LineSearchError(
-                f"agent {i} exhausted {params.max_backtracks} backtracks", agent=i
+                f"agent {i} exhausted {config.max_backtracks} backtracks", agent=i
             )
         alphas.append(alpha)
     alpha, _ = min_consensus(scheduler, alphas)
@@ -183,21 +172,6 @@ def _stage_objectives(stage, points):
     return obj_h, obj_f
 
 
-def _check_stage_start(stage, points, eq_atol):
-    violations = []
-    for i, blk in enumerate(stage):
-        for c, g in enumerate(blk.inequality):
-            val = g.value(points[i])
-            if not val < 0.0:
-                violations.append(f"agent {i} inequality {c}: value {val:.6e} not < 0")
-        if blk.A_eq is not None:
-            resid = float(np.abs(blk.A_eq @ points[i] - blk.b_eq).max(initial=0.0))
-            if resid > eq_atol:
-                violations.append(f"agent {i} equality residual {resid:.3e} exceeds {eq_atol:g}")
-    if violations:
-        raise InfeasibleStartError("starting point is infeasible", violations)
-
-
 def newton_solve(stage, s0_slices, config, coupling, scheduler,
                  stage_index=0, t=1.0, e_c=0.0, rows=None, rho=None, eq_atol=1e-8):
     """Run the distributed Newton iteration on one stage.
@@ -224,9 +198,8 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
         raise InfeasibleStartError(
             "starting slices are not consistent (not slices of one global vector)"
         )
-    _check_stage_start(stage, points, eq_atol)
+    check_start(stage, points, eq_atol)
 
-    params = LineSearchParams(config.armijo_a, config.shrink_b, config.max_backtracks)
     rows_out = rows if rows is not None else []
     prev_dx = np.zeros(coupling.n)
     inner_counts = []
@@ -279,7 +252,7 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
             )
 
         alpha = distributed_line_search(
-            stage, points, workspace, res.ds_slices, params, scheduler
+            stage, points, workspace, res.ds_slices, config, scheduler
         )
         points = [s + alpha * d for s, d in zip(points, res.ds_slices)]
         e_c += alpha * alpha * config.eps_pri

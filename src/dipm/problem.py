@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import InfeasibleStartError, StructureError
 
 
 def _readonly(a, dtype=float):
@@ -224,9 +224,6 @@ class CouplingStructure:
         """Largest number of agents sharing one variable (looseness measure)."""
         return int(self.degrees.max())
 
-    def local_slice(self, agent, x):
-        return x[self.index_arrays[agent]]
-
 
 def build_coupling(problem):
     """Derive the CouplingStructure of a problem.
@@ -318,6 +315,29 @@ def consistency_error(slices, coupling):
         if d.size:
             err = max(err, float(d.max()))
     return err
+
+
+def check_start(blocks, slices, eq_atol):
+    """Raise InfeasibleStartError unless every slice is a valid start.
+
+    ``blocks`` are agent or stage blocks (anything with ``inequality``,
+    ``A_eq`` and ``b_eq``): each inequality must be strictly negative and
+    each equality residual at most ``eq_atol``. All violations are listed.
+    """
+    violations = []
+    for i, (blk, s) in enumerate(zip(blocks, slices)):
+        for c, g in enumerate(blk.inequality):
+            val = g.value(s)
+            if not val < 0.0:
+                violations.append(
+                    f"agent {i} inequality {c}: value {val:.6e} must be strictly negative"
+                )
+        if blk.A_eq is not None:
+            resid = float(np.abs(blk.A_eq @ s - blk.b_eq).max(initial=0.0))
+            if resid > eq_atol:
+                violations.append(f"agent {i} equality residual {resid:.3e} exceeds {eq_atol:g}")
+    if violations:
+        raise InfeasibleStartError("starting point is infeasible", violations)
 
 
 # ---------------------------------------------------------------------------

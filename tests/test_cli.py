@@ -17,9 +17,19 @@ from dipm.cli import (
     parse_problem,
     run,
 )
+from dipm.barrier import barrier_stage, ipm_solve
 from dipm.config import SolverConfig
 from dipm.errors import InfeasibleStartError, ParseError
 from dipm.generator import random_qp
+from dipm.network import RoundScheduler
+from dipm.newton import newton_solve
+from dipm.problem import (
+    AgentBlock,
+    LooselyCoupledProblem,
+    QuadraticFunction,
+    build_coupling,
+    scatter,
+)
 
 
 def write_doc(path, doc):
@@ -91,6 +101,30 @@ class TestParse:
         doc["agents"][0]["objective"]["q"] = [1.0]
         with pytest.raises(ParseError):
             parse_problem(write_doc(tmp_path / "p.json", doc))
+
+    def test_same_violations_as_the_solvers(self, tmp_path):
+        # one start check serves the parser and both distributed drivers:
+        # x0 = 0 sits on agent 0's boundary and misses agent 1's equality
+        eye = np.eye(2)
+        problem = LooselyCoupledProblem(n=3, blocks=(
+            AgentBlock(index_set=(0, 1), objective=QuadraticFunction(eye, np.zeros(2)),
+                       inequality=(QuadraticFunction(0 * eye, np.array([1.0, 0.0])),)),
+            AgentBlock(index_set=(1, 2), objective=QuadraticFunction(eye, np.zeros(2)),
+                       A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0])),
+        ))
+        path = tmp_path / "p.json"
+        path.write_text(emit_problem(problem, np.zeros(3)))
+        coupling = build_coupling(problem)
+        s0 = scatter(np.zeros(3), coupling)
+        with pytest.raises(InfeasibleStartError) as parsed:
+            parse_problem(str(path))
+        with pytest.raises(InfeasibleStartError) as newton:
+            newton_solve(barrier_stage(problem, 1.0), s0, SolverConfig(), coupling,
+                         RoundScheduler(coupling), eq_atol=1e-9)
+        with pytest.raises(InfeasibleStartError) as ipm:
+            ipm_solve(problem, s0, SolverConfig(), coupling, RoundScheduler(coupling))
+        assert len(parsed.value.violations) == 2
+        assert parsed.value.violations == newton.value.violations == ipm.value.violations
 
     def test_solver_section_round_trips(self, tmp_path):
         doc = minimal_quadratic_doc()
@@ -242,6 +276,34 @@ class TestMainExitCodes:
         code = main(["run", "--mode", "newton", "--problem", path,
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
+
+    def test_nonfinite_array_entry_is_a_parse_error(self, tmp_path):
+        # Python's json reads the NaN and Infinity literals
+        doc = minimal_quadratic_doc()
+        doc["agents"][0]["objective"]["q"] = [float("nan"), 0.0]
+        path = write_doc(tmp_path / "p.json", doc)
+        with pytest.raises(ParseError, match="'q' .* must be finite"):
+            parse_problem(path)
+        assert main(["run", "--mode", "newton", "--problem", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_PARSE
+
+    def test_nonfinite_scalar_is_a_parse_error(self, tmp_path):
+        doc = minimal_quadratic_doc()
+        doc["agents"][0]["inequalities"] = [{"a": [1.0, 0.0], "c": float("nan")}]
+        path = write_doc(tmp_path / "p.json", doc)
+        with pytest.raises(ParseError, match="'c' .* must be finite"):
+            parse_problem(path)
+        assert main(["run", "--mode", "ipm", "--problem", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_PARSE
+
+    def test_nonfinite_solver_setting_is_a_parse_error(self, tmp_path):
+        doc = minimal_quadratic_doc()
+        doc["solver"] = {"rho": float("nan")}
+        path = write_doc(tmp_path / "p.json", doc)
+        with pytest.raises(ParseError, match="rho must be finite"):
+            parse_problem(path)
+        assert main(["run", "--mode", "newton", "--problem", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_PARSE
 
     def test_generate_then_run(self, tmp_path):
         pfile = tmp_path / "gen.json"

@@ -83,8 +83,16 @@ class TestFactorKkt:
         r = rng.standard_normal(4)
         ds, u = factor_kkt(H, 0.5, None).solve(r)
         ref = factor_spd(H + 0.5 * np.eye(4)).solve(r)
-        np.testing.assert_allclose(ds, ref, rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(ds, ref)
         assert u.size == 0
+
+    def test_nan_right_hand_side_passes_through(self):
+        # non-finite data is diagnosed by the caller, not reported as a
+        # failed factorization
+        r = np.array([np.nan, 1.0, 0.0])
+        assert np.isnan(factor_spd(np.eye(3)).solve(r)).any()
+        ds, u = factor_kkt(np.eye(3), 1.0, np.array([[1.0, 1.0, 0.0]])).solve(r)
+        assert np.isnan(ds).any() and np.isnan(u).any()
 
     def test_random_kkt_residuals(self):
         rng = np.random.default_rng(5)

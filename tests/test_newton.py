@@ -16,7 +16,6 @@ from dipm.errors import (
 from dipm.linalg import factor_spd
 from dipm.network import RoundScheduler
 from dipm.newton import (
-    LineSearchParams,
     StageBlock,
     agent_step_size,
     local_decrement,
@@ -90,20 +89,20 @@ class TestAgentStepSize:
         blk = StageBlock(index_set=(0, 1), h=f, f_true=f)
         s = np.zeros(2)
         ds = np.array([1.0, 1.0])       # exact Newton step
-        alpha = agent_step_size(blk, s, ds, float(f.gradient(s) @ ds), LineSearchParams())
+        alpha = agent_step_size(blk, s, ds, float(f.gradient(s) @ ds), SolverConfig())
         assert alpha == 1.0
 
     def test_ascending_slice_accepts_full_step(self):
         # the direction may climb an individual term; only feasibility binds
         f = QuadraticFunction(np.eye(1), np.zeros(1))
         blk = StageBlock(index_set=(0,), h=f, f_true=f)
-        alpha = agent_step_size(blk, np.zeros(1), np.array([0.5]), 0.0, LineSearchParams())
+        alpha = agent_step_size(blk, np.zeros(1), np.array([0.5]), 0.0, SolverConfig())
         assert alpha == 1.0
 
     def test_zero_direction_accepted(self):
         f = QuadraticFunction(np.eye(1), np.ones(1))
         blk = StageBlock(index_set=(0,), h=f, f_true=f)
-        assert agent_step_size(blk, np.ones(1), np.zeros(1), 0.0, LineSearchParams()) == 1.0
+        assert agent_step_size(blk, np.ones(1), np.zeros(1), 0.0, SolverConfig()) == 1.0
 
     def test_barrier_forces_backtrack(self):
         # f = (s+1)^2/2 with s >= 0: from s = 2 the Newton step of the
@@ -117,7 +116,7 @@ class TestAgentStepSize:
         ds = np.array([-2.0])
         grad_dot = float(h.gradient(s) @ ds)
         assert grad_dot < 0
-        alpha = agent_step_size(blk, s, ds, grad_dot, LineSearchParams())
+        alpha = agent_step_size(blk, s, ds, grad_dot, SolverConfig())
         assert alpha == 0.5
 
     def test_budget_exhaustion_returns_none(self):
@@ -126,7 +125,7 @@ class TestAgentStepSize:
         h = BarrierFunction(f, (g,), t=1.0)
         blk = StageBlock(index_set=(0,), h=h, f_true=f, inequality=(g,))
         # direction jumps far past the boundary; zero backtracks allowed
-        params = LineSearchParams(max_backtracks=0)
+        params = SolverConfig(max_backtracks=0)
         assert agent_step_size(blk, np.zeros(1), np.array([5.0]), -1.0, params) is None
 
 
@@ -149,7 +148,7 @@ class TestDistributedLineSearch:
         ws = DirectionWorkspace(stage, points, coupling, cfg)
         dx = np.array([-2.0, 0.3])
         ds = scatter(dx, coupling)
-        params = LineSearchParams()
+        params = SolverConfig()
         alpha = distributed_line_search(stage, points, ws, ds, params, scheduler)
         assert alpha == 0.5
 
@@ -169,7 +168,7 @@ class TestDistributedLineSearch:
         cfg = SolverConfig()
         ws = DirectionWorkspace(stage, points, coupling, cfg)
         ds = scatter(np.array([50.0, 0.0]), coupling)
-        params = LineSearchParams(max_backtracks=0)
+        params = SolverConfig(max_backtracks=0)
         with pytest.raises(LineSearchError) as err:
             distributed_line_search(stage, points, ws, ds, params, scheduler)
         assert err.value.agent == 0
