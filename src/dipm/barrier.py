@@ -134,9 +134,9 @@ def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
     m/t is below eps_p. Factorizations are never reused across stages since
     every stage changes both t and the linearization points.
 
-    Per-stage penalty and inner tolerances are matched to the stage scale
-    (see the module docstring); the consistency-error budget therefore uses
-    each stage's effective primal tolerance.
+    Each stage runs on a copy of ``config`` with penalty and inner
+    tolerances matched to the stage scale (see the module docstring), so
+    the consistency-error budget uses each stage's primal tolerance.
     """
     points = s0_slices
     m = problem.m_total
@@ -156,13 +156,14 @@ def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
         scale = max(1.0, t) ** 2
         stage_config = replace(
             config,
+            rho=config.rho * t,
             eps_pri=max(config.eps_pri / scale, EPS_STAGE_FLOOR),
             eps_dual=max(config.eps_dual / scale, EPS_STAGE_FLOOR),
         )
         nres = newton_solve(
             stage, points, stage_config, coupling, scheduler,
             stage_index=q, t=t, e_c=e_c, rows=rows_out,
-            rho=config.rho * t, eq_atol=1e-9 if q == 0 else 1e-5,
+            eq_atol=1e-9 if q == 0 else 1e-5,
         )
         points = nres.s_slices
         e_c = nres.e_c

@@ -33,11 +33,12 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from .barrier import solve_ipm
-from .config import CONFIG_FIELD_NAMES, SolverConfig
+from .config import SolverConfig
 from .errors import (
     DirectionConvergenceError,
     DisconnectedNetworkError,
@@ -62,7 +63,7 @@ from .problem import (
     consistency_error,
     scatter,
 )
-from .trace import rows_to_csv
+from .trace import TraceRow, rows_to_csv
 
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
@@ -70,6 +71,15 @@ EXIT_INNER = 4
 EXIT_LINESEARCH = 5
 EXIT_CAP = 6
 EXIT_NONFINITE = 7
+# the first entry whose classes match a SolverError gives the exit code; 1 otherwise
+EXIT_CODES = (
+    ((ParseError, StructureError, DisconnectedNetworkError), EXIT_PARSE),
+    ((InfeasibleStartError,), EXIT_INFEASIBLE),
+    ((DirectionConvergenceError,), EXIT_INNER),
+    ((LineSearchError,), EXIT_LINESEARCH),
+    ((IterationCapError,), EXIT_CAP),
+    ((NonFiniteError,), EXIT_NONFINITE),
+)
 
 MODES = ("newton", "ipm", "oracle-newton", "oracle-ipm", "compare")
 
@@ -161,7 +171,7 @@ def _parse_agent(obj, k, n):
         raise ParseError(f"missing 'index_set' in {where}")
     index_set = obj["index_set"]
     if (not isinstance(index_set, list) or not index_set
-            or any(not isinstance(j, int) for j in index_set)):
+            or any(type(j) is not int for j in index_set)):
         raise ParseError(f"'index_set' in {where} must be a nonempty list of integers")
     if any(j < 0 or j >= n for j in index_set):
         raise ParseError(f"'index_set' in {where} has entries outside 0..{n - 1}")
@@ -187,14 +197,19 @@ def _parse_agent(obj, k, n):
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def _configure(config, settings, where):
+    """``config`` with ``settings`` applied; a mistyped or invalid value is a ParseError."""
+    try:
+        return replace(config, **settings)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 def _parse_solver(obj):
     if not isinstance(obj, dict):
         raise ParseError("'solver' must be an object")
-    _reject_unknown(obj, CONFIG_FIELD_NAMES, "solver")
-    try:
-        return SolverConfig(**obj)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"solver section: {exc}") from exc
+    _reject_unknown(obj, [f.name for f in fields(SolverConfig)], "solver")
+    return _configure(SolverConfig(), obj, "solver section")
 
 
 def parse_problem(path):
@@ -213,9 +228,10 @@ def parse_problem(path):
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     _reject_unknown(doc, ("n", "agents", "x0", "solver"), "top level")
-    if "n" not in doc or not isinstance(doc["n"], int) or doc["n"] < 1:
+    n = doc.get("n")
+    # exact type: json's true and false are ints to isinstance
+    if type(n) is not int or n < 1:
         raise ParseError("'n' must be a positive integer")
-    n = doc["n"]
     agents = doc.get("agents")
     if not isinstance(agents, list) or not agents:
         raise ParseError("'agents' must be a nonempty list")
@@ -253,7 +269,7 @@ def emit_problem(problem, x0, config=None):
         agents.append(entry)
     doc = {"n": problem.n, "agents": agents, "x0": np.asarray(x0, dtype=float).tolist()}
     if config is not None:
-        doc["solver"] = {name: getattr(config, name) for name in CONFIG_FIELD_NAMES}
+        doc["solver"] = asdict(config)
     return json.dumps(doc, indent=2)
 
 
@@ -299,8 +315,6 @@ def _distributed(mode, problem, x0, config):
 
 
 def _oracle(mode, problem, x0, config):
-    from .trace import TraceRow
-
     dense = assemble_dense(problem)
     newton_kw = dict(armijo_a=config.armijo_a, shrink_b=config.shrink_b,
                      max_backtracks=config.max_backtracks,
@@ -340,10 +354,7 @@ def run(mode, problem_path, out_dir, overrides=None):
     import pathlib
 
     problem, config, x0 = parse_problem(problem_path)
-    if overrides:
-        cfg = {name: getattr(config, name) for name in CONFIG_FIELD_NAMES}
-        cfg.update(overrides)
-        config = SolverConfig(**cfg)
+    config = _configure(config, overrides or {}, "solver override")
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -394,33 +405,14 @@ def run(mode, problem_path, out_dir, overrides=None):
 # ---------------------------------------------------------------------------
 
 def _add_config_overrides(parser):
-    parser.add_argument("--rho", type=float)
-    parser.add_argument("--eps-pri", type=float, dest="eps_pri")
-    parser.add_argument("--eps-dual", type=float, dest="eps_dual")
-    parser.add_argument("--eps-nt", type=float, dest="eps_nt")
-    parser.add_argument("--t0", type=float)
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--eps-p", type=float, dest="eps_p")
-    parser.add_argument("--armijo-a", type=float, dest="armijo_a")
-    parser.add_argument("--shrink-b", type=float, dest="shrink_b")
-    parser.add_argument("--max-backtracks", type=int, dest="max_backtracks")
-    parser.add_argument("--admm-max-iter", type=int, dest="admm_max_iter")
-    parser.add_argument("--newton-max-iter", type=int, dest="newton_max_iter")
-    parser.add_argument("--no-warm-start", action="store_true")
-    parser.add_argument("--accept-unconverged-direction", action="store_true")
-
-
-def _collect_overrides(args):
-    overrides = {}
-    for name in CONFIG_FIELD_NAMES:
-        val = getattr(args, name, None)
-        if val is not None and not isinstance(val, bool):
-            overrides[name] = val
-    if getattr(args, "no_warm_start", False):
-        overrides["warm_start"] = False
-    if getattr(args, "accept_unconverged_direction", False):
-        overrides["accept_unconverged_direction"] = True
-    return overrides
+    # one flag per SolverConfig field; a bool field is a switch flipping its default
+    for f in fields(SolverConfig):
+        name = f.name.replace("_", "-")
+        if f.type is bool:
+            parser.add_argument(f"--no-{name}" if f.default else f"--{name}",
+                                action="store_const", const=not f.default, dest=f.name)
+        else:
+            parser.add_argument(f"--{name}", type=f.type, dest=f.name)
 
 
 def build_parser():
@@ -459,32 +451,16 @@ def main(argv=None):
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
             return 0
-        summary = run(args.mode, args.problem, args.out, _collect_overrides(args))
+        overrides = {f.name: getattr(args, f.name) for f in fields(SolverConfig)
+                     if getattr(args, f.name) is not None}
+        summary = run(args.mode, args.problem, args.out, overrides)
         print(json.dumps(summary, indent=2))
         return 0
-    except (ParseError, StructureError, DisconnectedNetworkError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InfeasibleStartError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for v in exc.violations:
-            print(f"  {v}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except DirectionConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INNER
-    except LineSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LINESEARCH
-    except IterationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except NonFiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONFINITE
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        for v in getattr(exc, "violations", ()):
+            print(f"  {v}", file=sys.stderr)
+        return next((code for kinds, code in EXIT_CODES if isinstance(exc, kinds)), 1)
 
 
 if __name__ == "__main__":

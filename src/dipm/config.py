@@ -1,6 +1,7 @@
 """Solver configuration record with conventional defaults."""
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 
@@ -29,9 +30,14 @@ class SolverConfig:
     accept_unconverged_direction: bool = False
 
     def __post_init__(self):
-        # NaN passes every comparison below, so finiteness comes first
+        # types first (to Python a bool is an int, here it is not); then
+        # finiteness, since NaN passes every comparison below
+        kinds = {bool: bool, int: numbers.Integral, float: numbers.Real}
         for f in fields(self):
-            if f.type is not bool and not math.isfinite(getattr(self, f.name)):
+            val = getattr(self, f.name)
+            if isinstance(val, bool) != (f.type is bool) or not isinstance(val, kinds[f.type]):
+                raise TypeError(f"{f.name} must be {f.type.__name__}, not {type(val).__name__}")
+            if not math.isfinite(val):
                 raise ValueError(f"{f.name} must be finite")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
@@ -48,6 +54,3 @@ class SolverConfig:
             raise ValueError("max_backtracks must be nonnegative")
         if self.admm_max_iter < 1 or self.newton_max_iter < 0:
             raise ValueError("iteration caps must be positive")
-
-
-CONFIG_FIELD_NAMES = tuple(f.name for f in fields(SolverConfig))

@@ -52,17 +52,14 @@ class AgentDirectionState:
 class DirectionWorkspace:
     """Per-agent gradients and cached factorizations at one linearization point.
 
-    Building the workspace performs the N factorizations; they stay valid
-    for the lifetime of the workspace, which is tied to the linearization
-    point it was built from.
+    Building the workspace performs the N factorizations with penalty
+    ``config.rho``; they stay valid for the lifetime of the workspace, which
+    is tied to the linearization point it was built from.
     """
 
-    def __init__(self, stage, points, coupling, config, rho=None):
+    def __init__(self, stage, points, coupling, config):
         self.coupling = coupling
-        self.rho = config.rho if rho is None else float(rho)
-        self.eps_pri = config.eps_pri
-        self.eps_dual = config.eps_dual
-        self.max_iter = config.admm_max_iter
+        self.config = config
         self.points = [np.asarray(s, dtype=float) for s in points]
         self.agents = []
         for i, (blk, s, idx) in enumerate(zip(stage, self.points, coupling.index_arrays)):
@@ -72,9 +69,9 @@ class DirectionWorkspace:
                 if not np.isfinite(arr).all():
                     raise NonFiniteError(i, quantity)
             if blk.A_eq is None:
-                fac = linalg.factor_spd(H + self.rho * np.eye(len(s)))
+                fac = linalg.factor_spd(H + config.rho * np.eye(len(s)))
             else:
-                fac = linalg.factor_kkt(H, self.rho, blk.A_eq)
+                fac = linalg.factor_kkt(H, config.rho, blk.A_eq)
             self.agents.append(
                 AgentDirectionState(index_set=idx, grad=g, hess=H, factor=fac, A_eq=blk.A_eq)
             )
@@ -132,7 +129,8 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     coupling = workspace.coupling
     agents = workspace.agents
     n_agents = len(agents)
-    rho = workspace.rho
+    config = workspace.config
+    rho = config.rho
 
     if not scheduler.is_connected and n_agents > 1:
         raise DisconnectedNetworkError(
@@ -146,15 +144,15 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     else:
         v = [np.array(vi, dtype=float) for vi in v0]
 
-    eps_pri_i = workspace.eps_pri / n_agents
-    eps_dual_i = workspace.eps_dual / n_agents
+    eps_pri_i = config.eps_pri / n_agents
+    eps_dual_i = config.eps_dual / n_agents
     max_dual_avg = 0.0
     max_eq_viol = 0.0
     pri = dua = np.inf
 
     converged = False
-    iterations = workspace.max_iter
-    for k in range(workspace.max_iter):
+    iterations = config.admm_max_iter
+    for k in range(config.admm_max_iter):
         ds = []
         for i, a in enumerate(agents):
             if a.A_eq is None:

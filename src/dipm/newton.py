@@ -173,20 +173,15 @@ def _stage_objectives(stage, points):
 
 
 def newton_solve(stage, s0_slices, config, coupling, scheduler,
-                 stage_index=0, t=1.0, e_c=0.0, rows=None, rho=None, eq_atol=1e-8):
+                 stage_index=0, t=1.0, e_c=0.0, rows=None, eq_atol=1e-8):
     """Run the distributed Newton iteration on one stage.
 
     ``s0_slices`` must be consistent (slices of one global vector) and
     feasible for the stage's constraints. Trace rows are appended to
     ``rows`` when given; the terminal iteration is recorded with alpha 0.
-    ``rho`` overrides the configured penalty for this stage (the barrier
-    driver scales it with the stage parameter so the inner iteration count
-    stays independent of how stiff the stage objective is); it is constant
-    within the stage, so every direction computation still factors each
-    agent's system exactly once. Steps along the averaged direction leave
-    each agent's equality system satisfied only to the inner primal
-    tolerance, so a stage entered from a previous stage inherits that
-    drift; ``eq_atol`` is the entry gate for it.
+    Steps along the averaged direction leave each agent's equality system
+    satisfied only to the inner primal tolerance, so a stage entered from a
+    previous stage inherits that drift; ``eq_atol`` is the entry gate for it.
     """
     n_agents = coupling.n_agents
     if n_agents > 1 and not scheduler.is_connected:
@@ -210,7 +205,7 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
 
     for outer in range(config.newton_max_iter):
         sent_before = scheduler.total_sent
-        workspace = DirectionWorkspace(stage, points, coupling, config, rho=rho)
+        workspace = DirectionWorkspace(stage, points, coupling, config)
         res = compute_direction(
             workspace, scheduler, dz0=prev_dx if config.warm_start else None
         )
@@ -219,7 +214,7 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
         max_eq_viol = max(max_eq_viol, res.max_eq_violation)
         if not res.converged and not config.accept_unconverged_direction:
             raise DirectionConvergenceError(
-                f"direction iteration cap {workspace.max_iter} reached "
+                f"direction iteration cap {config.admm_max_iter} reached "
                 f"(primal {res.primal_residual:.3e}, dual {res.dual_residual:.3e})",
                 primal_residual=res.primal_residual,
                 dual_residual=res.dual_residual,
@@ -232,35 +227,18 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
         done, _ = all_agree(scheduler, flags)
 
         obj_h, obj_f = _stage_objectives(stage, points)
-
-        if done:
-            rows_out.append(TraceRow(
-                stage=stage_index, t=t, outer=outer,
-                inner_iterations=res.iterations, decrement_half=dec_half,
-                alpha=0.0, max_primal_residual=res.primal_residual,
-                max_dual_residual=res.dual_residual, objective_h=obj_h,
-                objective_f=obj_f, messages=scheduler.total_sent - sent_before,
-                e_c_bound=e_c,
-            ))
-            return NewtonResult(
-                s_slices=points, x=merge_slices(points, coupling),
-                outer_iterations=outer, converged=True, decrement_half=dec_half,
-                decrement_half_max_agent=dec_half_max, e_c=e_c,
-                inner_iterations=inner_counts, max_consistency_error=max_cons,
-                max_dual_average=max_dual_avg, max_eq_violation=max_eq_viol,
-                descent_violations=descent_violations, rows=rows_out,
+        alpha = 0.0
+        if not done:
+            alpha = distributed_line_search(
+                stage, points, workspace, res.ds_slices, config, scheduler
             )
-
-        alpha = distributed_line_search(
-            stage, points, workspace, res.ds_slices, config, scheduler
-        )
-        points = [s + alpha * d for s, d in zip(points, res.ds_slices)]
-        e_c += alpha * alpha * config.eps_pri
-        prev_dx = res.dx
-        max_cons = max(max_cons, consistency_error(points, coupling))
-        new_h, _ = _stage_objectives(stage, points)
-        if new_h > obj_h:
-            descent_violations += 1
+            points = [s + alpha * d for s, d in zip(points, res.ds_slices)]
+            e_c += alpha * alpha * config.eps_pri
+            prev_dx = res.dx
+            max_cons = max(max_cons, consistency_error(points, coupling))
+            new_h, _ = _stage_objectives(stage, points)
+            if new_h > obj_h:
+                descent_violations += 1
 
         rows_out.append(TraceRow(
             stage=stage_index, t=t, outer=outer,
@@ -270,6 +248,15 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
             objective_f=obj_f, messages=scheduler.total_sent - sent_before,
             e_c_bound=e_c,
         ))
+        if done:
+            return NewtonResult(
+                s_slices=points, x=merge_slices(points, coupling),
+                outer_iterations=outer, converged=True, decrement_half=dec_half,
+                decrement_half_max_agent=dec_half_max, e_c=e_c,
+                inner_iterations=inner_counts, max_consistency_error=max_cons,
+                max_dual_average=max_dual_avg, max_eq_violation=max_eq_viol,
+                descent_violations=descent_violations, rows=rows_out,
+            )
 
     raise IterationCapError(
         f"Newton iteration cap {config.newton_max_iter} reached"

@@ -47,7 +47,3 @@ def rows_to_csv(rows):
         buf.write(",".join(_fmt(getattr(row, f.name)) for f in fields(TraceRow)) + "\n")
     return buf.getvalue()
 
-
-def write_trace(rows, path):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(rows_to_csv(rows))

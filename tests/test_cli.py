@@ -1,10 +1,13 @@
 """Problem files, run orchestration, exit codes, and trace determinism."""
 
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from dipm import cli
 from dipm.cli import (
     EXIT_CAP,
     EXIT_INFEASIBLE,
@@ -12,6 +15,7 @@ from dipm.cli import (
     EXIT_LINESEARCH,
     EXIT_NONFINITE,
     EXIT_PARSE,
+    build_parser,
     emit_problem,
     main,
     parse_problem,
@@ -19,7 +23,7 @@ from dipm.cli import (
 )
 from dipm.barrier import barrier_stage, ipm_solve
 from dipm.config import SolverConfig
-from dipm.errors import InfeasibleStartError, ParseError
+from dipm.errors import InfeasibleStartError, ParseError, RankError
 from dipm.generator import random_qp
 from dipm.network import RoundScheduler
 from dipm.newton import newton_solve
@@ -305,6 +309,45 @@ class TestMainExitCodes:
         assert main(["run", "--mode", "newton", "--problem", path,
                      "--out", str(tmp_path / "o")]) == EXIT_PARSE
 
+    def test_fractional_iteration_cap_is_a_parse_error(self, tmp_path):
+        doc = minimal_quadratic_doc()
+        doc["solver"] = {"admm_max_iter": 2.5}
+        path = write_doc(tmp_path / "p.json", doc)
+        with pytest.raises(ParseError, match="admm_max_iter must be int"):
+            parse_problem(path)
+        assert main(["run", "--mode", "newton", "--problem", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("flag, value", [("--rho", "-1"), ("--admm-max-iter", "0")])
+    def test_invalid_override_is_a_parse_error(self, tmp_path, flag, value):
+        path = write_doc(tmp_path / "p.json", chain_doc())
+        assert main(["run", "--mode", "newton", "--problem", path,
+                     "--out", str(tmp_path / "o"), flag, value]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("where", ["index_set", "n"])
+    def test_json_boolean_is_not_an_integer(self, tmp_path, where):
+        doc = minimal_quadratic_doc()
+        if where == "index_set":
+            doc["agents"][0]["index_set"] = [False, True]
+        else:
+            doc.update(n=True, x0=[0.0])
+            doc["agents"][0].update(index_set=[0], objective={
+                "kind": "quadratic", "P": [[1.0]], "q": [0.0]})
+        path = write_doc(tmp_path / "p.json", doc)
+        with pytest.raises(ParseError, match=f"'{where}' .*integer"):
+            parse_problem(path)
+        assert main(["run", "--mode", "newton", "--problem", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_PARSE
+
+    def test_unlisted_solver_error_exits_1(self, tmp_path, monkeypatch, capsys):
+        def failing_run(*args):
+            raise RankError("equality rows are dependent")
+
+        monkeypatch.setattr(cli, "run", failing_run)
+        assert main(["run", "--mode", "newton", "--problem", "p.json",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "error: equality rows are dependent" in capsys.readouterr().err
+
     def test_generate_then_run(self, tmp_path):
         pfile = tmp_path / "gen.json"
         assert main(["generate", "--seed", "3", "--out", str(pfile),
@@ -328,3 +371,35 @@ class TestDeterminism:
         main(["generate", "--seed", "5", "--out", str(tmp_path / "a.json")])
         main(["generate", "--seed", "5", "--out", str(tmp_path / "b.json")])
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def run_parser_options():
+    """(dest, option strings) of every option of the ``run`` subcommand."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(a.dest, a.option_strings) for a in sub.choices["run"]._actions]
+
+
+@pytest.mark.parametrize("field", fields(SolverConfig), ids=lambda f: f.name)
+def test_each_solver_setting_has_one_flag(field, tmp_path, monkeypatch):
+    switches = {"warm_start": "--no-warm-start",
+                "accept_unconverged_direction": "--accept-unconverged-direction"}
+    flag = switches.get(field.name, "--" + field.name.replace("_", "-"))
+    assert [opts for dest, opts in run_parser_options() if dest == field.name] == [[flag]]
+
+    if field.type is bool:
+        argv, value = [flag], not field.default
+    else:
+        value = 7 if field.type is int else 0.375
+        argv = [flag, str(value)]
+    seen = {}
+
+    def recording_run(mode, problem_path, out_dir, overrides):
+        seen.update(overrides)
+        return {}
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    assert main(["run", "--mode", "newton", "--problem", "p.json",
+                 "--out", str(tmp_path / "o"), *argv]) == 0
+    assert seen == {field.name: value}
+    assert type(seen[field.name]) is field.type
