@@ -7,12 +7,12 @@ stage loop on top handles inequality constraints. Centralized dense
 solvers are included as cross-check oracles.
 """
 
-from .barrier import BarrierFunction, IpmResult, barrier_calculus, ipm_solve, solve_ipm
+from .barrier import BarrierFunction, barrier_calculus, ipm_solve, solve_ipm
 from .config import SolverConfig
 from .direction import DirectionResult, DirectionWorkspace, compute_direction
 from .generator import random_qp
 from .network import RoundScheduler, all_agree, exchange_shared_components, min_consensus
-from .newton import NewtonResult, newton_solve, plain_stage, solve_newton
+from .newton import SolveResult, newton_solve, plain_stage, solve_newton
 from .problem import (
     AgentBlock,
     CouplingStructure,
@@ -32,12 +32,11 @@ __all__ = [
     "CouplingStructure",
     "DirectionResult",
     "DirectionWorkspace",
-    "IpmResult",
     "LooselyCoupledProblem",
-    "NewtonResult",
     "QuadraticFunction",
     "RoundScheduler",
     "SoftplusRidge",
+    "SolveResult",
     "SolverConfig",
     "all_agree",
     "barrier_calculus",

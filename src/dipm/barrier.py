@@ -21,10 +21,13 @@ defined where every g_j is strictly negative. Each barrier summand is
 positive semidefinite when g_j is convex, so convexity survives the
 transform. The driver minimizes the transformed problem for a geometric
 schedule of t values, warm-starting every stage from the previous one, and
-stops once the duality-gap proxy m/t drops below the target accuracy.
+stops once the duality-gap proxy m/t drops below the target accuracy. Each
+stage is one ``newton_solve`` call extending the same ``SolveResult``: its
+trace rows count the stages and iterations, and its ``t_final`` gives the
+final gap proxy m / t_final.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from .config import SolverConfig
 from .errors import BarrierDomainError
 from .network import RoundScheduler
 from .newton import StageBlock, newton_solve
-from .problem import build_coupling, merge_slices, scatter
+from .problem import build_coupling, scatter
 
 # floor for the stage-scaled inner tolerances: squared-norm residuals of
 # double-precision iterates at unit scale bottom out around 1e-31, and the
@@ -107,23 +110,6 @@ def barrier_stage(problem, t):
     ]
 
 
-@dataclass
-class IpmResult:
-    x: np.ndarray
-    s_slices: list
-    stages: int
-    t_final: float
-    e_c: float
-    m_over_t: float
-    outer_iterations: int
-    inner_iterations: int
-    max_consistency_error: float
-    max_dual_average: float
-    max_eq_violation: float
-    descent_violations: int
-    rows: list
-
-
 def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
     """Interior-point loop: distributed Newton per stage, geometric t schedule.
 
@@ -132,27 +118,16 @@ def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
     barrier transform at t = t0 mu^q starting from the previous stage's
     solution; the loop ends after the first stage whose duality-gap proxy
     m/t is below eps_p. Factorizations are never reused across stages since
-    every stage changes both t and the linearization points.
+    every stage changes both t and the linearization points. Every stage
+    extends one ``SolveResult``, whose rows are ``rows`` when given.
 
     Each stage runs on a copy of ``config`` with penalty and inner
     tolerances matched to the stage scale (see the module docstring), so
     the consistency-error budget uses each stage's primal tolerance.
     """
-    points = s0_slices
-    m = problem.m_total
-    rows_out = rows if rows is not None else []
+    result = None
     t = config.t0
-    e_c = 0.0
-    q = 0
-    outer_total = 0
-    inner_total = 0
-    max_cons = 0.0
-    max_dual_avg = 0.0
-    max_eq_viol = 0.0
-    descent_violations = 0
-
     while True:
-        stage = barrier_stage(problem, t)
         scale = max(1.0, t) ** 2
         stage_config = replace(
             config,
@@ -160,39 +135,15 @@ def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
             eps_pri=max(config.eps_pri / scale, EPS_STAGE_FLOOR),
             eps_dual=max(config.eps_dual / scale, EPS_STAGE_FLOOR),
         )
-        nres = newton_solve(
-            stage, points, stage_config, coupling, scheduler,
-            stage_index=q, t=t, e_c=e_c, rows=rows_out,
-            eq_atol=1e-9 if q == 0 else 1e-5,
+        result = newton_solve(
+            barrier_stage(problem, t),
+            s0_slices if result is None else result.s_slices,
+            stage_config, coupling, scheduler, t=t, rows=rows,
+            eq_atol=1e-9 if result is None else 1e-5, earlier=result,
         )
-        points = nres.s_slices
-        e_c = nres.e_c
-        outer_total += nres.outer_iterations + 1
-        inner_total += sum(nres.inner_iterations)
-        max_cons = max(max_cons, nres.max_consistency_error)
-        max_dual_avg = max(max_dual_avg, nres.max_dual_average)
-        max_eq_viol = max(max_eq_viol, nres.max_eq_violation)
-        descent_violations += nres.descent_violations
-        if m / t < config.eps_p:
-            break
+        if problem.m_total / t < config.eps_p:
+            return result
         t *= config.mu
-        q += 1
-
-    return IpmResult(
-        x=merge_slices(points, coupling),
-        s_slices=points,
-        stages=q + 1,
-        t_final=t,
-        e_c=e_c,
-        m_over_t=m / t,
-        outer_iterations=outer_total,
-        inner_iterations=inner_total,
-        max_consistency_error=max_cons,
-        max_dual_average=max_dual_avg,
-        max_eq_violation=max_eq_viol,
-        descent_violations=descent_violations,
-        rows=rows_out,
-    )
 
 
 def solve_ipm(problem, x0, config=None):

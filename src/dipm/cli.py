@@ -293,15 +293,12 @@ def _objective_value(problem, slices):
 
 
 def _distributed(mode, problem, x0, config):
-    if mode == "newton":
-        result, scheduler = solve_newton(problem, x0, config)
-        stages = 1
-    else:
-        result, scheduler = solve_ipm(problem, x0, config)
-        stages = result.stages
+    solve = solve_newton if mode == "newton" else solve_ipm
+    result, scheduler = solve(problem, x0, config)
     summary = {
-        "stages": stages,
+        "stages": result.rows[-1].stage + 1,
         "e_c_bound": result.e_c,
+        "consistency_error": consistency_error(result.s_slices, scheduler.coupling),
         "max_consistency_error": result.max_consistency_error,
         "max_dual_average": result.max_dual_average,
         "max_eq_violation": result.max_eq_violation,
@@ -389,7 +386,6 @@ def run(mode, problem_path, out_dir, overrides=None):
         "x": x.tolist(),
         "worst_inequality_value": worst_ineq,
         "worst_equality_residual": worst_eq,
-        "consistency_error": consistency_error(slices, coupling),
         "wall_time_s": wall,
         "objective_f": _objective_value(problem, slices),
     }

@@ -31,14 +31,18 @@ class SolverConfig:
 
     def __post_init__(self):
         # types first (to Python a bool is an int, here it is not); then
-        # finiteness, since NaN passes every comparison below
+        # finiteness, since NaN passes every comparison below. Values are
+        # stored as the built-in type, so a numpy scalar serializes as JSON
         kinds = {bool: bool, int: numbers.Integral, float: numbers.Real}
         for f in fields(self):
             val = getattr(self, f.name)
             if isinstance(val, bool) != (f.type is bool) or not isinstance(val, kinds[f.type]):
-                raise TypeError(f"{f.name} must be {f.type.__name__}, not {type(val).__name__}")
+                module = "" if type(val).__module__ == "builtins" else type(val).__module__ + "."
+                raise TypeError(f"{f.name} must be {f.type.__name__}, "
+                                f"not {module}{type(val).__qualname__}")
             if not math.isfinite(val):
                 raise ValueError(f"{f.name} must be finite")
+            setattr(self, f.name, f.type(val))
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         for name in ("eps_pri", "eps_dual", "eps_nt", "eps_p", "t0"):

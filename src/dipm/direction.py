@@ -75,7 +75,6 @@ class DirectionWorkspace:
             self.agents.append(
                 AgentDirectionState(index_set=idx, grad=g, hess=H, factor=fac, A_eq=blk.A_eq)
             )
-        self.factorizations = len(self.agents)
 
 
 def prox_step_unconstrained(agent, dz_slice, v, rho):
@@ -110,7 +109,6 @@ class DirectionResult:
     ds_slices: list
     primal_residual: float
     dual_residual: float
-    factorizations: int
     max_dual_average: float
     max_eq_violation: float
 
@@ -197,7 +195,6 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
         ds_slices=scatter(dx, coupling),
         primal_residual=pri,
         dual_residual=dua,
-        factorizations=workspace.factorizations,
         max_dual_average=max_dual_avg,
         max_eq_violation=max_eq_viol,
     )

@@ -14,9 +14,14 @@ agent-local state and could run concurrently; the consensus calls are the
 only barriers. The driver itself owns its state for the duration of a
 solve, and all reductions run in ascending agent order so repeated runs
 are bit-identical.
+
+A run's record is a ``SolveResult``: one trace row per outer iteration,
+which holds every count, plus what the rows do not hold. The barrier
+method extends one record across its stages, so a plain Newton run is a
+one-stage record of the same kind.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,41 +152,48 @@ def distributed_line_search(stage, points, workspace, ds_slices, config, schedul
 
 
 @dataclass
-class NewtonResult:
-    s_slices: list
-    x: np.ndarray
-    outer_iterations: int
-    converged: bool
-    decrement_half: float
-    decrement_half_max_agent: float
-    e_c: float
-    inner_iterations: list
-    max_consistency_error: float
-    max_dual_average: float
-    max_eq_violation: float
-    descent_violations: int
-    rows: list
+class SolveResult:
+    """Record of one Newton run, or of all the barrier stages run so far.
+
+    Counts are read from ``rows``: the stages are ``rows[-1].stage + 1``,
+    the directions ``len(rows)``, the inner iterations
+    ``[r.inner_iterations for r in rows]``, the final decrement
+    ``rows[-1].decrement_half``. The fields hold the final iterate, the last
+    stage parameter, the consistency budget ``e_c`` carried between stages,
+    the largest agent share of the final decrement, and the invariant maxima
+    and descent-check failures over every iterate of every stage.
+    """
+
+    rows: list = field(default_factory=list)
+    x: np.ndarray = None
+    s_slices: list = None
+    t_final: float = 1.0
+    e_c: float = 0.0
+    decrement_half_max_agent: float = 0.0
+    max_consistency_error: float = 0.0
+    max_dual_average: float = 0.0
+    max_eq_violation: float = 0.0
+    descent_violations: int = 0
 
 
 def _stage_objectives(stage, points):
-    obj_h = 0.0
-    obj_f = 0.0
-    for blk, s in zip(stage, points):
-        obj_h += blk.h.value(s)
-        obj_f += blk.f_true.value(s)
-    return obj_h, obj_f
+    return (sum(blk.h.value(s) for blk, s in zip(stage, points)),
+            sum(blk.f_true.value(s) for blk, s in zip(stage, points)))
 
 
 def newton_solve(stage, s0_slices, config, coupling, scheduler,
-                 stage_index=0, t=1.0, e_c=0.0, rows=None, eq_atol=1e-8):
+                 t=1.0, rows=None, eq_atol=1e-8, earlier=None):
     """Run the distributed Newton iteration on one stage.
 
     ``s0_slices`` must be consistent (slices of one global vector) and
     feasible for the stage's constraints. Trace rows are appended to
     ``rows`` when given; the terminal iteration is recorded with alpha 0.
-    Steps along the averaged direction leave each agent's equality system
-    satisfied only to the inner primal tolerance, so a stage entered from a
-    previous stage inherits that drift; ``eq_atol`` is the entry gate for it.
+    ``earlier`` is the record of the previous barrier stages: when given,
+    this stage is numbered after them, appends to their rows (``rows`` is
+    then ignored), and the record is updated and returned. Steps along the
+    averaged direction leave each agent's equality system satisfied only to
+    the inner primal tolerance, so a stage entered from a previous stage
+    inherits that drift; ``eq_atol`` is the entry gate for it.
     """
     n_agents = coupling.n_agents
     if n_agents > 1 and not scheduler.is_connected:
@@ -189,19 +201,21 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
             "coupling graph is disconnected; split the problem and solve the pieces"
         )
     points = [np.array(s, dtype=float) for s in s0_slices]
-    if consistency_error(points, coupling) > 1e-12:
+    cons = consistency_error(points, coupling)
+    if cons > 1e-12:
         raise InfeasibleStartError(
             "starting slices are not consistent (not slices of one global vector)"
         )
     check_start(stage, points, eq_atol)
 
-    rows_out = rows if rows is not None else []
+    if earlier is None:
+        result, stage_index = SolveResult(rows=[] if rows is None else rows), 0
+    else:
+        result, stage_index = earlier, earlier.rows[-1].stage + 1
+    result.t_final = t
+    result.max_consistency_error = max(result.max_consistency_error, cons)
     prev_dx = np.zeros(coupling.n)
-    inner_counts = []
-    max_cons = consistency_error(points, coupling)
-    max_dual_avg = 0.0
-    max_eq_viol = 0.0
-    descent_violations = 0
+    obj_h, obj_f = _stage_objectives(stage, points)
 
     for outer in range(config.newton_max_iter):
         sent_before = scheduler.total_sent
@@ -209,9 +223,8 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
         res = compute_direction(
             workspace, scheduler, dz0=prev_dx if config.warm_start else None
         )
-        inner_counts.append(res.iterations)
-        max_dual_avg = max(max_dual_avg, res.max_dual_average)
-        max_eq_viol = max(max_eq_viol, res.max_eq_violation)
+        result.max_dual_average = max(result.max_dual_average, res.max_dual_average)
+        result.max_eq_violation = max(result.max_eq_violation, res.max_eq_violation)
         if not res.converged and not config.accept_unconverged_direction:
             raise DirectionConvergenceError(
                 f"direction iteration cap {config.admm_max_iter} reached "
@@ -221,42 +234,37 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
             )
 
         decs = [local_decrement(a, d) for a, d in zip(workspace.agents, res.ds_slices)]
-        dec_half = sum(decs) / 2.0
-        dec_half_max = max(decs) / 2.0
         flags = [d / 2.0 <= config.eps_nt / n_agents for d in decs]
         done, _ = all_agree(scheduler, flags)
 
-        obj_h, obj_f = _stage_objectives(stage, points)
         alpha = 0.0
         if not done:
             alpha = distributed_line_search(
                 stage, points, workspace, res.ds_slices, config, scheduler
             )
             points = [s + alpha * d for s, d in zip(points, res.ds_slices)]
-            e_c += alpha * alpha * config.eps_pri
+            result.e_c += alpha * alpha * config.eps_pri
             prev_dx = res.dx
-            max_cons = max(max_cons, consistency_error(points, coupling))
-            new_h, _ = _stage_objectives(stage, points)
-            if new_h > obj_h:
-                descent_violations += 1
+            result.max_consistency_error = max(result.max_consistency_error,
+                                               consistency_error(points, coupling))
+            next_h, next_f = _stage_objectives(stage, points)
+            if next_h > obj_h:
+                result.descent_violations += 1
 
-        rows_out.append(TraceRow(
+        result.rows.append(TraceRow(
             stage=stage_index, t=t, outer=outer,
-            inner_iterations=res.iterations, decrement_half=dec_half,
+            inner_iterations=res.iterations, decrement_half=sum(decs) / 2.0,
             alpha=alpha, max_primal_residual=res.primal_residual,
             max_dual_residual=res.dual_residual, objective_h=obj_h,
             objective_f=obj_f, messages=scheduler.total_sent - sent_before,
-            e_c_bound=e_c,
+            e_c_bound=result.e_c,
         ))
         if done:
-            return NewtonResult(
-                s_slices=points, x=merge_slices(points, coupling),
-                outer_iterations=outer, converged=True, decrement_half=dec_half,
-                decrement_half_max_agent=dec_half_max, e_c=e_c,
-                inner_iterations=inner_counts, max_consistency_error=max_cons,
-                max_dual_average=max_dual_avg, max_eq_violation=max_eq_viol,
-                descent_violations=descent_violations, rows=rows_out,
-            )
+            result.s_slices = points
+            result.x = merge_slices(points, coupling)
+            result.decrement_half_max_agent = max(decs) / 2.0
+            return result
+        obj_h, obj_f = next_h, next_f
 
     raise IterationCapError(
         f"Newton iteration cap {config.newton_max_iter} reached"

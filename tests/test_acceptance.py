@@ -151,7 +151,7 @@ def test_criterion_4_communication_structure():
         stage = plain_stage(prob)
         s0 = scatter(x0, coupling)
         nres = newton_solve(stage, s0, config, coupling, scheduler)
-        exchanges = sum(nres.inner_iterations)
+        exchanges = sum(r.inner_iterations for r in nres.rows)
         data_counts = scheduler.sent_by_kind[KIND_SHARED]
         for i in range(prob.n_agents):
             assert data_counts[i] == exchanges * len(coupling.neighbors[i])
@@ -264,9 +264,9 @@ def test_criterion_8_warm_start_report():
     config = SolverConfig(eps_nt=1e-10)
     warm, _ = solve_newton(prob, x0, config)
     cold, _ = solve_newton(prob, x0, replace(config, warm_start=False))
-    assert warm.outer_iterations >= 5
-    mean_warm = float(np.mean(warm.inner_iterations))
-    mean_cold = float(np.mean(cold.inner_iterations))
+    assert warm.rows[-1].outer >= 5
+    mean_warm = float(np.mean([r.inner_iterations for r in warm.rows]))
+    mean_cold = float(np.mean([r.inner_iterations for r in cold.rows]))
     verdict = "improved" if mean_warm <= mean_cold else "did not improve (logged, non-fatal)"
     print(f"\nCRITERION 8 warm-start report: PASS "
           f"(mean inner iterations warm {mean_warm:.1f} vs cold {mean_cold:.1f}; "

@@ -110,7 +110,7 @@ class TestIpmSolve:
         result, scheduler = solve_ipm(prob, np.array([3.0]), cfg)
         # final point within eps_p of the optimum
         assert abs(result.x[0] - 1.0) <= cfg.eps_p
-        assert result.m_over_t < cfg.eps_p
+        assert prob.m_total / result.t_final < cfg.eps_p
         assert scheduler.total_sent == 0     # single agent
         # stage ends track the analytic center 1 + 1/t: decrement tolerance
         # in the barrier metric translates to |t(s-1) - 1| <= sqrt(2 eps_nt)
@@ -137,9 +137,9 @@ class TestIpmSolve:
         cfg = SolverConfig()
         result, _ = solve_ipm(prob, np.array([0.5]), cfg)
         expected = int(np.ceil(np.log(3.0 / (cfg.eps_p * cfg.t0)) / np.log(cfg.mu))) + 1
-        assert result.stages == expected
+        assert result.rows[-1].stage + 1 == expected
         # powers of the default mu = 10 are exact in doubles
-        assert result.t_final == cfg.t0 * cfg.mu ** (result.stages - 1)
+        assert result.t_final == cfg.t0 * cfg.mu ** result.rows[-1].stage
 
     def test_suboptimality_bound_each_stage(self):
         prob, x0 = random_qp(4, n_agents=3, block_size=3, overlap=1, n_ineq=1)
@@ -202,8 +202,8 @@ class TestIpmSolve:
         blk = AgentBlock(index_set=(0, 1), objective=QuadraticFunction(np.eye(2), np.ones(2)))
         prob = LooselyCoupledProblem(n=2, blocks=(blk,))
         result, _ = solve_ipm(prob, np.zeros(2), SolverConfig())
-        assert result.stages == 1
-        assert result.m_over_t == 0.0
+        assert result.rows[-1].stage + 1 == 1
+        assert prob.m_total / result.t_final == 0.0
         np.testing.assert_allclose(result.x, [-1.0, -1.0], atol=1e-5)
 
     def test_trace_rows_ordered_by_stage_then_iteration(self):
@@ -212,4 +212,4 @@ class TestIpmSolve:
         keys = [(row.stage, row.outer) for row in result.rows]
         assert keys == sorted(keys)
         stages = sorted({row.stage for row in result.rows})
-        assert stages == list(range(result.stages))
+        assert stages == list(range(result.rows[-1].stage + 1))

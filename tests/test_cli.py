@@ -1,6 +1,7 @@
 """Problem files, run orchestration, exit codes, and trace determinism."""
 
 import argparse
+import csv
 import json
 from dataclasses import fields
 
@@ -26,7 +27,7 @@ from dipm.config import SolverConfig
 from dipm.errors import InfeasibleStartError, ParseError, RankError
 from dipm.generator import random_qp
 from dipm.network import RoundScheduler
-from dipm.newton import newton_solve
+from dipm.newton import newton_solve, solve_newton
 from dipm.problem import (
     AgentBlock,
     LooselyCoupledProblem,
@@ -192,6 +193,30 @@ class TestRun:
         summary = run("ipm", path, tmp_path / "out")
         assert abs(summary["objective_f"] - 1.0) <= 1e-6
         assert summary["worst_inequality_value"] < 0
+
+    def test_consistency_error_reads_the_final_slices(self, tmp_path, monkeypatch):
+        # the solver's own copies, not a re-scatter of x (consistent by
+        # construction); oracle modes have no copies and no such key
+        def disagreeing(problem, x0, config):
+            result, scheduler = solve_newton(problem, x0, config)
+            result.s_slices[0] = result.s_slices[0] + np.array([0.0, 1e-3])
+            return result, scheduler
+
+        monkeypatch.setattr(cli, "solve_newton", disagreeing)
+        path = write_doc(tmp_path / "p.json", chain_doc())
+        summary = run("newton", path, tmp_path / "out")
+        assert summary["consistency_error"] == pytest.approx(5e-4, rel=1e-9)
+        assert "consistency_error" not in run("oracle-newton", path, tmp_path / "oracle")
+
+    def test_ipm_summary_agrees_with_its_trace(self, tmp_path):
+        problem, x0 = random_qp(4, n_agents=3, block_size=3, overlap=1, n_ineq=1)
+        path = tmp_path / "p.json"
+        path.write_text(emit_problem(problem, x0, SolverConfig()))
+        summary = run("ipm", str(path), tmp_path / "out")
+        with open(tmp_path / "out" / "trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert summary["stages"] == len({r["stage"] for r in rows}) > 1
+        assert summary["e_c_bound"] == float(rows[-1]["e_c_bound"])
 
     def test_oracle_modes(self, tmp_path):
         path = write_doc(tmp_path / "p.json", chain_doc())

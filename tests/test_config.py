@@ -1,11 +1,14 @@
 """Solver configuration validation."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from dipm.cli import emit_problem, parse_problem
 from dipm.config import SolverConfig
+from dipm.generator import random_qp
 
 
 @pytest.mark.parametrize("name", ["rho", "eps_pri", "eps_dual", "eps_nt", "t0", "mu",
@@ -38,3 +41,28 @@ def test_integral_values_accepted_where_numbers_are_wanted():
     config = SolverConfig(rho=2, t0=np.int64(3), admm_max_iter=np.int64(7),
                           eps_p=np.float32(1e-3))
     assert (config.rho, config.t0, config.admm_max_iter) == (2, 3, 7)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("admm_max_iter", np.int64(7)),
+    ("newton_max_iter", np.int32(50)),
+    ("rho", np.float32(0.5)),
+    ("t0", np.int64(2)),
+])
+def test_numpy_scalar_setting_round_trips_through_a_problem_file(name, value, tmp_path):
+    # validation accepts numpy scalars; the record keeps the built-in type,
+    # so the solver section serializes as JSON and reads back equal
+    problem, x0 = random_qp(0, n_agents=2, block_size=2, overlap=1)
+    config = SolverConfig(**{name: value})
+    kind = next(f.type for f in fields(SolverConfig) if f.name == name)
+    assert type(getattr(config, name)) is kind
+    path = tmp_path / "p.json"
+    path.write_text(emit_problem(problem, x0, config))
+    _, parsed, _ = parse_problem(str(path))
+    assert parsed == config
+
+
+def test_rejected_type_is_named_with_its_module():
+    # numpy's bool scalar is called "bool" too
+    with pytest.raises(TypeError, match="warm_start must be bool, not numpy.bool"):
+        SolverConfig(warm_start=np.bool_(True))

@@ -210,7 +210,6 @@ class TestComputeDirection:
         ws = DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
         res = compute_direction(ws, sched)
         assert factorization_count() - before == prob.n_agents
-        assert res.factorizations == prob.n_agents
         assert res.iterations > 1
 
     def test_iteration_cap_returns_unconverged(self):

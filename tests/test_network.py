@@ -1,4 +1,8 @@
-"""Message-passing simulation: exchange, consensus, accounting, locality."""
+"""Message-passing simulation: exchange, consensus, accounting, locality.
+
+The shaped couplings at the end also carry the direction and Newton
+oracle checks, the only tests that run the solver off a chain.
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
+from dipm.config import SolverConfig
+from dipm.direction import DirectionWorkspace, compute_direction
 from dipm.errors import DisconnectedNetworkError, StructureError
 from dipm.network import (
     KIND_FLAG,
@@ -16,6 +22,8 @@ from dipm.network import (
     exchange_shared_components,
     min_consensus,
 )
+from dipm.newton import plain_stage, solve_newton
+from dipm.oracle import assemble_dense, centralized_newton, direct_direction
 from dipm.problem import (
     AgentBlock,
     LooselyCoupledProblem,
@@ -296,3 +304,45 @@ class TestShapes:
         for kind, r in rounds.items():
             np.testing.assert_array_equal(sched.sent_by_kind[kind], r * degree)
         np.testing.assert_array_equal(sched.sent, (1 + 2 * sched.diameter) * degree)
+
+
+def spd_problem_on(c, rng):
+    """Random strongly convex quadratic blocks on the index sets of ``c``."""
+    blocks = []
+    for idx in c.index_arrays:
+        M = rng.standard_normal((len(idx), len(idx)))
+        blocks.append(AgentBlock(index_set=tuple(idx.tolist()), objective=QuadraticFunction(
+            M @ M.T + 0.5 * np.eye(len(idx)), rng.standard_normal(len(idx)))))
+    return LooselyCoupledProblem(n=c.n, blocks=tuple(blocks))
+
+
+def shaped_instances(count):
+    """``count`` seeded (shape, problem, x0) triples per shape, sizes 2 to 9."""
+    for shape, make in SHAPES.items():
+        for seed in range(count):
+            rng = np.random.default_rng(seed)
+            prob = spd_problem_on(make(2 + seed % 8, rng), rng)
+            yield shape, prob, rng.standard_normal(prob.n)
+
+
+class TestShapedSolves:
+    def test_direction_matches_the_dense_oracle(self):
+        # criterion 1's tolerance, on couplings the generator does not produce
+        shapes = set()
+        for shape, prob, x0 in shaped_instances(10):
+            c = build_coupling(prob)
+            s0 = scatter(x0, c)
+            ws = DirectionWorkspace(plain_stage(prob), s0, c, SolverConfig())
+            res = compute_direction(ws, RoundScheduler(c))
+            assert res.converged
+            _, dx_ref = direct_direction(prob, s0, c)
+            assert np.abs(res.dx - dx_ref).max() <= 1e-5, shape
+            shapes.add(shape)
+        assert shapes == set(SHAPES)
+
+    def test_newton_matches_the_centralized_objective(self):
+        for shape, prob, x0 in shaped_instances(5):
+            result, _ = solve_newton(prob, x0, SolverConfig(eps_nt=1e-8))
+            dense = assemble_dense(prob)
+            x_ref = centralized_newton(dense, x0, eps_nt=1e-8)
+            assert abs(dense.value(result.x) - dense.value(x_ref)) <= 1e-6, shape

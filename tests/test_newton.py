@@ -177,14 +177,14 @@ class TestDistributedLineSearch:
 class TestNewtonSolve:
     def test_chain_qp_converges_to_known_minimizer(self):
         result, _ = solve_newton(chain_qp(), np.zeros(3), SolverConfig())
-        assert result.converged
-        assert result.outer_iterations <= 3
+        assert result.rows[-1].alpha == 0.0
+        assert result.rows[-1].outer <= 3
         np.testing.assert_allclose(result.x, [0.0, 0.5, 1.0], atol=1e-6)
 
     def test_already_optimal_terminates_immediately(self):
         prob = chain_qp()
         result, _ = solve_newton(prob, np.array([0.0, 0.5, 1.0]), SolverConfig())
-        assert result.outer_iterations == 0
+        assert result.rows[-1].outer == 0
 
     def test_softplus_blocks_match_centralized(self):
         rng = np.random.default_rng(0)
@@ -214,7 +214,7 @@ class TestNewtonSolve:
         prob = chain_qp()
         cfg = SolverConfig()
         result, _ = solve_newton(prob, np.array([1.0, 1.0, 1.0]), cfg)
-        assert result.decrement_half <= cfg.eps_nt
+        assert result.rows[-1].decrement_half <= cfg.eps_nt
         assert result.decrement_half_max_agent <= cfg.eps_nt / prob.n_agents
 
     def test_budget_accumulator_identity(self):
@@ -266,12 +266,12 @@ class TestNewtonSolve:
         cfg = SolverConfig(admm_max_iter=40, accept_unconverged_direction=True,
                            newton_max_iter=500)
         result, _ = solve_newton(prob, np.ones(3), cfg)
-        assert result.converged
+        assert result.rows[-1].alpha == 0.0
 
     def test_trace_rows_shape(self):
         prob = chain_qp()
         result, _ = solve_newton(prob, np.array([5.0, -3.0, 2.0]), SolverConfig())
-        assert len(result.rows) == result.outer_iterations + 1
+        assert len(result.rows) == result.rows[-1].outer + 1
         assert result.rows[-1].alpha == 0.0
         for row in result.rows:
             assert row.stage == 0
