@@ -33,10 +33,27 @@ def _ipm_family(seed):
     return result.rows
 
 
+# block size 3 with overlap 2: interior variables have three owners, so a
+# change in the order the exchange sums their contributions changes bits,
+# which a two-owner chain (a two-term sum) cannot show
+def _three_owner_newton(seed):
+    problem, x0 = random_qp(seed, n_agents=6, block_size=3, overlap=2, n_eq=1)
+    result, _ = solve_newton(problem, x0, SolverConfig())
+    return result.rows
+
+
+def _three_owner_ipm(seed):
+    problem, x0 = random_qp(seed, n_agents=6, block_size=3, overlap=2, n_ineq=1)
+    result, _ = solve_ipm(problem, x0, SolverConfig())
+    return result.rows
+
+
 # fixture name -> (solve returning trace rows, seed)
 RUNS = {
     **{f"chain_long_seed{s}.trace.csv": (_chain_long, s) for s in range(2)},
     **{f"ipm_family_seed{s}.trace.csv": (_ipm_family, s) for s in range(3)},
+    **{f"three_owner_newton_seed{s}.trace.csv": (_three_owner_newton, s) for s in range(2)},
+    "three_owner_ipm_seed0.trace.csv": (_three_owner_ipm, 0),
 }
 
 
