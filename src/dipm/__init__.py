@@ -12,7 +12,7 @@ from .config import SolverConfig
 from .direction import DirectionResult, DirectionWorkspace, compute_direction
 from .generator import random_qp
 from .network import RoundScheduler, all_agree, exchange_shared_components, min_consensus
-from .newton import SolveResult, newton_solve, plain_stage, solve_newton
+from .newton import SolveResult, Stage, newton_solve, plain_stage, solve_newton
 from .problem import (
     AgentBlock,
     CouplingStructure,
@@ -38,6 +38,7 @@ __all__ = [
     "SoftplusRidge",
     "SolveResult",
     "SolverConfig",
+    "Stage",
     "all_agree",
     "barrier_calculus",
     "build_coupling",

@@ -22,7 +22,8 @@ positive semidefinite when g_j is convex, so convexity survives the
 transform. The driver minimizes the transformed problem for a geometric
 schedule of t values, warm-starting every stage from the previous one, and
 stops once the duality-gap proxy m/t drops below the target accuracy. Each
-stage is one ``newton_solve`` call extending the same ``SolveResult``: its
+stage is a ``Stage`` (the problem's blocks, their barrier transforms and t)
+solved by one ``newton_solve`` call extending the same ``SolveResult``: its
 trace rows count the stages and iterations, and its ``t_final`` gives the
 final gap proxy m / t_final.
 """
@@ -34,7 +35,7 @@ import numpy as np
 from .config import SolverConfig
 from .errors import BarrierDomainError
 from .network import RoundScheduler
-from .newton import StageBlock, newton_solve
+from .newton import Stage, newton_solve
 from .problem import build_coupling, scatter
 
 # floor for the stage-scaled inner tolerances: squared-norm residuals of
@@ -96,18 +97,11 @@ def barrier_calculus(block, t, point):
 
 
 def barrier_stage(problem, t):
-    """Stage blocks for one barrier parameter value."""
-    return [
-        StageBlock(
-            index_set=blk.index_set,
-            h=BarrierFunction(blk.objective, blk.inequality, t, agent=i),
-            f_true=blk.objective,
-            inequality=blk.inequality,
-            A_eq=blk.A_eq,
-            b_eq=blk.b_eq,
-        )
+    """The stage minimizing every block's barrier transform at parameter t."""
+    return Stage(problem.blocks, tuple(
+        BarrierFunction(blk.objective, blk.inequality, t, agent=i)
         for i, blk in enumerate(problem.blocks)
-    ]
+    ), t)
 
 
 def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
@@ -138,7 +132,7 @@ def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
         result = newton_solve(
             barrier_stage(problem, t),
             s0_slices if result is None else result.s_slices,
-            stage_config, coupling, scheduler, t=t, rows=rows,
+            stage_config, coupling, scheduler, rows=rows,
             eq_atol=1e-9 if result is None else 1e-5, earlier=result,
         )
         if problem.m_total / t < config.eps_p:

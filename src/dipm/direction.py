@@ -60,11 +60,12 @@ class DirectionWorkspace:
     def __init__(self, stage, points, coupling, config):
         self.coupling = coupling
         self.config = config
-        self.points = [np.asarray(s, dtype=float) for s in points]
         self.agents = []
-        for i, (blk, s, idx) in enumerate(zip(stage, self.points, coupling.index_arrays)):
-            g = blk.h.gradient(s)
-            H = blk.h.hessian(s)
+        for i, (h, blk, s, idx) in enumerate(zip(stage.objectives, stage.blocks, points,
+                                                  coupling.index_arrays)):
+            s = np.asarray(s, dtype=float)
+            g = h.gradient(s)
+            H = h.hessian(s)
             for quantity, arr in (("gradient", g), ("Hessian", H)):
                 if not np.isfinite(arr).all():
                     raise NonFiniteError(i, quantity)

@@ -1,13 +1,16 @@
 """Outer Newton loop with distributed direction, decrement, and line search.
 
-Each outer iteration linearizes the stage objectives at the current
-iterates, computes the Newton direction with the splitting solver (warm
-started from the previous direction), and terminates once every agent's
-local curvature form satisfies its share of the decrement test. Otherwise
-every agent backtracks on its own objective, the smallest step wins by
-min-consensus, and all agents move by that common step. Because every
-update adds a common multiple of slices of one global vector, iterates
-started consistent stay consistent to the last bit.
+A ``Stage`` is what the agents minimize: the problem's blocks, one stage
+objective per agent and the stage parameter t. Each outer iteration
+linearizes the stage objectives at the current iterates, computes the
+Newton direction with the splitting solver (warm started from the previous
+direction), and terminates once every agent's local curvature form
+satisfies its share of the decrement test. Otherwise every agent
+backtracks on its own stage objective from the value already evaluated at
+its iterate, the smallest step wins by min-consensus, and all agents move
+by that common step. Because every update adds a common multiple of slices
+of one global vector, iterates started consistent stay consistent to the
+last bit.
 
 Per-agent work (prox solves, decrements, backtracking) depends only on
 agent-local state and could run concurrently; the consensus calls are the
@@ -42,25 +45,24 @@ from .trace import TraceRow
 
 
 @dataclass(frozen=True)
-class StageBlock:
-    """What one agent minimizes during one stage.
+class Stage:
+    """What the agents minimize during one stage.
 
-    ``h`` is the stage objective (the block objective itself for plain
-    Newton, its barrier transform during interior-point stages); ``f_true``
-    is the untransformed objective used for reporting. ``inequality`` holds
-    the constraints whose strict feasibility the line search must preserve.
+    ``blocks`` are the problem's agent blocks: they hold the true objective
+    used for reporting, the inequalities whose strict feasibility the line
+    search must preserve, and the equality systems. ``objectives[i]`` is
+    agent i's stage objective (its block objective for plain Newton, the
+    barrier transform during interior-point stages), and ``t`` is the
+    stage parameter.
     """
 
-    index_set: tuple
-    h: object
-    f_true: object
-    inequality: tuple = ()
-    A_eq: np.ndarray = None
-    b_eq: np.ndarray = None
+    blocks: tuple
+    objectives: tuple
+    t: float = 1.0
 
 
 def plain_stage(problem):
-    """Stage blocks minimizing the block objectives directly.
+    """The stage minimizing the block objectives directly.
 
     Only inequality-free problems can be solved this way; anything with
     inequality constraints needs the interior-point driver.
@@ -69,17 +71,7 @@ def plain_stage(problem):
         raise StructureError(
             "problem has inequality constraints; solve it with the interior-point mode"
         )
-    return [
-        StageBlock(
-            index_set=blk.index_set,
-            h=blk.objective,
-            f_true=blk.objective,
-            inequality=(),
-            A_eq=blk.A_eq,
-            b_eq=blk.b_eq,
-        )
-        for blk in problem.blocks
-    ]
+    return Stage(problem.blocks, tuple(blk.objective for blk in problem.blocks))
 
 
 # keep at least this fraction of every constraint gap per step; the log
@@ -101,12 +93,12 @@ def local_decrement(agent, ds):
     return max(val, 0.0)
 
 
-def agent_step_size(stage_block, s, ds, grad_dot, config):
-    """Backtrack on one agent's own stage objective.
+def agent_step_size(h, inequality, s, h0, ds, grad_dot, config):
+    """Backtrack on one agent's own stage objective ``h``, whose value at ``s`` is ``h0``.
 
-    Strict feasibility of the inequalities is restored first (the stage
-    objective is undefined outside their region), then the Armijo test is
-    applied on the true stage objective. A direction that improves the sum
+    Strict feasibility of the ``inequality`` functions is restored first
+    (the stage objective is undefined outside their region), then the
+    Armijo test is applied on the stage objective. A direction that improves the sum
     may ascend along an individual agent's slice (grad_dot >= 0); such an
     agent cannot satisfy any local decrease test, so only feasibility binds
     it and the descending agents govern the step through the later min
@@ -115,33 +107,33 @@ def agent_step_size(stage_block, s, ds, grad_dot, config):
     budget is spent.
     """
     alpha = 1.0
-    h0 = stage_block.h.value(s)
     descending = grad_dot < 0.0
-    gap_floor = [BOUNDARY_FRACTION * g.value(s) for g in stage_block.inequality]
+    gap_floor = [BOUNDARY_FRACTION * g.value(s) for g in inequality]
     # resolution of the objective value itself; the acceptable decrease near
     # a stiff stage center can be smaller than one rounding step of h0
     noise = 8.0 * np.finfo(float).eps * (1.0 + abs(h0))
     for _ in range(config.max_backtracks + 1):
         cand = s + alpha * ds
-        feasible = all(
-            g.value(cand) <= floor
-            for g, floor in zip(stage_block.inequality, gap_floor)
-        )
+        feasible = all(g.value(cand) <= floor for g, floor in zip(inequality, gap_floor))
         if feasible:
             if not descending:
                 return alpha
-            if stage_block.h.value(cand) <= h0 + config.armijo_a * alpha * grad_dot + noise:
+            if h.value(cand) <= h0 + config.armijo_a * alpha * grad_dot + noise:
                 return alpha
         alpha *= config.shrink_b
     return None
 
 
-def distributed_line_search(stage, points, workspace, ds_slices, config, scheduler):
-    """Per-agent backtracking followed by min-consensus on the step size."""
+def distributed_line_search(stage, points, h_values, workspace, ds_slices, config, scheduler):
+    """Per-agent backtracking followed by min-consensus on the step size.
+
+    ``h_values[i]`` is agent i's stage objective at ``points[i]``.
+    """
     alphas = []
-    for i, blk in enumerate(stage):
+    for i, (h, blk) in enumerate(zip(stage.objectives, stage.blocks)):
         grad_dot = float(workspace.agents[i].grad @ ds_slices[i])
-        alpha = agent_step_size(blk, points[i], ds_slices[i], grad_dot, config)
+        alpha = agent_step_size(h, blk.inequality, points[i], h_values[i], ds_slices[i],
+                                grad_dot, config)
         if alpha is None:
             raise LineSearchError(
                 f"agent {i} exhausted {config.max_backtracks} backtracks", agent=i
@@ -177,13 +169,14 @@ class SolveResult:
 
 
 def _stage_objectives(stage, points):
-    return (sum(blk.h.value(s) for blk, s in zip(stage, points)),
-            sum(blk.f_true.value(s) for blk, s in zip(stage, points)))
+    """Per-agent stage objective values, and the sum of the true objectives."""
+    return ([h.value(s) for h, s in zip(stage.objectives, points)],
+            sum(blk.objective.value(s) for blk, s in zip(stage.blocks, points)))
 
 
 def newton_solve(stage, s0_slices, config, coupling, scheduler,
-                 t=1.0, rows=None, eq_atol=1e-8, earlier=None):
-    """Run the distributed Newton iteration on one stage.
+                 rows=None, eq_atol=1e-8, earlier=None):
+    """Run the distributed Newton iteration on one stage, recorded at ``stage.t``.
 
     ``s0_slices`` must be consistent (slices of one global vector) and
     feasible for the stage's constraints. Trace rows are appended to
@@ -206,16 +199,16 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
         raise InfeasibleStartError(
             "starting slices are not consistent (not slices of one global vector)"
         )
-    check_start(stage, points, eq_atol)
+    check_start(stage.blocks, points, eq_atol)
 
     if earlier is None:
         result, stage_index = SolveResult(rows=[] if rows is None else rows), 0
     else:
         result, stage_index = earlier, earlier.rows[-1].stage + 1
-    result.t_final = t
+    result.t_final = stage.t
     result.max_consistency_error = max(result.max_consistency_error, cons)
     prev_dx = np.zeros(coupling.n)
-    obj_h, obj_f = _stage_objectives(stage, points)
+    h_values, obj_f = _stage_objectives(stage, points)
 
     for outer in range(config.newton_max_iter):
         sent_before = scheduler.total_sent
@@ -240,22 +233,22 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
         alpha = 0.0
         if not done:
             alpha = distributed_line_search(
-                stage, points, workspace, res.ds_slices, config, scheduler
+                stage, points, h_values, workspace, res.ds_slices, config, scheduler
             )
             points = [s + alpha * d for s, d in zip(points, res.ds_slices)]
             result.e_c += alpha * alpha * config.eps_pri
             prev_dx = res.dx
             result.max_consistency_error = max(result.max_consistency_error,
                                                consistency_error(points, coupling))
-            next_h, next_f = _stage_objectives(stage, points)
-            if next_h > obj_h:
+            next_values, next_f = _stage_objectives(stage, points)
+            if sum(next_values) > sum(h_values):
                 result.descent_violations += 1
 
         result.rows.append(TraceRow(
-            stage=stage_index, t=t, outer=outer,
+            stage=stage_index, t=stage.t, outer=outer,
             inner_iterations=res.iterations, decrement_half=sum(decs) / 2.0,
             alpha=alpha, max_primal_residual=res.primal_residual,
-            max_dual_residual=res.dual_residual, objective_h=obj_h,
+            max_dual_residual=res.dual_residual, objective_h=sum(h_values),
             objective_f=obj_f, messages=scheduler.total_sent - sent_before,
             e_c_bound=result.e_c,
         ))
@@ -264,7 +257,7 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
             result.x = merge_slices(points, coupling)
             result.decrement_half_max_agent = max(decs) / 2.0
             return result
-        obj_h, obj_f = next_h, next_f
+        h_values, obj_f = next_values, next_f
 
     raise IterationCapError(
         f"Newton iteration cap {config.newton_max_iter} reached"

@@ -320,9 +320,8 @@ def consistency_error(slices, coupling):
 def check_start(blocks, slices, eq_atol):
     """Raise InfeasibleStartError unless every slice is a valid start.
 
-    ``blocks`` are agent or stage blocks (anything with ``inequality``,
-    ``A_eq`` and ``b_eq``): each inequality must be strictly negative and
-    each equality residual at most ``eq_atol``. All violations are listed.
+    ``blocks`` are agent blocks: each inequality must be strictly negative
+    and each equality residual at most ``eq_atol``. All violations are listed.
     """
     violations = []
     for i, (blk, s) in enumerate(zip(blocks, slices)):

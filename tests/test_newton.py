@@ -16,7 +16,6 @@ from dipm.errors import (
 from dipm.linalg import factor_spd
 from dipm.network import RoundScheduler
 from dipm.newton import (
-    StageBlock,
     agent_step_size,
     local_decrement,
     newton_solve,
@@ -26,6 +25,7 @@ from dipm.newton import (
 from dipm.oracle import assemble_dense, centralized_newton
 from dipm.problem import (
     AgentBlock,
+    CustomFunction,
     LooselyCoupledProblem,
     QuadraticFunction,
     SoftplusRidge,
@@ -86,23 +86,23 @@ class TestLocalDecrement:
 class TestAgentStepSize:
     def test_quadratic_full_step(self):
         f = QuadraticFunction(np.eye(2), np.array([-1.0, -1.0]))
-        blk = StageBlock(index_set=(0, 1), h=f, f_true=f)
         s = np.zeros(2)
         ds = np.array([1.0, 1.0])       # exact Newton step
-        alpha = agent_step_size(blk, s, ds, float(f.gradient(s) @ ds), SolverConfig())
+        alpha = agent_step_size(f, (), s, f.value(s), ds, float(f.gradient(s) @ ds),
+                                SolverConfig())
         assert alpha == 1.0
 
     def test_ascending_slice_accepts_full_step(self):
         # the direction may climb an individual term; only feasibility binds
         f = QuadraticFunction(np.eye(1), np.zeros(1))
-        blk = StageBlock(index_set=(0,), h=f, f_true=f)
-        alpha = agent_step_size(blk, np.zeros(1), np.array([0.5]), 0.0, SolverConfig())
+        s = np.zeros(1)
+        alpha = agent_step_size(f, (), s, f.value(s), np.array([0.5]), 0.0, SolverConfig())
         assert alpha == 1.0
 
     def test_zero_direction_accepted(self):
         f = QuadraticFunction(np.eye(1), np.ones(1))
-        blk = StageBlock(index_set=(0,), h=f, f_true=f)
-        assert agent_step_size(blk, np.ones(1), np.zeros(1), 0.0, SolverConfig()) == 1.0
+        s = np.ones(1)
+        assert agent_step_size(f, (), s, f.value(s), np.zeros(1), 0.0, SolverConfig()) == 1.0
 
     def test_barrier_forces_backtrack(self):
         # f = (s+1)^2/2 with s >= 0: from s = 2 the Newton step of the
@@ -111,22 +111,21 @@ class TestAgentStepSize:
         f = QuadraticFunction(np.eye(1), np.ones(1), 0.5)
         g = QuadraticFunction(np.zeros((1, 1)), -np.ones(1), 0.0)   # -s <= 0
         h = BarrierFunction(f, (g,), t=1.0)
-        blk = StageBlock(index_set=(0,), h=h, f_true=f, inequality=(g,))
         s = np.array([2.0])
         ds = np.array([-2.0])
         grad_dot = float(h.gradient(s) @ ds)
         assert grad_dot < 0
-        alpha = agent_step_size(blk, s, ds, grad_dot, SolverConfig())
+        alpha = agent_step_size(h, (g,), s, h.value(s), ds, grad_dot, SolverConfig())
         assert alpha == 0.5
 
     def test_budget_exhaustion_returns_none(self):
         f = QuadraticFunction(np.eye(1), np.zeros(1))
         g = QuadraticFunction(np.zeros((1, 1)), np.ones(1), -1.0)   # s <= 1
         h = BarrierFunction(f, (g,), t=1.0)
-        blk = StageBlock(index_set=(0,), h=h, f_true=f, inequality=(g,))
         # direction jumps far past the boundary; zero backtracks allowed
         params = SolverConfig(max_backtracks=0)
-        assert agent_step_size(blk, np.zeros(1), np.array([5.0]), -1.0, params) is None
+        s = np.zeros(1)
+        assert agent_step_size(h, (g,), s, h.value(s), np.array([5.0]), -1.0, params) is None
 
 
 class TestDistributedLineSearch:
@@ -149,7 +148,8 @@ class TestDistributedLineSearch:
         dx = np.array([-2.0, 0.3])
         ds = scatter(dx, coupling)
         params = SolverConfig()
-        alpha = distributed_line_search(stage, points, ws, ds, params, scheduler)
+        h_values = [h.value(s) for h, s in zip(stage.objectives, points)]
+        alpha = distributed_line_search(stage, points, h_values, ws, ds, params, scheduler)
         assert alpha == 0.5
 
     def test_exhaustion_identifies_agent(self):
@@ -169,8 +169,9 @@ class TestDistributedLineSearch:
         ws = DirectionWorkspace(stage, points, coupling, cfg)
         ds = scatter(np.array([50.0, 0.0]), coupling)
         params = SolverConfig(max_backtracks=0)
+        h_values = [h.value(s) for h, s in zip(stage.objectives, points)]
         with pytest.raises(LineSearchError) as err:
-            distributed_line_search(stage, points, ws, ds, params, scheduler)
+            distributed_line_search(stage, points, h_values, ws, ds, params, scheduler)
         assert err.value.agent == 0
 
 
@@ -185,6 +186,22 @@ class TestNewtonSolve:
         prob = chain_qp()
         result, _ = solve_newton(prob, np.array([0.0, 0.5, 1.0]), SolverConfig())
         assert result.rows[-1].outer == 0
+
+    def test_stage_value_evaluated_once_per_iterate(self):
+        # one agent and one full step: the stage and the true objective at
+        # each of the two iterates, plus the Armijo candidate; the line
+        # search reuses the stage value at the current iterate
+        calls = []
+
+        def value(s):
+            calls.append(s)
+            return 0.5 * float(s @ s) - s[0]
+
+        f = CustomFunction(2, value, lambda s: s - np.array([1.0, 0.0]), lambda s: np.eye(2))
+        prob = LooselyCoupledProblem(n=2, blocks=(AgentBlock(index_set=(0, 1), objective=f),))
+        result, _ = solve_newton(prob, np.zeros(2), SolverConfig())
+        assert [row.alpha for row in result.rows] == [1.0, 0.0]
+        assert len(calls) == 5
 
     def test_softplus_blocks_match_centralized(self):
         rng = np.random.default_rng(0)
