@@ -25,12 +25,14 @@ Runs write ``trace.csv`` (one row per outer Newton iteration, full float
 precision, no locale dependence) and ``summary.json`` into the output
 directory. Exit codes: of the failures the solver can diagnose, a parse or
 validation problem is 2, an infeasible start 3, inner non-convergence 4, a
-failed line search 5, an outer iteration cap 6, and a NaN or infinite
-derivative or inner residual 7.
+failed line search 5, an outer iteration cap 6, a NaN or infinite
+derivative or inner residual 7, an agent's system that cannot be factored
+or solved 8, and an agent's numerically rank-deficient equality matrix 9.
 """
 
 import argparse
 import json
+import pathlib
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -42,11 +44,13 @@ from .config import SolverConfig
 from .errors import (
     DirectionConvergenceError,
     DisconnectedNetworkError,
+    FactorizationError,
     InfeasibleStartError,
     IterationCapError,
     LineSearchError,
     NonFiniteError,
     ParseError,
+    RankError,
     SolverError,
     StructureError,
 )
@@ -71,6 +75,8 @@ EXIT_INNER = 4
 EXIT_LINESEARCH = 5
 EXIT_CAP = 6
 EXIT_NONFINITE = 7
+EXIT_FACTORIZATION = 8
+EXIT_RANK = 9
 # the first entry whose classes match a SolverError gives the exit code; 1 otherwise
 EXIT_CODES = (
     ((ParseError, StructureError, DisconnectedNetworkError), EXIT_PARSE),
@@ -79,6 +85,8 @@ EXIT_CODES = (
     ((LineSearchError,), EXIT_LINESEARCH),
     ((IterationCapError,), EXIT_CAP),
     ((NonFiniteError,), EXIT_NONFINITE),
+    ((FactorizationError,), EXIT_FACTORIZATION),
+    ((RankError,), EXIT_RANK),
 )
 
 MODES = ("newton", "ipm", "oracle-newton", "oracle-ipm", "compare")
@@ -242,7 +250,7 @@ def parse_problem(path):
         raise ParseError(str(exc)) from exc
     x0 = _array(doc, "x0", "top level", (n,))
     config = _parse_solver(doc.get("solver", {}))
-    check_start(problem.blocks, scatter(x0, build_coupling(problem)), 1e-9)
+    check_start(problem.blocks, [x0[list(blk.index_set)] for blk in problem.blocks], 1e-9)
     return problem, config, x0
 
 
@@ -308,7 +316,7 @@ def _distributed(mode, problem, x0, config):
         },
         "messages_total": int(scheduler.total_sent),
     }
-    return result.x, result.rows, summary
+    return result.x, result.rows, summary, scheduler.coupling
 
 
 def _oracle(mode, problem, x0, config):
@@ -348,23 +356,21 @@ def run(mode, problem_path, out_dir, overrides=None):
     Returns the summary dict. ``overrides`` maps SolverConfig field names to
     values taking precedence over the file's solver section.
     """
-    import pathlib
-
     problem, config, x0 = parse_problem(problem_path)
     config = _configure(config, overrides or {}, "solver override")
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    coupling = build_coupling(problem)
     started = time.perf_counter()
 
     if mode in ("newton", "ipm"):
-        x, rows, extra = _distributed(mode, problem, x0, config)
+        x, rows, extra, coupling = _distributed(mode, problem, x0, config)
     elif mode in ("oracle-newton", "oracle-ipm"):
         x, rows, extra = _oracle(mode, problem, x0, config)
+        coupling = build_coupling(problem)
     elif mode == "compare":
         dist_mode = "ipm" if problem.m_total else "newton"
-        x, rows, extra = _distributed(dist_mode, problem, x0, config)
+        x, rows, extra, coupling = _distributed(dist_mode, problem, x0, config)
         x_ref, _, _ = _oracle(
             "oracle-ipm" if problem.m_total else "oracle-newton", problem, x0, config
         )

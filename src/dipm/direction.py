@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DisconnectedNetworkError, NonFiniteError
+from .errors import DisconnectedNetworkError, FactorizationError, NonFiniteError, RankError
 from .network import all_agree, exchange_shared_components
 from .problem import gather_average, merge_slices, scatter
 
@@ -44,9 +44,12 @@ class AgentDirectionState:
     factor: object = field(repr=False)
     A_eq: np.ndarray = None
 
-    @property
-    def dim(self):
-        return len(self.index_set)
+
+def _blame(exc, agent):
+    """``exc`` with the failing agent attached, as ``agent`` and in its message."""
+    exc.agent = agent
+    exc.args = (f"agent {agent}: {exc}",)
+    return exc
 
 
 class DirectionWorkspace:
@@ -54,7 +57,8 @@ class DirectionWorkspace:
 
     Building the workspace performs the N factorizations with penalty
     ``config.rho``; they stay valid for the lifetime of the workspace, which
-    is tied to the linearization point it was built from.
+    is tied to the linearization point it was built from. A system that
+    cannot be factored raises with the failing agent attached.
     """
 
     def __init__(self, stage, points, coupling, config):
@@ -63,16 +67,18 @@ class DirectionWorkspace:
         self.agents = []
         for i, (h, blk, s, idx) in enumerate(zip(stage.objectives, stage.blocks, points,
                                                   coupling.index_arrays)):
-            s = np.asarray(s, dtype=float)
             g = h.gradient(s)
             H = h.hessian(s)
             for quantity, arr in (("gradient", g), ("Hessian", H)):
                 if not np.isfinite(arr).all():
                     raise NonFiniteError(i, quantity)
-            if blk.A_eq is None:
-                fac = linalg.factor_spd(H + config.rho * np.eye(len(s)))
-            else:
-                fac = linalg.factor_kkt(H, config.rho, blk.A_eq)
+            try:
+                if blk.A_eq is None:
+                    fac = linalg.factor_spd(H + config.rho * np.eye(len(s)))
+                else:
+                    fac = linalg.factor_kkt(H, config.rho, blk.A_eq)
+            except (FactorizationError, RankError) as exc:
+                raise _blame(exc, i)
             self.agents.append(
                 AgentDirectionState(index_set=idx, grad=g, hess=H, factor=fac, A_eq=blk.A_eq)
             )
@@ -139,7 +145,7 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     dx0 = np.zeros(coupling.n) if dz0 is None else np.asarray(dz0, dtype=float)
     dz = scatter(dx0, coupling)
     if v0 is None:
-        v = [np.zeros(a.dim) for a in agents]
+        v = [np.zeros(len(a.index_set)) for a in agents]
     else:
         v = [np.array(vi, dtype=float) for vi in v0]
 
@@ -154,12 +160,15 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     for k in range(config.admm_max_iter):
         ds = []
         for i, a in enumerate(agents):
-            if a.A_eq is None:
-                d = prox_step_unconstrained(a, dz[i], v[i], rho)
-            else:
-                d = prox_step_equality(a, dz[i], v[i], rho)
-                viol = float(np.abs(a.A_eq @ d).max(initial=0.0))
-                max_eq_viol = max(max_eq_viol, viol)
+            try:
+                if a.A_eq is None:
+                    d = prox_step_unconstrained(a, dz[i], v[i], rho)
+                else:
+                    d = prox_step_equality(a, dz[i], v[i], rho)
+                    viol = float(np.abs(a.A_eq @ d).max(initial=0.0))
+                    max_eq_viol = max(max_eq_viol, viol)
+            except FactorizationError as exc:
+                raise _blame(exc, i)
             ds.append(d)
 
         dz_new = exchange_shared_components(scheduler, ds)

@@ -2,7 +2,14 @@
 
 
 class SolverError(Exception):
-    """Base class for everything this package raises deliberately."""
+    """Base class for everything this package raises deliberately.
+
+    ``agent`` names the failing agent where one is known, and is None otherwise.
+    """
+
+    def __init__(self, message, agent=None):
+        super().__init__(message)
+        self.agent = agent
 
 
 class StructureError(SolverError):
@@ -30,8 +37,7 @@ class BarrierDomainError(SolverError):
     """Point lies outside the barrier domain; names agent and constraint."""
 
     def __init__(self, message, agent=None, constraint=None):
-        super().__init__(message)
-        self.agent = agent
+        super().__init__(message, agent)
         self.constraint = constraint
 
 
@@ -60,17 +66,12 @@ class NonFiniteError(SolverError):
     """A computed quantity came out NaN or infinite; names the agent and the quantity."""
 
     def __init__(self, agent, quantity):
-        super().__init__(f"agent {agent}: {quantity} is not finite")
-        self.agent = agent
+        super().__init__(f"agent {agent}: {quantity} is not finite", agent)
         self.quantity = quantity
 
 
 class LineSearchError(SolverError):
     """An agent exhausted its backtracking budget; ``agent`` identifies it."""
-
-    def __init__(self, message, agent=None):
-        super().__init__(message)
-        self.agent = agent
 
 
 class IterationCapError(SolverError):

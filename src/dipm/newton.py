@@ -125,10 +125,7 @@ def agent_step_size(h, inequality, s, h0, ds, grad_dot, config):
 
 
 def distributed_line_search(stage, points, h_values, workspace, ds_slices, config, scheduler):
-    """Per-agent backtracking followed by min-consensus on the step size.
-
-    ``h_values[i]`` is agent i's stage objective at ``points[i]``.
-    """
+    """Per-agent backtracking from stage values ``h_values`` at ``points``, then min-consensus."""
     alphas = []
     for i, (h, blk) in enumerate(zip(stage.objectives, stage.blocks)):
         grad_dot = float(workspace.agents[i].grad @ ds_slices[i])
@@ -269,7 +266,6 @@ def solve_newton(problem, x0, config=None):
     config = config or SolverConfig()
     coupling = build_coupling(problem)
     scheduler = RoundScheduler(coupling)
-    stage = plain_stage(problem)
     s0 = scatter(np.asarray(x0, dtype=float), coupling)
-    result = newton_solve(stage, s0, config, coupling, scheduler)
+    result = newton_solve(plain_stage(problem), s0, config, coupling, scheduler)
     return result, scheduler

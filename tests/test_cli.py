@@ -8,14 +8,19 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import dipm.barrier
+import dipm.linalg
+import dipm.newton
 from dipm import cli
 from dipm.cli import (
     EXIT_CAP,
+    EXIT_FACTORIZATION,
     EXIT_INFEASIBLE,
     EXIT_INNER,
     EXIT_LINESEARCH,
     EXIT_NONFINITE,
     EXIT_PARSE,
+    EXIT_RANK,
     build_parser,
     emit_problem,
     main,
@@ -24,7 +29,7 @@ from dipm.cli import (
 )
 from dipm.barrier import barrier_stage, ipm_solve
 from dipm.config import SolverConfig
-from dipm.errors import InfeasibleStartError, ParseError, RankError
+from dipm.errors import DecrementError, FactorizationError, InfeasibleStartError, ParseError
 from dipm.generator import random_qp
 from dipm.network import RoundScheduler
 from dipm.newton import newton_solve, solve_newton
@@ -366,12 +371,45 @@ class TestMainExitCodes:
 
     def test_unlisted_solver_error_exits_1(self, tmp_path, monkeypatch, capsys):
         def failing_run(*args):
-            raise RankError("equality rows are dependent")
+            raise DecrementError("local decrement -1.000e+00 is significantly negative")
 
         monkeypatch.setattr(cli, "run", failing_run)
         assert main(["run", "--mode", "newton", "--problem", "p.json",
                      "--out", str(tmp_path / "o")]) == 1
-        assert "error: equality rows are dependent" in capsys.readouterr().err
+        assert "error: local decrement -1.000e+00 is significantly negative" \
+            in capsys.readouterr().err
+
+    def test_numerically_rank_deficient_equality_names_the_agent(self, tmp_path, capsys):
+        # numpy's rank test passes the rows, so the file parses; the Schur
+        # complement of agent 0's saddle system then loses a pivot
+        doc = {
+            "n": 4,
+            "agents": [
+                {"index_set": [0, 1, 2],
+                 "objective": {"kind": "quadratic", "P": np.eye(3).tolist(), "q": [0.0] * 3},
+                 "equality": {"A": [[1, 1, 0], [1, 1.0000000000001, 0]], "b": [0, 0]}},
+                {"index_set": [2, 3],
+                 "objective": {"kind": "quadratic", "P": np.eye(2).tolist(), "q": [1.0, 0.0]}},
+            ],
+            "x0": [0.0] * 4,
+        }
+        path = write_doc(tmp_path / "p.json", doc)
+        assert main(["run", "--mode", "newton", "--problem", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_RANK
+        assert "error: agent 0: equality matrix is numerically rank deficient" \
+            in capsys.readouterr().err
+
+    def test_factorization_failure_names_the_agent(self, tmp_path, monkeypatch, capsys):
+        # the parser admits only PSD quadratics, so no file reaches an
+        # indefinite system; fail the first factorization of the solve instead
+        def failing(M):
+            raise FactorizationError("pivot 0 fell to -1.000e+00 (floor 1.000e-14)", 0, -1.0)
+
+        monkeypatch.setattr(dipm.linalg, "factor_spd", failing)
+        path = write_doc(tmp_path / "p.json", chain_doc())
+        assert main(["run", "--mode", "newton", "--problem", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_FACTORIZATION
+        assert "error: agent 0: pivot 0 fell" in capsys.readouterr().err
 
     def test_generate_then_run(self, tmp_path):
         pfile = tmp_path / "gen.json"
@@ -396,6 +434,21 @@ class TestDeterminism:
         main(["generate", "--seed", "5", "--out", str(tmp_path / "a.json")])
         main(["generate", "--seed", "5", "--out", str(tmp_path / "b.json")])
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_one_coupling_per_run(mode, tmp_path, monkeypatch):
+    builds = []
+
+    def counting(problem):
+        builds.append(problem)
+        return build_coupling(problem)
+
+    for module in (cli, dipm.newton, dipm.barrier):
+        monkeypatch.setattr(module, "build_coupling", counting)
+    path = write_doc(tmp_path / "p.json", chain_doc())
+    run(mode, path, tmp_path / "out")
+    assert len(builds) == 1
 
 
 def run_parser_options():

@@ -12,7 +12,7 @@ from dipm.direction import (
     prox_step_equality,
     prox_step_unconstrained,
 )
-from dipm.errors import NonFiniteError
+from dipm.errors import FactorizationError, NonFiniteError
 from dipm.generator import random_qp
 from dipm.linalg import factor_kkt, factor_spd, factorization_count
 from dipm.network import RoundScheduler
@@ -248,3 +248,32 @@ class TestNonFinite:
         # agent 1's NaN reaches agent 0 through the shared variable first
         assert (info.value.agent, info.value.quantity) == (0, "primal residual")
         assert sched.round_index == 1
+
+
+class TestFactorizationFailure:
+    def test_indefinite_hessian_names_agent(self):
+        # -2I plus rho = 1 leaves -I: the first pivot of agent 1's system fails
+        indefinite = CustomFunction(
+            2, lambda s: -float(s @ s), lambda s: -2.0 * s, lambda s: -2.0 * np.eye(2)
+        )
+        prob = LooselyCoupledProblem(n=3, blocks=(
+            AgentBlock(index_set=(0, 1), objective=QuadraticFunction(np.eye(2), np.zeros(2))),
+            AgentBlock(index_set=(1, 2), objective=indefinite),
+        ))
+        coupling, _, cfg = setup_instance(prob)
+        with pytest.raises(FactorizationError, match="^agent 1: pivot 0 fell") as info:
+            DirectionWorkspace(plain_stage(prob), scatter(np.zeros(3), coupling), coupling, cfg)
+        assert (info.value.agent, info.value.pivot_index) == (1, 0)
+
+    def test_failed_prox_solve_names_agent(self):
+        class FailingFactor:
+            def solve(self, rhs):
+                raise FactorizationError("solve residuals exceed bounds after refinement")
+
+        prob = chain_qp()
+        coupling, sched, cfg = setup_instance(prob)
+        ws = DirectionWorkspace(plain_stage(prob), scatter(np.zeros(3), coupling), coupling, cfg)
+        ws.agents[1].factor = FailingFactor()
+        with pytest.raises(FactorizationError, match="^agent 1: solve residuals") as info:
+            compute_direction(ws, sched)
+        assert info.value.agent == 1
