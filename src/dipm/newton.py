@@ -98,13 +98,13 @@ def agent_step_size(h, inequality, s, h0, ds, grad_dot, config):
 
     Strict feasibility of the ``inequality`` functions is restored first
     (the stage objective is undefined outside their region), then the
-    Armijo test is applied on the stage objective. A direction that improves the sum
-    may ascend along an individual agent's slice (grad_dot >= 0); such an
-    agent cannot satisfy any local decrease test, so only feasibility binds
-    it and the descending agents govern the step through the later min
-    reduction. ``config`` supplies the Armijo constant, the shrink factor
-    and the backtracking budget. Returns the accepted step, or None once the
-    budget is spent.
+    Armijo test is applied on the stage objective. A direction that improves
+    the sum may ascend along an individual agent's slice (grad_dot >= 0);
+    such an agent cannot satisfy any local decrease test, so only
+    feasibility binds it and the descending agents govern the step through
+    the later min reduction. ``config`` supplies the Armijo constant, the
+    shrink factor and the backtracking budget. Returns the accepted step, or
+    None once the budget is spent.
     """
     alpha = 1.0
     descending = grad_dot < 0.0
