@@ -27,7 +27,7 @@ directory. Exit codes: of the failures the solver can diagnose, a parse or
 validation problem is 2, an infeasible start 3, inner non-convergence 4, a
 failed line search 5, an outer iteration cap 6, a NaN or infinite
 derivative or inner residual 7, an agent's system that cannot be factored
-or solved 8, and an agent's numerically rank-deficient equality matrix 9.
+or solved 8, and an agent's Schur complement made singular by its curvature 9.
 """
 
 import argparse
@@ -142,7 +142,7 @@ def _parse_objective(obj, dim, where):
         q = _array(obj, "q", where, (dim,))
         r = _scalar(obj, "r", where, 0.0)
         try:
-            return QuadraticFunction(P, q, r, require_psd=True)
+            return QuadraticFunction(P, q, r)
         except StructureError as exc:
             raise ParseError(f"objective in {where}: {exc}") from exc
     if kind == "softplus_ridge":
@@ -165,12 +165,12 @@ def _parse_inequality(obj, dim, where):
     a = _array(obj, "a", where, (dim,))
     c = _scalar(obj, "c", where)
     try:
-        return QuadraticFunction(Q, a, c, require_psd=True)
+        return QuadraticFunction(Q, a, c)
     except StructureError as exc:
         raise ParseError(f"inequality in {where}: {exc}") from exc
 
 
-def _parse_agent(obj, k, n):
+def _parse_agent(obj, k):
     where = f"agents[{k}]"
     if not isinstance(obj, dict):
         raise ParseError(f"{where} must be an object")
@@ -181,8 +181,6 @@ def _parse_agent(obj, k, n):
     if (not isinstance(index_set, list) or not index_set
             or any(type(j) is not int for j in index_set)):
         raise ParseError(f"'index_set' in {where} must be a nonempty list of integers")
-    if any(j < 0 or j >= n for j in index_set):
-        raise ParseError(f"'index_set' in {where} has entries outside 0..{n - 1}")
     dim = len(index_set)
     if "objective" not in obj:
         raise ParseError(f"missing 'objective' in {where}")
@@ -243,7 +241,7 @@ def parse_problem(path):
     agents = doc.get("agents")
     if not isinstance(agents, list) or not agents:
         raise ParseError("'agents' must be a nonempty list")
-    blocks = tuple(_parse_agent(a, k, n) for k, a in enumerate(agents))
+    blocks = tuple(_parse_agent(a, k) for k, a in enumerate(agents))
     try:
         problem = LooselyCoupledProblem(n=n, blocks=blocks)
     except StructureError as exc:

@@ -26,8 +26,6 @@ class SolverConfig:
     admm_max_iter: int = 5000
     newton_max_iter: int = 200
     warm_start: bool = True
-    # When the inner loop hits its cap: abort (default) or take the last iterate.
-    accept_unconverged_direction: bool = False
 
     def __post_init__(self):
         # types first (to Python a bool is an int, here it is not); then

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DisconnectedNetworkError, FactorizationError, NonFiniteError, RankError
+from .errors import FactorizationError, NonFiniteError, RankError
 from .network import all_agree, exchange_shared_components
 from .problem import gather_average, merge_slices, scatter
 
@@ -129,18 +129,14 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     a known fixed point and must itself have a zero average.
 
     A non-converged result (iteration cap) is returned rather than raised;
-    the caller decides whether to accept it.
+    ``newton_solve`` rejects it. A disconnected graph raises
+    ``DisconnectedNetworkError`` from the first flooded AND.
     """
     coupling = workspace.coupling
     agents = workspace.agents
     n_agents = len(agents)
     config = workspace.config
     rho = config.rho
-
-    if not scheduler.is_connected and n_agents > 1:
-        raise DisconnectedNetworkError(
-            "direction computation requires a connected coupling graph"
-        )
 
     dx0 = np.zeros(coupling.n) if dz0 is None else np.asarray(dz0, dtype=float)
     dz = scatter(dx0, coupling)

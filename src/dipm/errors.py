@@ -30,7 +30,7 @@ class FactorizationError(SolverError):
 
 
 class RankError(SolverError):
-    """Equality constraint matrix does not have full row rank."""
+    """An agent's Schur complement A (H + rho I)^-1 A' is singular for its curvature."""
 
 
 class BarrierDomainError(SolverError):

@@ -60,8 +60,7 @@ def random_qp(seed, n_agents=4, block_size=3, overlap=1, n_ineq=0, n_eq=0,
                 center = s0 + rng.uniform(-0.3, 0.3, size=block_size)
                 # 1/2 |s - center|^2 - 1/2 radius^2 <= 0, strictly inside at s0
                 const = 0.5 * float(center @ center) - 0.5 * radius**2
-                ineqs.append(QuadraticFunction(np.eye(block_size), -center, const,
-                                               require_psd=True))
+                ineqs.append(QuadraticFunction(np.eye(block_size), -center, const))
 
         A = b = None
         if n_eq:

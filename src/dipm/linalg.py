@@ -78,6 +78,15 @@ def _cholesky_lower(M):
     return L
 
 
+def require_full_row_rank(A):
+    """Raise StructureError unless A passes the Schur-complement pivot test at G = I."""
+    W = A @ A.T
+    try:
+        _cholesky_lower(0.5 * (W + W.T))
+    except FactorizationError as exc:
+        raise StructureError(f"equality matrix must have full row rank: {exc}") from exc
+
+
 def _spd_inverse(M):
     """Inverse of a positive definite M through its Cholesky factor."""
     L = _cholesky_lower(M)
@@ -112,13 +121,11 @@ class KKTFactorization:
         self._A_norm = float(np.linalg.norm(A, np.inf)) if self.p else 0.0
         self._no_multiplier = np.zeros(0)
         if self.p:
-            if np.linalg.matrix_rank(A) < self.p:
-                raise RankError("equality matrix is rank deficient")
             W = A @ self._Ginv @ A.T
             try:
                 self._Winv = _spd_inverse(0.5 * (W + W.T))
             except FactorizationError as exc:
-                raise RankError(f"equality matrix is numerically rank deficient: {exc}") from exc
+                raise RankError(f"Schur complement A (H + rho I)^-1 A' is singular: {exc}") from exc
 
     def _solve(self, r):
         """Block elimination, residual check, and at most one refinement."""

@@ -186,7 +186,7 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
     inherits that drift; ``eq_atol`` is the entry gate for it.
     """
     n_agents = coupling.n_agents
-    if n_agents > 1 and not scheduler.is_connected:
+    if not scheduler.is_connected:
         raise DisconnectedNetworkError(
             "coupling graph is disconnected; split the problem and solve the pieces"
         )
@@ -215,7 +215,7 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
         )
         result.max_dual_average = max(result.max_dual_average, res.max_dual_average)
         result.max_eq_violation = max(result.max_eq_violation, res.max_eq_violation)
-        if not res.converged and not config.accept_unconverged_direction:
+        if not res.converged:
             raise DirectionConvergenceError(
                 f"direction iteration cap {config.admm_max_iter} reached "
                 f"(primal {res.primal_residual:.3e}, dual {res.dual_residual:.3e})",

@@ -16,6 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleStartError, StructureError
+from .linalg import require_full_row_rank
+
+# relative to max|P|: eigvalsh returns rounding-size negatives for singular PSD P
+PSD_RTOL = 1e-10
 
 
 def _readonly(a, dtype=float):
@@ -29,13 +33,13 @@ def _readonly(a, dtype=float):
 # ---------------------------------------------------------------------------
 
 class QuadraticFunction:
-    """f(s) = 1/2 s'Ps + q's + r with P symmetric.
+    """f(s) = 1/2 s'Ps + q's + r with P symmetric positive semidefinite.
 
-    Serves both as a block objective and, with a convexity check, as the
-    left-hand side of a quadratic inequality f(s) <= 0.
+    Serves both as a block objective and as the left-hand side of a
+    quadratic inequality f(s) <= 0.
     """
 
-    def __init__(self, P, q, r=0.0, require_psd=False, psd_tol=1e-10):
+    def __init__(self, P, q, r=0.0):
         P = _readonly(P)
         q = _readonly(q)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -45,9 +49,8 @@ class QuadraticFunction:
         scale = max(1.0, float(np.abs(P).max()) if P.size else 0.0)
         if np.abs(P - P.T).max(initial=0.0) > 1e-12 * scale:
             raise StructureError("P must be symmetric")
-        if require_psd and P.size:
-            if float(np.linalg.eigvalsh(P).min()) < -psd_tol * scale:
-                raise StructureError("quadratic form must be positive semidefinite")
+        if P.size and float(np.linalg.eigvalsh(P).min()) < -PSD_RTOL * scale:
+            raise StructureError("quadratic form must be positive semidefinite")
         self.P = P
         self.q = q
         self.r = float(r)
@@ -122,7 +125,7 @@ class AgentBlock:
     ``index_set`` must be strictly increasing and duplicate-free (0-based).
     ``inequality`` holds zero or more smooth convex constraint functions
     g(s) <= 0 on the local slice. ``A_eq``/``b_eq``, when present, impose
-    A s = b with A of full row rank p < |index_set|.
+    A s = b with p < |index_set| rows passing ``linalg.require_full_row_rank``.
     """
 
     index_set: tuple
@@ -138,7 +141,7 @@ class AgentBlock:
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise StructureError("index set must be strictly increasing")
         if idx[0] < 0:
-            raise StructureError("index set entries must be nonnegative")
+            raise StructureError(f"index set entry {idx[0]} is negative")
         object.__setattr__(self, "index_set", idx)
         object.__setattr__(self, "inequality", tuple(self.inequality))
         if (self.A_eq is None) != (self.b_eq is None):
@@ -150,11 +153,9 @@ class AgentBlock:
                 raise StructureError("A must be p x |index_set|")
             if b.shape != (A.shape[0],):
                 raise StructureError("b length must match rows of A")
-            p = A.shape[0]
-            if p >= len(idx):
+            if A.shape[0] >= len(idx):
                 raise StructureError("need fewer equality rows than local variables")
-            if np.linalg.matrix_rank(A) < p:
-                raise StructureError("equality matrix must have full row rank")
+            require_full_row_rank(A)
             object.__setattr__(self, "A_eq", A)
             object.__setattr__(self, "b_eq", b)
 
@@ -228,18 +229,14 @@ class CouplingStructure:
 def build_coupling(problem):
     """Derive the CouplingStructure of a problem.
 
-    Raises StructureError (naming the first offending index) if some global
-    variable belongs to no block; otherwise the output satisfies the
-    ownership/adjacency invariants by construction.
+    The problem guarantees that its blocks cover 0..n-1, so the output
+    satisfies the ownership/adjacency invariants by construction.
     """
     n = problem.n
     owners = [[] for _ in range(n)]
     for i, blk in enumerate(problem.blocks):
         for j in blk.index_set:
             owners[j].append(i)
-    for j, o in enumerate(owners):
-        if not o:
-            raise StructureError(f"global variable {j} is covered by no block")
     neighbors = [set() for _ in problem.blocks]
     for o in owners:
         for a in o:

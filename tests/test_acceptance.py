@@ -241,7 +241,7 @@ def test_criterion_7_barrier_calculus():
         Q = rng.standard_normal((dim, dim))
         Q = Q @ Q.T
         c = -(0.5 * point @ Q @ point) - rng.uniform(0.5, 2.0)
-        ineqs.append(QuadraticFunction(Q, np.zeros(dim), c, require_psd=True))
+        ineqs.append(QuadraticFunction(Q, np.zeros(dim), c))
         t = float(rng.uniform(0.5, 50.0))
         h = BarrierFunction(f, tuple(ineqs), t)
         report = check_finite_difference(h, point, h=1e-6)

@@ -82,7 +82,7 @@ class TestBarrierCalculus:
             Q = Q @ Q.T
             point = rng.standard_normal(dim)
             c = -(0.5 * point @ Q @ point) - rng.uniform(0.5, 2.0)
-            g = QuadraticFunction(Q, np.zeros(dim), c, require_psd=True)
+            g = QuadraticFunction(Q, np.zeros(dim), c)
             assert g.value(point) < 0
             val = g.value(point)
             gg = g.gradient(point)

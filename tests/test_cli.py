@@ -76,6 +76,21 @@ def chain_doc():
     }
 
 
+def equality_doc(P, A):
+    """Agent 0 (P, equality rows A) on variables 0..2, chained to agent 1 on 2..3."""
+    return {
+        "n": 4,
+        "agents": [
+            {"index_set": [0, 1, 2],
+             "objective": {"kind": "quadratic", "P": P, "q": [0.0] * 3},
+             "equality": {"A": A, "b": [0.0] * len(A)}},
+            {"index_set": [2, 3],
+             "objective": {"kind": "quadratic", "P": np.eye(2).tolist(), "q": [1.0, 0.0]}},
+        ],
+        "x0": [0.0] * 4,
+    }
+
+
 class TestParse:
     def test_minimal_file_solves_to_closed_form(self, tmp_path):
         path = write_doc(tmp_path / "p.json", minimal_quadratic_doc())
@@ -380,24 +395,24 @@ class TestMainExitCodes:
             in capsys.readouterr().err
 
     def test_numerically_rank_deficient_equality_names_the_agent(self, tmp_path, capsys):
-        # numpy's rank test passes the rows, so the file parses; the Schur
-        # complement of agent 0's saddle system then loses a pivot
-        doc = {
-            "n": 4,
-            "agents": [
-                {"index_set": [0, 1, 2],
-                 "objective": {"kind": "quadratic", "P": np.eye(3).tolist(), "q": [0.0] * 3},
-                 "equality": {"A": [[1, 1, 0], [1, 1.0000000000001, 0]], "b": [0, 0]}},
-                {"index_set": [2, 3],
-                 "objective": {"kind": "quadratic", "P": np.eye(2).tolist(), "q": [1.0, 0.0]}},
-            ],
-            "x0": [0.0] * 4,
-        }
-        path = write_doc(tmp_path / "p.json", doc)
+        # numpy's matrix_rank passes these rows, the factorization's pivot
+        # floor does not; the model applies the floor, so every mode agrees
+        path = write_doc(tmp_path / "p.json", equality_doc(np.eye(3).tolist(),
+                                                          [[1, 1, 0], [1, 1.0000000000001, 0]]))
+        for mode in ("newton", "oracle-newton", "compare"):
+            assert main(["run", "--mode", mode, "--problem", path,
+                         "--out", str(tmp_path / mode)]) == EXIT_PARSE
+            assert "error: agents[0]: equality matrix must have full row rank" \
+                in capsys.readouterr().err
+
+    def test_curvature_singular_schur_complement_names_the_agent(self, tmp_path, capsys):
+        # the rows pass the model's rank test, but the large curvature on the
+        # second variable leaves A (H + rho I)^-1 A' numerically singular
+        path = write_doc(tmp_path / "p.json", equality_doc(np.diag([0.0, 1e8, 0.0]).tolist(),
+                                                          [[1, 1, 0], [1, 1.001, 0]]))
         assert main(["run", "--mode", "newton", "--problem", path,
                      "--out", str(tmp_path / "o")]) == EXIT_RANK
-        assert "error: agent 0: equality matrix is numerically rank deficient" \
-            in capsys.readouterr().err
+        assert "error: agent 0: Schur complement" in capsys.readouterr().err
 
     def test_factorization_failure_names_the_agent(self, tmp_path, monkeypatch, capsys):
         # the parser admits only PSD quadratics, so no file reaches an
@@ -460,8 +475,7 @@ def run_parser_options():
 
 @pytest.mark.parametrize("field", fields(SolverConfig), ids=lambda f: f.name)
 def test_each_solver_setting_has_one_flag(field, tmp_path, monkeypatch):
-    switches = {"warm_start": "--no-warm-start",
-                "accept_unconverged_direction": "--accept-unconverged-direction"}
+    switches = {"warm_start": "--no-warm-start"}
     flag = switches.get(field.name, "--" + field.name.replace("_", "-"))
     assert [opts for dest, opts in run_parser_options() if dest == field.name] == [[flag]]
 

@@ -28,7 +28,6 @@ def test_non_finite_float_rejected(name, value):
     ("eps_nt", "1e-8"),
     ("warm_start", "yes"),
     ("warm_start", 1),
-    ("accept_unconverged_direction", 0),
 ])
 def test_mistyped_setting_rejected(name, value):
     # bool is an int to isinstance, so it needs its own test

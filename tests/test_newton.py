@@ -278,13 +278,6 @@ class TestNewtonSolve:
         with pytest.raises(DirectionConvergenceError):
             solve_newton(prob, np.ones(3), SolverConfig(admm_max_iter=2))
 
-    def test_inner_cap_accepted_when_configured(self):
-        prob = chain_qp()
-        cfg = SolverConfig(admm_max_iter=40, accept_unconverged_direction=True,
-                           newton_max_iter=500)
-        result, _ = solve_newton(prob, np.ones(3), cfg)
-        assert result.rows[-1].alpha == 0.0
-
     def test_trace_rows_shape(self):
         prob = chain_qp()
         result, _ = solve_newton(prob, np.array([5.0, -3.0, 2.0]), SolverConfig())

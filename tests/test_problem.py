@@ -173,7 +173,7 @@ class TestBlockValidation:
     def test_quadratic_calculus_is_exact(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((4, 4))
-        P = A + A.T
+        P = A @ A.T
         q = rng.standard_normal(4)
         f = QuadraticFunction(P, q, 1.5)
         s = rng.standard_normal(4)
