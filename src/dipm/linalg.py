@@ -5,11 +5,12 @@ right-hand sides; the prox layer leans on this to amortize one
 factorization per agent across a whole inner-iteration run. One handle,
 ``KKTFactorization``, serves every agent: it factors the shifted leading
 block G = H + rho I and, when the agent has p > 0 equality rows, the Schur
-complement of the saddle system; with p = 0 it is the plain positive
-definite solve (``SymmetricFactorization`` is that case with the primal
-part as its only return value). Every solve is residual-checked against
-the original matrix; a single refinement step is attempted when the bound
-fails, after which the solve raises.
+complement of the saddle system (a Schur pivot that fails means the
+curvature made it singular: the model runs the same test at G = I); with
+p = 0 it is the plain positive definite solve (``SymmetricFactorization``
+is that case with the primal part as its only return value). Every solve
+is residual-checked against the original matrix; a single refinement step
+is attempted when the bound fails, after which the solve raises.
 
 The Cholesky factor is computed by a hand-written loop rather than LAPACK:
 ``scipy.linalg.cholesky`` rounds differently on small blocks, so switching

@@ -6,6 +6,8 @@ variable (0-based), a smooth convex objective on its local slice, optional
 smooth convex inequality constraints, and an optional linear equality
 system. The coupling structure derived from the index sets (who owns which
 variable, who neighbors whom) is what the distributed layers operate on.
+The constructors own the validity checks: finite data, PSD quadratics,
+equality rows passing ``linalg.require_full_row_rank``, coverage of 0..n-1.
 
 All types are immutable after construction; the operations here are pure
 functions, so they are safe to evaluate concurrently.
@@ -24,6 +26,8 @@ PSD_RTOL = 1e-10
 
 def _readonly(a, dtype=float):
     out = np.array(a, dtype=dtype)
+    if not np.isfinite(out).all():
+        raise StructureError("model data must be finite")
     out.setflags(write=False)
     return out
 
@@ -53,7 +57,7 @@ class QuadraticFunction:
             raise StructureError("quadratic form must be positive semidefinite")
         self.P = P
         self.q = q
-        self.r = float(r)
+        self.r = float(_readonly(r))
         self.dim = P.shape[0]
 
     def value(self, s):
@@ -74,10 +78,10 @@ class SoftplusRidge:
     """
 
     def __init__(self, dim, ridge=1.0, linear=None):
-        if ridge <= 0:
+        self.ridge = float(_readonly(ridge))
+        if self.ridge <= 0:
             raise StructureError("ridge must be positive for strong convexity")
         self.dim = int(dim)
-        self.ridge = float(ridge)
         self.linear = _readonly(linear if linear is not None else np.zeros(self.dim))
         if self.linear.shape != (self.dim,):
             raise StructureError("linear term length must match dim")

@@ -326,6 +326,19 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("agent, index_set, message", [
+        (1, [1, 3], "block 1 references index 3 outside 0..2"),
+        (0, [-1, 0], "agents[0]: index set entry -1 is negative"),
+    ], ids=["above-n", "negative"])
+    def test_index_outside_range_is_a_parse_error(self, tmp_path, capsys, agent, index_set,
+                                                  message):
+        doc = chain_doc()
+        doc["agents"][agent]["index_set"] = index_set
+        path = write_doc(tmp_path / "p.json", doc)
+        assert main(["run", "--mode", "newton", "--problem", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_nonfinite_array_entry_is_a_parse_error(self, tmp_path):
         # Python's json reads the NaN and Infinity literals
         doc = minimal_quadratic_doc()

@@ -12,7 +12,7 @@ from dipm.direction import (
     prox_step_equality,
     prox_step_unconstrained,
 )
-from dipm.errors import FactorizationError, NonFiniteError
+from dipm.errors import DisconnectedNetworkError, FactorizationError, NonFiniteError
 from dipm.generator import random_qp
 from dipm.linalg import factor_kkt, factor_spd, factorization_count
 from dipm.network import RoundScheduler
@@ -211,6 +211,16 @@ class TestComputeDirection:
         res = compute_direction(ws, sched)
         assert factorization_count() - before == prob.n_agents
         assert res.iterations > 1
+
+    def test_disconnected_graph_raises_from_the_consensus(self):
+        prob = LooselyCoupledProblem(n=2, blocks=(
+            AgentBlock(index_set=(0,), objective=QuadraticFunction(np.eye(1), np.zeros(1))),
+            AgentBlock(index_set=(1,), objective=QuadraticFunction(np.eye(1), np.ones(1))),
+        ))
+        coupling, sched, cfg = setup_instance(prob)
+        ws = DirectionWorkspace(plain_stage(prob), scatter(np.zeros(2), coupling), coupling, cfg)
+        with pytest.raises(DisconnectedNetworkError):
+            compute_direction(ws, sched)
 
     def test_iteration_cap_returns_unconverged(self):
         prob = chain_qp()

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dipm.errors import StructureError
+from dipm.errors import RankError, StructureError
+from dipm.linalg import factor_kkt
 from dipm.problem import (
     AgentBlock,
     CustomFunction,
@@ -170,6 +173,29 @@ class TestBlockValidation:
                 b_eq=np.zeros(2),
             )
 
+    @pytest.mark.parametrize("P, q, r", [
+        ([[np.nan]], [0.0], 0.0),
+        ([[1.0]], [np.inf], 0.0),
+        ([[1.0]], [0.0], np.nan),
+    ], ids=["P", "q", "r"])
+    def test_nonfinite_quadratic_rejected(self, P, q, r):
+        # NaN fails every comparison, so it would pass the PSD check
+        with pytest.raises(StructureError, match="finite"):
+            QuadraticFunction(np.array(P), np.array(q), r)
+
+    @pytest.mark.parametrize("A, b", [([[np.nan, 1.0, 0.0]], [0.0]),
+                                      ([[1.0, 1.0, 0.0]], [np.inf])], ids=["A", "b"])
+    def test_nonfinite_equality_rejected(self, A, b):
+        with pytest.raises(StructureError, match="finite"):
+            AgentBlock(index_set=(0, 1, 2), objective=QuadraticFunction(np.eye(3), np.zeros(3)),
+                       A_eq=np.array(A), b_eq=np.array(b))
+
+    @pytest.mark.parametrize("ridge, linear", [(np.nan, None), (1.0, [0.0, -np.inf])],
+                             ids=["ridge", "linear"])
+    def test_nonfinite_softplus_rejected(self, ridge, linear):
+        with pytest.raises(StructureError, match="finite"):
+            SoftplusRidge(2, ridge=ridge, linear=linear)
+
     def test_quadratic_calculus_is_exact(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((4, 4))
@@ -180,6 +206,29 @@ class TestBlockValidation:
         np.testing.assert_array_equal(f.gradient(s), P @ s + q)
         np.testing.assert_array_equal(f.hessian(s), P)
         assert f.value(s) == pytest.approx(0.5 * s @ P @ s + q @ s + 1.5, rel=1e-14)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-16, -1), d=st.integers(3, 6))
+def test_block_accepts_exactly_the_equality_rows_the_factorization_takes(seed, k, d):
+    # the last row is the first plus 10^k u: from clearly independent down
+    # to rows that differ in the last bits
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, d))
+    A = rng.standard_normal((p, d))
+    A[-1] = A[0] + 10.0 ** k * rng.standard_normal(d)
+    try:
+        factor_kkt(np.zeros((d, d)), 1.0, A)
+        factors = True
+    except RankError:
+        factors = False
+    try:
+        AgentBlock(index_set=tuple(range(d)), objective=QuadraticFunction(np.eye(d), np.zeros(d)),
+                   A_eq=A, b_eq=np.zeros(p))
+        accepted = True
+    except StructureError:
+        accepted = False
+    assert accepted == factors
 
 
 class TestFiniteDifference:
