@@ -108,12 +108,12 @@ def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
     """Interior-point loop: distributed Newton per stage, geometric t schedule.
 
     Requires a consistent, strictly feasible start; stage 0's Newton solve
-    checks both, with equalities held to 1e-9. Stage q minimizes the
-    barrier transform at t = t0 mu^q starting from the previous stage's
-    solution; the loop ends after the first stage whose duality-gap proxy
-    m/t is below eps_p. Factorizations are never reused across stages since
-    every stage changes both t and the linearization points. Every stage
-    extends one ``SolveResult``, whose rows are ``rows`` when given.
+    checks both. Stage q minimizes the barrier transform at t = t0 mu^q from
+    the previous stage's solution; the loop ends after the first stage whose
+    duality-gap proxy m/t is below eps_p. Factorizations are never reused
+    across stages since every stage changes both t and the linearization
+    points. Every stage extends one ``SolveResult``, whose rows are ``rows``
+    when given.
 
     Each stage runs on a copy of ``config`` with penalty and inner
     tolerances matched to the stage scale (see the module docstring), so
@@ -132,8 +132,7 @@ def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
         result = newton_solve(
             barrier_stage(problem, t),
             s0_slices if result is None else result.s_slices,
-            stage_config, coupling, scheduler, rows=rows,
-            eq_atol=1e-9 if result is None else 1e-5, earlier=result,
+            stage_config, coupling, scheduler, rows=rows, earlier=result,
         )
         if problem.m_total / t < config.eps_p:
             return result

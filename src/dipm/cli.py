@@ -19,7 +19,7 @@ optional linear). Inequalities are quadratic forms 1/2 s'Qs + a's + c <= 0
 with Q optional (affine when omitted). Unknown keys anywhere are rejected,
 and so are non-finite numbers (the NaN and Infinity literals).
 The starting point must be strictly feasible for all inequalities and
-satisfy equalities to 1e-9; it is validated before any solve.
+satisfy equalities to ``START_EQ_ATOL``; it is validated before any solve.
 
 Runs write ``trace.csv`` (one row per outer Newton iteration, full float
 precision, no locale dependence) and ``summary.json`` into the output
@@ -248,7 +248,7 @@ def parse_problem(path):
         raise ParseError(str(exc)) from exc
     x0 = _array(doc, "x0", "top level", (n,))
     config = _parse_solver(doc.get("solver", {}))
-    check_start(problem.blocks, [x0[list(blk.index_set)] for blk in problem.blocks], 1e-9)
+    check_start(problem.blocks, [x0[list(blk.index_set)] for blk in problem.blocks])
     return problem, config, x0
 
 

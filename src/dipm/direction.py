@@ -188,7 +188,7 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
         max_dual_avg = max(max_dual_avg, float(np.abs(avg_v).max(initial=0.0)))
 
         dz = dz_new
-        converged, _ = all_agree(scheduler, flags)
+        converged = all_agree(scheduler, flags)
         if converged:
             iterations = k + 1
             break

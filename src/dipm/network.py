@@ -17,8 +17,9 @@ each agent with exactly its degree.
 Consensus primitives (boolean AND, minimum) are realized by flooding,
 which is exact after diameter-many rounds on a connected graph. On a
 disconnected graph with more than one agent they raise, since values
-cannot propagate between components; solvers reject such problems up
-front. Fully decoupled single-agent problems are trivially connected.
+cannot propagate between components, so a solver meets a disconnected
+problem at its first consensus. Fully decoupled single-agent problems are
+trivially connected. Rounds are counted by the scheduler alone.
 
 Within a round, each agent's update is a pure function of its own state
 and the segments addressed to it; the round boundary is the only
@@ -201,24 +202,21 @@ def exchange_shared_components(scheduler, contributions):
 
 def _flood(scheduler, state, combine, kind):
     if not scheduler.is_connected:
-        raise DisconnectedNetworkError("coupling graph is disconnected; "
-                                       "values cannot propagate between components")
+        raise DisconnectedNetworkError("coupling graph is disconnected; split the problem "
+                                       "and solve the pieces")
     plan = scheduler.plan
-    rounds = scheduler.diameter
-    for _ in range(rounds):
+    for _ in range(scheduler.diameter):
         received = scheduler.deliver_round(state[plan.edge_src], kind)
         state = combine(state, combine.reduceat(received, plan.recv_start))
-    return state[0], rounds
+    return state[0]
 
 
 def all_agree(scheduler, flags):
     """Logical AND of per-agent flags, flooded over the coupling graph.
 
-    Returns (decision, rounds_used); after diameter-many rounds every agent
-    holds the same decision.
+    Every agent holds the returned decision after diameter-many rounds.
     """
-    state, rounds = _flood(scheduler, np.array(flags, dtype=bool), np.logical_and, KIND_FLAG)
-    return bool(state), rounds
+    return bool(_flood(scheduler, np.array(flags, dtype=bool), np.logical_and, KIND_FLAG))
 
 
 def min_consensus(scheduler, values):
@@ -226,5 +224,4 @@ def min_consensus(scheduler, values):
     values = np.array(values, dtype=float)
     if not np.isfinite(values).all():
         raise StructureError("consensus values must be finite")
-    state, rounds = _flood(scheduler, values, np.minimum, KIND_MIN)
-    return float(state), rounds
+    return float(_flood(scheduler, values, np.minimum, KIND_MIN))

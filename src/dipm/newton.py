@@ -33,7 +33,6 @@ from .direction import DirectionWorkspace, compute_direction
 from .errors import (
     DecrementError,
     DirectionConvergenceError,
-    DisconnectedNetworkError,
     InfeasibleStartError,
     IterationCapError,
     LineSearchError,
@@ -73,6 +72,10 @@ def plain_stage(problem):
         )
     return Stage(problem.blocks, tuple(blk.objective for blk in problem.blocks))
 
+
+# equality residual a continued stage may start from: steps along the averaged
+# direction hold the equality rows only to the inner primal tolerance
+STAGE_EQ_DRIFT = 1e-5
 
 # keep at least this fraction of every constraint gap per step; the log
 # barrier is finite arbitrarily close to the boundary while its curvature
@@ -136,8 +139,7 @@ def distributed_line_search(stage, points, h_values, workspace, ds_slices, confi
                 f"agent {i} exhausted {config.max_backtracks} backtracks", agent=i
             )
         alphas.append(alpha)
-    alpha, _ = min_consensus(scheduler, alphas)
-    return alpha
+    return min_consensus(scheduler, alphas)
 
 
 @dataclass
@@ -172,7 +174,7 @@ def _stage_objectives(stage, points):
 
 
 def newton_solve(stage, s0_slices, config, coupling, scheduler,
-                 rows=None, eq_atol=1e-8, earlier=None):
+                 rows=None, earlier=None):
     """Run the distributed Newton iteration on one stage, recorded at ``stage.t``.
 
     ``s0_slices`` must be consistent (slices of one global vector) and
@@ -180,27 +182,23 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
     ``rows`` when given; the terminal iteration is recorded with alpha 0.
     ``earlier`` is the record of the previous barrier stages: when given,
     this stage is numbered after them, appends to their rows (``rows`` is
-    then ignored), and the record is updated and returned. Steps along the
-    averaged direction leave each agent's equality system satisfied only to
-    the inner primal tolerance, so a stage entered from a previous stage
-    inherits that drift; ``eq_atol`` is the entry gate for it.
+    then ignored), and the record is updated and returned. A first stage
+    is a start, held to ``problem.START_EQ_ATOL``; a continued stage may
+    carry an equality residual up to ``STAGE_EQ_DRIFT``. A disconnected
+    coupling raises from the first consensus.
     """
-    n_agents = coupling.n_agents
-    if not scheduler.is_connected:
-        raise DisconnectedNetworkError(
-            "coupling graph is disconnected; split the problem and solve the pieces"
-        )
     points = [np.array(s, dtype=float) for s in s0_slices]
     cons = consistency_error(points, coupling)
     if cons > 1e-12:
         raise InfeasibleStartError(
             "starting slices are not consistent (not slices of one global vector)"
         )
-    check_start(stage.blocks, points, eq_atol)
 
     if earlier is None:
+        check_start(stage.blocks, points)
         result, stage_index = SolveResult(rows=[] if rows is None else rows), 0
     else:
+        check_start(stage.blocks, points, STAGE_EQ_DRIFT)
         result, stage_index = earlier, earlier.rows[-1].stage + 1
     result.t_final = stage.t
     result.max_consistency_error = max(result.max_consistency_error, cons)
@@ -224,8 +222,8 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
             )
 
         decs = [local_decrement(a, d) for a, d in zip(workspace.agents, res.ds_slices)]
-        flags = [d / 2.0 <= config.eps_nt / n_agents for d in decs]
-        done, _ = all_agree(scheduler, flags)
+        flags = [d / 2.0 <= config.eps_nt / coupling.n_agents for d in decs]
+        done = all_agree(scheduler, flags)
 
         alpha = 0.0
         if not done:

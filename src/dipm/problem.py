@@ -8,6 +8,7 @@ system. The coupling structure derived from the index sets (who owns which
 variable, who neighbors whom) is what the distributed layers operate on.
 The constructors own the validity checks: finite data, PSD quadratics,
 equality rows passing ``linalg.require_full_row_rank``, coverage of 0..n-1.
+``check_start`` judges starting points.
 
 All types are immutable after construction; the operations here are pure
 functions, so they are safe to evaluate concurrently.
@@ -22,6 +23,9 @@ from .linalg import require_full_row_rank
 
 # relative to max|P|: eigvalsh returns rounding-size negatives for singular PSD P
 PSD_RTOL = 1e-10
+
+# largest equality residual a starting point may have
+START_EQ_ATOL = 1e-9
 
 
 def _readonly(a, dtype=float):
@@ -318,7 +322,7 @@ def consistency_error(slices, coupling):
     return err
 
 
-def check_start(blocks, slices, eq_atol):
+def check_start(blocks, slices, eq_atol=START_EQ_ATOL):
     """Raise InfeasibleStartError unless every slice is a valid start.
 
     ``blocks`` are agent blocks: each inequality must be strictly negative

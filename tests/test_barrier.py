@@ -7,11 +7,13 @@ from dipm.barrier import (
     EPS_STAGE_FLOOR,
     BarrierFunction,
     barrier_calculus,
+    ipm_solve,
     solve_ipm,
 )
 from dipm.config import SolverConfig
-from dipm.errors import BarrierDomainError, InfeasibleStartError
+from dipm.errors import BarrierDomainError, DisconnectedNetworkError, InfeasibleStartError
 from dipm.generator import random_qp
+from dipm.network import RoundScheduler
 from dipm.oracle import assemble_dense, centralized_ipm
 from dipm.problem import (
     AgentBlock,
@@ -175,6 +177,21 @@ class TestIpmSolve:
         prob = one_d_boundary_problem()
         with pytest.raises(InfeasibleStartError):
             solve_ipm(prob, np.array([1.0]), SolverConfig())
+
+    @pytest.mark.parametrize("x0, error", [
+        ([2.0, 2.0], DisconnectedNetworkError),
+        ([0.5, 2.0], InfeasibleStartError),
+    ], ids=["feasible", "infeasible"])
+    def test_disconnected_coupling(self, x0, error):
+        # the scheduler's first consensus reports the disconnection, after
+        # the start has been checked
+        blk = one_d_boundary_problem().blocks[0]
+        prob = LooselyCoupledProblem(n=2, blocks=(
+            blk, AgentBlock(index_set=(1,), objective=blk.objective, inequality=blk.inequality)))
+        coupling = build_coupling(prob)
+        with pytest.raises(error):
+            ipm_solve(prob, scatter(np.array(x0), coupling), SolverConfig(), coupling,
+                      RoundScheduler(coupling))
 
     def test_equality_constrained_stages(self):
         prob, x0 = random_qp(7, n_agents=3, block_size=3, overlap=1, n_ineq=1, n_eq=1)

@@ -27,7 +27,7 @@ from dipm.cli import (
     parse_problem,
     run,
 )
-from dipm.barrier import barrier_stage, ipm_solve
+from dipm.barrier import barrier_stage, ipm_solve, solve_ipm
 from dipm.config import SolverConfig
 from dipm.errors import DecrementError, FactorizationError, InfeasibleStartError, ParseError
 from dipm.generator import random_qp
@@ -145,11 +145,32 @@ class TestParse:
             parse_problem(str(path))
         with pytest.raises(InfeasibleStartError) as newton:
             newton_solve(barrier_stage(problem, 1.0), s0, SolverConfig(), coupling,
-                         RoundScheduler(coupling), eq_atol=1e-9)
+                         RoundScheduler(coupling))
         with pytest.raises(InfeasibleStartError) as ipm:
             ipm_solve(problem, s0, SolverConfig(), coupling, RoundScheduler(coupling))
         assert len(parsed.value.violations) == 2
         assert parsed.value.violations == newton.value.violations == ipm.value.violations
+
+    @pytest.mark.parametrize("residual, rejected", [(5e-9, True), (5e-10, False)])
+    def test_one_start_tolerance_for_the_parser_and_both_solvers(self, tmp_path, residual,
+                                                                 rejected):
+        eye = np.eye(2)
+        problem = LooselyCoupledProblem(n=3, blocks=(
+            AgentBlock(index_set=(0, 1), objective=QuadraticFunction(eye, np.zeros(2)),
+                       A_eq=np.array([[1.0, 1.0]]), b_eq=np.ones(1)),
+            AgentBlock(index_set=(1, 2), objective=QuadraticFunction(eye, np.zeros(2))),
+        ))
+        x0 = np.array([0.5 + residual, 0.5, 0.0])
+        path = tmp_path / "p.json"
+        path.write_text(emit_problem(problem, x0))
+        for drive in (lambda: parse_problem(str(path)), lambda: solve_newton(problem, x0),
+                      lambda: solve_ipm(problem, x0)):
+            if not rejected:
+                drive()
+                continue
+            with pytest.raises(InfeasibleStartError) as err:
+                drive()
+            assert err.value.violations == ["agent 0 equality residual 5.000e-09 exceeds 1e-09"]
 
     def test_solver_section_round_trips(self, tmp_path):
         doc = minimal_quadratic_doc()

@@ -145,31 +145,30 @@ class TestExchange:
 class TestConsensus:
     def test_all_agree_true_and_false(self):
         sched = RoundScheduler(chain_coupling(5))
-        assert all_agree(sched, [True] * 5)[0] is True
-        assert all_agree(sched, [True, True, False, True, True])[0] is False
+        assert all_agree(sched, [True] * 5) is True
+        assert all_agree(sched, [True, True, False, True, True]) is False
 
     def test_flood_rounds_bounded_by_diameter(self):
         sched = RoundScheduler(chain_coupling(4))
-        _, rounds = all_agree(sched, [True] * 4)
-        assert rounds <= 3
+        all_agree(sched, [True] * 4)
+        assert sched.round_index <= 3
 
     def test_single_agent_no_rounds(self):
         c = coupling_for([(0, 1, 2)], 3)
         sched = RoundScheduler(c)
-        value, rounds = all_agree(sched, [True])
-        assert value is True and rounds == 0
+        assert all_agree(sched, [True]) is True
+        assert sched.round_index == 0
         assert sched.total_sent == 0
 
     def test_min_consensus_values(self):
         sched = RoundScheduler(chain_coupling(3))
-        assert min_consensus(sched, [0.5, 1.0, 0.25])[0] == 0.25
-        assert min_consensus(sched, [1.0, 1.0, 1.0])[0] == 1.0
+        assert min_consensus(sched, [0.5, 1.0, 0.25]) == 0.25
+        assert min_consensus(sched, [1.0, 1.0, 1.0]) == 1.0
 
     def test_min_two_agents_one_round(self):
         sched = RoundScheduler(chain_coupling(2))
-        value, rounds = min_consensus(sched, [1.0, 1e-8])
-        assert value == 1e-8
-        assert rounds == 1
+        assert min_consensus(sched, [1.0, 1e-8]) == 1e-8
+        assert sched.round_index == 1
 
     def test_disconnected_graph_raises(self):
         c = coupling_for([(0, 1), (2, 3)], 4)
@@ -288,8 +287,9 @@ class TestShapes:
         assert sched.diameter == int(shortest_path(adjacency, unweighted=True).max())
         flags = per_agent(data, c, st.booleans())
         values = per_agent(data, c, FINITE)
-        assert all_agree(sched, flags) == (all(flags), sched.diameter)
-        assert min_consensus(sched, values) == (min(values), sched.diameter)
+        assert all_agree(sched, flags) == all(flags)
+        assert sched.round_index == sched.diameter
+        assert min_consensus(sched, values) == min(values)
         assert sched.round_index == 2 * sched.diameter
 
     @PROPERTY

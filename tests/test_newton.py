@@ -9,6 +9,7 @@ from dipm.direction import AgentDirectionState, DirectionWorkspace
 from dipm.errors import (
     DecrementError,
     DirectionConvergenceError,
+    DisconnectedNetworkError,
     InfeasibleStartError,
     IterationCapError,
     LineSearchError,
@@ -39,6 +40,15 @@ def chain_qp():
     b2 = AgentBlock(
         index_set=(1, 2), objective=QuadraticFunction(np.eye(2), np.array([-1.0, -1.0]), 1.0)
     )
+    return LooselyCoupledProblem(n=3, blocks=(b1, b2))
+
+
+def tied_chain():
+    """Two chained agents; agent 0 ties its variables together (x0 = x1)."""
+    eye = np.eye(2)
+    b1 = AgentBlock(index_set=(0, 1), objective=QuadraticFunction(eye, np.array([1.0, 0.0])),
+                    A_eq=np.array([[1.0, -1.0]]), b_eq=np.zeros(1))
+    b2 = AgentBlock(index_set=(1, 2), objective=QuadraticFunction(eye, np.array([0.0, -2.0])))
     return LooselyCoupledProblem(n=3, blocks=(b1, b2))
 
 
@@ -267,6 +277,35 @@ class TestNewtonSolve:
         bad = [np.array([0.0, 1.0]), np.array([2.0, 0.0])]   # disagree on shared var
         with pytest.raises(InfeasibleStartError):
             newton_solve(stage, bad, SolverConfig(), coupling, scheduler)
+
+    @pytest.mark.parametrize("drift", [1e-6, 1e-4])
+    def test_continued_stage_admits_only_the_inner_drift(self, drift):
+        # a first stage is held to the start tolerance, a continued one to
+        # the equality drift its steps can leave behind
+        prob = tied_chain()
+        coupling = build_coupling(prob)
+        scheduler = RoundScheduler(coupling)
+        stage, config = plain_stage(prob), SolverConfig()
+        first = newton_solve(stage, scatter(np.zeros(3), coupling), config, coupling, scheduler)
+        drifted = scatter(np.array([drift, 0.0, 0.0]), coupling)
+        with pytest.raises(InfeasibleStartError, match="starting point is infeasible"):
+            newton_solve(stage, drifted, config, coupling, scheduler)
+        if drift < 1e-5:
+            result = newton_solve(stage, drifted, config, coupling, scheduler, earlier=first)
+            assert result.rows[-1].stage == 1
+        else:
+            with pytest.raises(InfeasibleStartError) as err:
+                newton_solve(stage, drifted, config, coupling, scheduler, earlier=first)
+            assert err.value.violations == ["agent 0 equality residual 1.000e-04 exceeds 1e-05"]
+
+    def test_disconnected_coupling_raises_at_the_first_consensus(self):
+        quad = QuadraticFunction(np.eye(1), np.ones(1))
+        blocks = tuple(AgentBlock(index_set=(j,), objective=quad) for j in range(2))
+        prob = LooselyCoupledProblem(n=2, blocks=blocks)
+        coupling = build_coupling(prob)
+        with pytest.raises(DisconnectedNetworkError, match="split the problem"):
+            newton_solve(plain_stage(prob), scatter(np.zeros(2), coupling), SolverConfig(),
+                         coupling, RoundScheduler(coupling))
 
     def test_outer_cap_raises(self):
         prob = chain_qp()
