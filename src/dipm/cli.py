@@ -102,8 +102,8 @@ def _reject_unknown(obj, allowed, where):
         raise ParseError(f"unknown key '{unknown[0]}' in {where}")
 
 
-def _array(obj, key, where, shape, required=True):
-    """``obj[key]`` as a float array of ``shape`` (None entries are free).
+def _array(obj, key, where, shape=None, required=True):
+    """``obj[key]`` as a float array, of ``shape`` when given (the model checks its own).
 
     Python's json accepts the NaN and Infinity literals; any non-finite
     entry is rejected here rather than surfacing later in the solve.
@@ -116,10 +116,9 @@ def _array(obj, key, where, shape, required=True):
         arr = np.array(obj[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"'{key}' in {where} is not numeric: {exc}") from exc
-    if arr.ndim != len(shape) or any(k not in (None, m) for k, m in zip(shape, arr.shape)):
-        want = " x ".join("any" if k is None else str(k) for k in shape)
+    if shape is not None and arr.shape != shape:
         raise ParseError(f"'{key}' in {where} must be "
-                         + (f"an array of shape {want}" if shape else "a number"))
+                         + (f"an array of length {shape[0]}" if shape else "a number"))
     if not np.isfinite(arr).all():
         raise ParseError(f"'{key}' in {where} must be finite")
     return arr
@@ -138,8 +137,8 @@ def _parse_objective(obj, dim, where):
     kind = obj.get("kind")
     if kind == "quadratic":
         _reject_unknown(obj, ("kind", "P", "q", "r"), where)
-        P = _array(obj, "P", where, (dim, dim))
-        q = _array(obj, "q", where, (dim,))
+        P = _array(obj, "P", where)
+        q = _array(obj, "q", where)
         r = _scalar(obj, "r", where, 0.0)
         try:
             return QuadraticFunction(P, q, r)
@@ -147,7 +146,7 @@ def _parse_objective(obj, dim, where):
             raise ParseError(f"objective in {where}: {exc}") from exc
     if kind == "softplus_ridge":
         _reject_unknown(obj, ("kind", "ridge", "linear"), where)
-        linear = _array(obj, "linear", where, (dim,), required=False)
+        linear = _array(obj, "linear", where, required=False)
         try:
             return SoftplusRidge(dim, ridge=_scalar(obj, "ridge", where, 1.0), linear=linear)
         except StructureError as exc:
@@ -159,10 +158,10 @@ def _parse_inequality(obj, dim, where):
     if not isinstance(obj, dict):
         raise ParseError(f"inequality in {where} must be an object")
     _reject_unknown(obj, ("Q", "a", "c"), where)
-    Q = _array(obj, "Q", where, (dim, dim), required=False)
+    Q = _array(obj, "Q", where, required=False)
     if Q is None:
         Q = np.zeros((dim, dim))
-    a = _array(obj, "a", where, (dim,))
+    a = _array(obj, "a", where)
     c = _scalar(obj, "c", where)
     try:
         return QuadraticFunction(Q, a, c)
@@ -194,8 +193,8 @@ def _parse_agent(obj, k):
         if not isinstance(eq, dict):
             raise ParseError(f"'equality' in {where} must be an object")
         _reject_unknown(eq, ("A", "b"), f"{where}.equality")
-        A = _array(eq, "A", f"{where}.equality", (None, dim))
-        b = _array(eq, "b", f"{where}.equality", (A.shape[0],))
+        A = _array(eq, "A", f"{where}.equality")
+        b = _array(eq, "b", f"{where}.equality")
     try:
         return AgentBlock(index_set=tuple(index_set), objective=objective,
                           inequality=tuple(ineqs), A_eq=A, b_eq=b)
@@ -266,6 +265,9 @@ def emit_problem(problem, x0, config=None):
         else:
             raise StructureError(f"cannot serialize objective of type {type(obj).__name__}")
         entry = {"index_set": list(blk.index_set), "objective": objective}
+        for g in blk.inequality:
+            if not isinstance(g, QuadraticFunction):
+                raise StructureError(f"cannot serialize inequality of type {type(g).__name__}")
         if blk.inequality:
             entry["inequalities"] = [
                 {"Q": g.P.tolist(), "a": g.q.tolist(), "c": g.r} for g in blk.inequality

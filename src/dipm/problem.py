@@ -7,8 +7,9 @@ smooth convex inequality constraints, and an optional linear equality
 system. The coupling structure derived from the index sets (who owns which
 variable, who neighbors whom) is what the distributed layers operate on.
 The constructors own the validity checks: finite data, PSD quadratics,
-equality rows passing ``linalg.require_full_row_rank``, coverage of 0..n-1.
-``check_start`` judges starting points.
+functions sized to their index sets, equality rows passing
+``linalg.require_full_row_rank``, coverage of 0..n-1; ``check_start``
+judges starting points.
 
 All types are immutable after construction; the operations here are pure
 functions, so they are safe to evaluate concurrently.
@@ -152,6 +153,10 @@ class AgentBlock:
             raise StructureError(f"index set entry {idx[0]} is negative")
         object.__setattr__(self, "index_set", idx)
         object.__setattr__(self, "inequality", tuple(self.inequality))
+        for c, fn in enumerate((self.objective,) + self.inequality):
+            if fn.dim != len(idx):
+                name = "objective" if c == 0 else f"inequality {c - 1}"
+                raise StructureError(f"{name} has dimension {fn.dim}; index set has {len(idx)}")
         if (self.A_eq is None) != (self.b_eq is None):
             raise StructureError("equality needs both A and b")
         if self.A_eq is not None:
@@ -325,11 +330,14 @@ def consistency_error(slices, coupling):
 def check_start(blocks, slices, eq_atol=START_EQ_ATOL):
     """Raise InfeasibleStartError unless every slice is a valid start.
 
-    ``blocks`` are agent blocks: each inequality must be strictly negative
+    Each slice must be finite, each inequality of its block strictly negative
     and each equality residual at most ``eq_atol``. All violations are listed.
     """
     violations = []
     for i, (blk, s) in enumerate(zip(blocks, slices)):
+        if not np.isfinite(s).all():
+            violations.append(f"agent {i} start is not finite")
+            continue
         for c, g in enumerate(blk.inequality):
             val = g.value(s)
             if not val < 0.0:

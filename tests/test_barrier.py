@@ -178,6 +178,19 @@ class TestIpmSolve:
         with pytest.raises(InfeasibleStartError):
             solve_ipm(prob, np.array([1.0]), SolverConfig())
 
+    def test_nonfinite_start_rejected_before_iterating(self):
+        # NaN fails every comparison, so only a finiteness test catches it
+        eye = np.eye(2)
+        prob = LooselyCoupledProblem(n=3, blocks=(
+            AgentBlock(index_set=(0, 1), objective=QuadraticFunction(eye, np.zeros(2)),
+                       A_eq=np.array([[1.0, 1.0]]), b_eq=np.ones(1)),
+            AgentBlock(index_set=(1, 2), objective=QuadraticFunction(eye, np.zeros(2)),
+                       inequality=(QuadraticFunction(0 * eye, np.array([0.0, 1.0]), -3.0),)),
+        ))
+        with pytest.raises(InfeasibleStartError) as err:
+            solve_ipm(prob, np.array([np.nan, 1.0, 2.0]), SolverConfig())
+        assert err.value.violations == ["agent 0 start is not finite"]
+
     @pytest.mark.parametrize("x0, error", [
         ([2.0, 2.0], DisconnectedNetworkError),
         ([0.5, 2.0], InfeasibleStartError),

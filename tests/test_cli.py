@@ -29,12 +29,19 @@ from dipm.cli import (
 )
 from dipm.barrier import barrier_stage, ipm_solve, solve_ipm
 from dipm.config import SolverConfig
-from dipm.errors import DecrementError, FactorizationError, InfeasibleStartError, ParseError
+from dipm.errors import (
+    DecrementError,
+    FactorizationError,
+    InfeasibleStartError,
+    ParseError,
+    StructureError,
+)
 from dipm.generator import random_qp
 from dipm.network import RoundScheduler
 from dipm.newton import newton_solve, solve_newton
 from dipm.problem import (
     AgentBlock,
+    CustomFunction,
     LooselyCoupledProblem,
     QuadraticFunction,
     build_coupling,
@@ -199,6 +206,16 @@ class TestParse:
             np.testing.assert_array_equal(a.A_eq, b.A_eq)
         # emit of the reparse is byte-identical
         assert emit_problem(reparsed, x0_back, config) == path.read_text()
+
+
+    def test_emit_rejects_a_non_quadratic_inequality(self):
+        g = CustomFunction(1, lambda s: s[0] - 1.0, lambda s: np.ones(1),
+                           lambda s: np.zeros((1, 1)))
+        blk = AgentBlock(index_set=(0,), objective=QuadraticFunction(np.eye(1), np.zeros(1)),
+                         inequality=(g,))
+        with pytest.raises(StructureError, match="cannot serialize inequality of type "
+                                                 "CustomFunction"):
+            emit_problem(LooselyCoupledProblem(n=1, blocks=(blk,)), np.zeros(1))
 
 
 class TestRun:
@@ -459,6 +476,14 @@ class TestMainExitCodes:
         assert main(["run", "--mode", "newton", "--problem", path,
                      "--out", str(tmp_path / "o")]) == EXIT_FACTORIZATION
         assert "error: agent 0: pivot 0 fell" in capsys.readouterr().err
+
+    def test_function_sized_unlike_its_index_set_names_the_agent(self, tmp_path, capsys):
+        doc = minimal_quadratic_doc()
+        doc["agents"][0]["objective"].update(P=np.eye(3).tolist(), q=[0.0] * 3)
+        path = write_doc(tmp_path / "p.json", doc)
+        assert main(["run", "--mode", "newton", "--problem", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        assert "error: agents[0]: objective has dimension 3" in capsys.readouterr().err
 
     def test_generate_then_run(self, tmp_path):
         pfile = tmp_path / "gen.json"

@@ -298,6 +298,12 @@ class TestNewtonSolve:
                 newton_solve(stage, drifted, config, coupling, scheduler, earlier=first)
             assert err.value.violations == ["agent 0 equality residual 1.000e-04 exceeds 1e-05"]
 
+    def test_nonfinite_start_rejected_before_iterating(self):
+        x0 = np.array([np.nan, 0.0, 0.0])
+        with pytest.raises(InfeasibleStartError) as err:
+            solve_newton(tied_chain(), x0)
+        assert err.value.violations == ["agent 0 start is not finite"]
+
     def test_disconnected_coupling_raises_at_the_first_consensus(self):
         quad = QuadraticFunction(np.eye(1), np.ones(1))
         blocks = tuple(AgentBlock(index_set=(j,), objective=quad) for j in range(2))

@@ -173,6 +173,16 @@ class TestBlockValidation:
                 b_eq=np.zeros(2),
             )
 
+    def test_objective_sized_to_the_index_set(self):
+        with pytest.raises(StructureError, match="objective has dimension 2; index set has 3"):
+            AgentBlock((0, 1, 2), QuadraticFunction(np.eye(2), np.zeros(2)))
+
+    def test_inequality_sized_to_the_index_set(self):
+        with pytest.raises(StructureError, match="inequality 1 has dimension 2"):
+            AgentBlock((0, 1, 2), QuadraticFunction(np.eye(3), np.zeros(3)),
+                       inequality=(QuadraticFunction(np.zeros((3, 3)), np.ones(3), -1.0),
+                                   QuadraticFunction(np.zeros((2, 2)), np.ones(2), -1.0)))
+
     @pytest.mark.parametrize("P, q, r", [
         ([[np.nan]], [0.0], 0.0),
         ([[1.0]], [np.inf], 0.0),
