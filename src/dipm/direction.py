@@ -21,6 +21,14 @@ Per-agent convergence is declared when the squared slice change and the
 squared disagreement both fall below their tolerances split evenly across
 agents; one flooded AND per iteration turns the local declarations into a
 global stop.
+
+The iteration may start from any averaged direction and any duals whose
+owner-average is zero; the dual update keeps that average at zero, so the
+final duals of one computation are a valid start for the next. At a
+converged point rho v_i = H_i dz_i + grad_i (plus A_i' u_i for an agent
+with equality rows and multipliers u_i), so a start that already
+satisfies this (as the Newton driver's carry-over does on a quadratic
+stage) finishes in one iteration.
 """
 
 import math
@@ -104,10 +112,11 @@ class DirectionResult:
     ``dx`` is the global direction; ``ds_slices`` are its per-agent slices,
     read from the one vector so they are consistent by construction.
     Residuals are the final per-agent maxima of the squared norms the
-    termination test uses. ``max_dual_average`` tracks how far the averaged
-    dual variables drifted from zero; ``max_eq_violation`` tracks the worst
-    violation of the local equality null-space condition over all inner
-    iterates.
+    termination test uses. ``v`` holds the final per-agent duals, which
+    the Newton driver carries into the next direction. ``max_dual_average``
+    tracks how far the averaged dual variables drifted from zero;
+    ``max_eq_violation`` tracks the worst violation of the local equality
+    null-space condition over all inner iterates.
     """
 
     converged: bool
@@ -118,15 +127,17 @@ class DirectionResult:
     dual_residual: float
     max_dual_average: float
     max_eq_violation: float
+    v: list
 
 
 def compute_direction(workspace, scheduler, dz0=None, v0=None):
     """Run the splitting iteration to consensus on the Newton direction.
 
-    ``dz0`` warm-starts the averaged direction (zeros when omitted). Dual
-    variables start at zero, which is what keeps their average in the null
-    space of the consensus projection; ``v0`` exists so tests can start at
-    a known fixed point and must itself have a zero average.
+    ``dz0`` warm-starts the averaged direction and ``v0`` the per-agent
+    duals (zeros when omitted). ``v0`` must have a zero owner-average, which
+    is what keeps the duals in the null space of the consensus projection;
+    the Newton driver passes the previous direction's final duals, which
+    have one.
 
     A non-converged result (iteration cap) is returned rather than raised;
     ``newton_solve`` rejects it. A disconnected graph raises
@@ -203,4 +214,5 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
         dual_residual=dua,
         max_dual_average=max_dual_avg,
         max_eq_violation=max_eq_viol,
+        v=v,
     )

@@ -3,14 +3,21 @@
 A ``Stage`` is what the agents minimize: the problem's blocks, one stage
 objective per agent and the stage parameter t. Each outer iteration
 linearizes the stage objectives at the current iterates, computes the
-Newton direction with the splitting solver (warm started from the previous
-direction), and terminates once every agent's local curvature form
-satisfies its share of the decrement test. Otherwise every agent
-backtracks on its own stage objective from the value already evaluated at
-its iterate, the smallest step wins by min-consensus, and all agents move
-by that common step. Because every update adds a common multiple of slices
-of one global vector, iterates started consistent stay consistent to the
-last bit.
+Newton direction with the splitting solver, and terminates once every
+agent's local curvature form satisfies its share of the decrement test.
+Otherwise every agent backtracks on its own stage objective from the
+value already evaluated at its iterate, the smallest step wins by
+min-consensus, and all agents move by that common step. Because every
+update adds a common multiple of slices of one global vector, iterates
+started consistent stay consistent to the last bit.
+
+With ``warm_start`` on, each direction after the first in a stage starts
+the splitting iteration from the previous direction scaled by (1 - alpha)
+and from its final duals. On a quadratic stage that is exactly the next
+direction's fixed point (the gradient moves by alpha H dx), so the
+iteration stops after one inner iteration; on a barrier stage it is close.
+Both reset at every stage, since the penalty and the inner tolerances
+change with t; without ``warm_start`` every direction starts from zero.
 
 Per-agent work (prox solves, decrements, backtracking) depends only on
 agent-local state and could run concurrently; the consensus calls are the
@@ -202,15 +209,14 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
         result, stage_index = earlier, earlier.rows[-1].stage + 1
     result.t_final = stage.t
     result.max_consistency_error = max(result.max_consistency_error, cons)
-    prev_dx = np.zeros(coupling.n)
+    # duals never cross a stage: rho and the inner tolerances change with t
+    warm = (np.zeros(coupling.n), None)
     h_values, obj_f = _stage_objectives(stage, points)
 
     for outer in range(config.newton_max_iter):
         sent_before = scheduler.total_sent
         workspace = DirectionWorkspace(stage, points, coupling, config)
-        res = compute_direction(
-            workspace, scheduler, dz0=prev_dx if config.warm_start else None
-        )
+        res = compute_direction(workspace, scheduler, *(warm if config.warm_start else ()))
         result.max_dual_average = max(result.max_dual_average, res.max_dual_average)
         result.max_eq_violation = max(result.max_eq_violation, res.max_eq_violation)
         if not res.converged:
@@ -232,7 +238,9 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
             )
             points = [s + alpha * d for s, d in zip(points, res.ds_slices)]
             result.e_c += alpha * alpha * config.eps_pri
-            prev_dx = res.dx
+            # on a QP, (1 - alpha) dx and the same duals are the next
+            # direction's fixed point
+            warm = ((1.0 - alpha) * res.dx, res.v)
             result.max_consistency_error = max(result.max_consistency_error,
                                                consistency_error(points, coupling))
             next_values, next_f = _stage_objectives(stage, points)
