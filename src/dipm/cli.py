@@ -103,7 +103,10 @@ def _reject_unknown(obj, allowed, where):
 
 
 def _array(obj, key, where, shape=None, required=True):
-    """``obj[key]`` as a float array, of ``shape`` when given (the model checks its own).
+    """``obj[key]`` as a float array, of ``shape`` when given.
+
+    The model checks the shapes of its own arrays; a shape is given here
+    for arrays the model does not hold, or holds under another name.
 
     Python's json accepts the NaN and Infinity literals; any non-finite
     entry is rejected here rather than surfacing later in the solve.
@@ -117,8 +120,13 @@ def _array(obj, key, where, shape=None, required=True):
     except (TypeError, ValueError) as exc:
         raise ParseError(f"'{key}' in {where} is not numeric: {exc}") from exc
     if shape is not None and arr.shape != shape:
-        raise ParseError(f"'{key}' in {where} must be "
-                         + (f"an array of length {shape[0]}" if shape else "a number"))
+        if not shape:
+            kind = "a number"
+        elif len(shape) == 1:
+            kind = f"an array of length {shape[0]}"
+        else:
+            kind = f"a {shape[0]}x{shape[1]} array"
+        raise ParseError(f"'{key}' in {where} must be {kind}")
     if not np.isfinite(arr).all():
         raise ParseError(f"'{key}' in {where} must be finite")
     return arr
@@ -158,10 +166,11 @@ def _parse_inequality(obj, dim, where):
     if not isinstance(obj, dict):
         raise ParseError(f"inequality in {where} must be an object")
     _reject_unknown(obj, ("Q", "a", "c"), where)
-    Q = _array(obj, "Q", where, required=False)
+    # the model names these P and q; sized here, a mismatch names the file's keys
+    Q = _array(obj, "Q", where, (dim, dim), required=False)
     if Q is None:
         Q = np.zeros((dim, dim))
-    a = _array(obj, "a", where)
+    a = _array(obj, "a", where, (dim,))
     c = _scalar(obj, "c", where)
     try:
         return QuadraticFunction(Q, a, c)

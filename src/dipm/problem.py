@@ -75,11 +75,18 @@ class QuadraticFunction:
         return self.P
 
 
+def _sigmoid(s):
+    """1 / (1 + exp(-s)) without overflow: exp is only taken of -|s|."""
+    e = np.exp(-np.abs(s))
+    return np.where(s >= 0, 1.0, e) / (1.0 + e)
+
+
 class SoftplusRidge:
     """f(s) = sum_k log(1 + exp(s_k)) + ridge/2 ||s||^2 + w's.
 
     Built-in strictly convex nonquadratic test objective. The softplus is
-    evaluated in its overflow-safe form max(s, 0) + log1p(exp(-|s|)).
+    evaluated in its overflow-safe form max(s, 0) + log1p(exp(-|s|)), and
+    its derivative, the logistic sigmoid, from the same exp(-|s|).
     """
 
     def __init__(self, dim, ridge=1.0, linear=None):
@@ -96,11 +103,10 @@ class SoftplusRidge:
         return float(sp.sum() + 0.5 * self.ridge * (s @ s) + self.linear @ s)
 
     def gradient(self, s):
-        sig = 1.0 / (1.0 + np.exp(-s))
-        return sig + self.ridge * s + self.linear
+        return _sigmoid(s) + self.ridge * s + self.linear
 
     def hessian(self, s):
-        sig = 1.0 / (1.0 + np.exp(-s))
+        sig = _sigmoid(s)
         return np.diag(sig * (1.0 - sig)) + self.ridge * np.eye(self.dim)
 
 

@@ -273,6 +273,18 @@ def test_criterion_8_warm_start_report():
           f"warm start {verdict})")
 
 
+def test_warm_start_needs_no_more_inner_iterations_than_cold():
+    """On criterion 8's softplus chain the warm start saves inner iterations."""
+    prob = softplus_chain()
+    x0 = 8.0 * np.ones(prob.n)
+    config = SolverConfig(eps_nt=1e-10)
+    warm, _ = solve_newton(prob, x0, config)
+    cold, _ = solve_newton(prob, x0, replace(config, warm_start=False))
+    total_warm = sum(r.inner_iterations for r in warm.rows)
+    total_cold = sum(r.inner_iterations for r in cold.rows)
+    assert total_warm <= total_cold
+
+
 def test_criterion_9_trace_determinism(tmp_path):
     """Identical seeds produce byte-identical traces."""
     pfile = tmp_path / "p.json"

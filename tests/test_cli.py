@@ -485,6 +485,21 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "o")]) == EXIT_PARSE
         assert "error: agents[0]: objective has dimension 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inequality, message", [
+        ({"a": [1.0, 0.0, 0.0], "c": -1.0}, "'a' in agents[0].inequalities[0] must be "
+                                            "an array of length 2"),
+        ({"Q": np.eye(3).tolist(), "a": [1.0, 0.0], "c": -1.0},
+         "'Q' in agents[0].inequalities[0] must be a 2x2 array"),
+    ], ids=["a", "Q"])
+    def test_inequality_sized_unlike_its_agent_names_the_file_key(self, tmp_path, capsys,
+                                                                   inequality, message):
+        doc = minimal_quadratic_doc()
+        doc["agents"][0]["inequalities"] = [inequality]
+        path = write_doc(tmp_path / "p.json", doc)
+        assert main(["run", "--mode", "ipm", "--problem", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_generate_then_run(self, tmp_path):
         pfile = tmp_path / "gen.json"
         assert main(["generate", "--seed", "3", "--out", str(pfile),

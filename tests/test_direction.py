@@ -153,6 +153,16 @@ class TestComputeDirection:
         assert res.iterations <= 2
         np.testing.assert_allclose(res.dx, dx_star, atol=1e-9)
 
+    def test_final_duals_have_zero_owner_average(self):
+        # the Newton driver starts the next direction from these duals, which
+        # is a valid start only while their owner-average is zero
+        prob, x0 = random_qp(0, n_agents=6, block_size=3, overlap=2, n_eq=1)
+        coupling, sched, cfg = setup_instance(prob)
+        ws = DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
+        res = compute_direction(ws, sched)
+        assert res.converged
+        assert np.abs(gather_average(res.v, coupling)).max() <= 1e-12
+
     def test_chain_matches_dense_oracle(self):
         prob = chain_qp()
         coupling, sched, cfg = setup_instance(prob)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from dipm.barrier import BarrierFunction
+import dipm.newton
+from dipm.barrier import BarrierFunction, solve_ipm
 from dipm.config import SolverConfig
-from dipm.direction import AgentDirectionState, DirectionWorkspace
+from dipm.direction import AgentDirectionState, DirectionWorkspace, compute_direction
 from dipm.errors import (
     DecrementError,
     DirectionConvergenceError,
@@ -14,6 +15,7 @@ from dipm.errors import (
     IterationCapError,
     LineSearchError,
 )
+from dipm.generator import random_qp
 from dipm.linalg import factor_spd
 from dipm.network import RoundScheduler
 from dipm.newton import (
@@ -336,3 +338,37 @@ class TestNewtonSolve:
         prob = chain_qp()
         result, _ = solve_newton(prob, np.array([5.0, -3.0, 2.0]), SolverConfig())
         assert result.max_dual_average <= 1e-10
+
+
+class TestWarmStart:
+    def test_quadratic_directions_after_the_first_take_one_inner_iteration(self):
+        # the carried direction and duals are the next direction's fixed point
+        problem, x0 = random_qp(0, n_agents=16, block_size=3, overlap=1, n_eq=1)
+        result, _ = solve_newton(problem, x0, SolverConfig(eps_nt=1e-8))
+        assert len(result.rows) == 10
+        assert [r.inner_iterations for r in result.rows[1:]] == [1] * 9
+
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_carry_over_resets_at_every_barrier_stage(self, monkeypatch, warm_start):
+        calls = []
+
+        def spy(workspace, scheduler, dz0=None, v0=None):
+            res = compute_direction(workspace, scheduler, dz0, v0)
+            calls.append((dz0, v0, res))
+            return res
+
+        monkeypatch.setattr(dipm.newton, "compute_direction", spy)
+        problem, x0 = random_qp(1, n_agents=3, block_size=3, overlap=1, n_ineq=2)
+        result, _ = solve_ipm(problem, x0, SolverConfig(warm_start=warm_start))
+        assert len(calls) == len(result.rows)
+        assert result.rows[-1].stage >= 2
+        for k, (row, (dz0, v0, _)) in enumerate(zip(result.rows, calls)):
+            if not warm_start:
+                assert dz0 is None and v0 is None
+            elif row.outer == 0:
+                assert not dz0.any() and v0 is None
+            else:
+                alpha, prev = result.rows[k - 1].alpha, calls[k - 1][2]
+                np.testing.assert_array_equal(dz0, (1.0 - alpha) * prev.dx)
+                for vi, prev_vi in zip(v0, prev.v):
+                    np.testing.assert_array_equal(vi, prev_vi)

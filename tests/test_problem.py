@@ -1,5 +1,7 @@
 """Problem model: coupling structure, slice algebra, calculus validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,6 +277,15 @@ class TestFiniteDifference:
         f = SoftplusRidge(3, ridge=0.7, linear=rng.standard_normal(3))
         report = check_finite_difference(f, rng.standard_normal(3), h=1e-6)
         assert report.max_rel_error <= 1e-7
+
+    def test_softplus_ridge_derivatives_do_not_overflow(self):
+        # exp(800) overflows a double; at s = -800 the sigmoid is exactly 0
+        f = SoftplusRidge(1)
+        s = np.array([-800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f.gradient(s).tolist() == [-800.0]
+            assert f.hessian(s).tolist() == [[1.0]]
 
     def test_block_checks_objective_and_inequalities(self):
         blk = AgentBlock(
