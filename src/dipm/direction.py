@@ -22,13 +22,11 @@ squared disagreement both fall below their tolerances split evenly across
 agents; one flooded AND per iteration turns the local declarations into a
 global stop.
 
-The iteration may start from any averaged direction and any duals whose
-owner-average is zero; the dual update keeps that average at zero, so the
-final duals of one computation are a valid start for the next. At a
-converged point rho v_i = H_i dz_i + grad_i (plus A_i' u_i for an agent
-with equality rows and multipliers u_i), so a start that already
-satisfies this (as the Newton driver's carry-over does on a quadratic
-stage) finishes in one iteration.
+Any start whose duals have a zero owner-average is valid, and the dual
+update keeps that average at zero. A start at the fixed point
+rho v_i = H_i dz_i + grad_i (+ A_i' u_i with equality rows), which the
+Newton driver's carry-over is on a quadratic stage, stops after one
+iteration.
 """
 
 import math

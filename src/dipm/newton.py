@@ -13,11 +13,9 @@ started consistent stay consistent to the last bit.
 
 With ``warm_start`` on, each direction after the first in a stage starts
 the splitting iteration from the previous direction scaled by (1 - alpha)
-and from its final duals. On a quadratic stage that is exactly the next
-direction's fixed point (the gradient moves by alpha H dx), so the
-iteration stops after one inner iteration; on a barrier stage it is close.
-Both reset at every stage, since the penalty and the inner tolerances
-change with t; without ``warm_start`` every direction starts from zero.
+and from its final duals, on a quadratic stage exactly the next direction's
+fixed point (the gradient moves by alpha H dx). Both reset at every stage;
+without ``warm_start`` every direction starts from zero.
 
 Per-agent work (prox solves, decrements, backtracking) depends only on
 agent-local state and could run concurrently; the consensus calls are the
@@ -238,8 +236,6 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
             )
             points = [s + alpha * d for s, d in zip(points, res.ds_slices)]
             result.e_c += alpha * alpha * config.eps_pri
-            # on a QP, (1 - alpha) dx and the same duals are the next
-            # direction's fixed point
             warm = ((1.0 - alpha) * res.dx, res.v)
             result.max_consistency_error = max(result.max_consistency_error,
                                                consistency_error(points, coupling))

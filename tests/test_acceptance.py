@@ -257,13 +257,19 @@ def test_criterion_7_barrier_calculus():
           f"(worst FD error {worst_fd:.2e}, worst summand eigenvalue deficit {worst_eig:.2e})")
 
 
-def test_criterion_8_warm_start_report():
-    """Soft criterion: warm-start inner iterations reported, never fatal."""
+def warm_and_cold_softplus_solves():
+    """Criterion 8's softplus chain solved with and without the warm start."""
     prob = softplus_chain()
     x0 = 8.0 * np.ones(prob.n)
     config = SolverConfig(eps_nt=1e-10)
     warm, _ = solve_newton(prob, x0, config)
     cold, _ = solve_newton(prob, x0, replace(config, warm_start=False))
+    return warm, cold
+
+
+def test_criterion_8_warm_start_report():
+    """Soft criterion: warm-start inner iterations reported, never fatal."""
+    warm, cold = warm_and_cold_softplus_solves()
     assert warm.rows[-1].outer >= 5
     mean_warm = float(np.mean([r.inner_iterations for r in warm.rows]))
     mean_cold = float(np.mean([r.inner_iterations for r in cold.rows]))
@@ -275,11 +281,7 @@ def test_criterion_8_warm_start_report():
 
 def test_warm_start_needs_no_more_inner_iterations_than_cold():
     """On criterion 8's softplus chain the warm start saves inner iterations."""
-    prob = softplus_chain()
-    x0 = 8.0 * np.ones(prob.n)
-    config = SolverConfig(eps_nt=1e-10)
-    warm, _ = solve_newton(prob, x0, config)
-    cold, _ = solve_newton(prob, x0, replace(config, warm_start=False))
+    warm, cold = warm_and_cold_softplus_solves()
     total_warm = sum(r.inner_iterations for r in warm.rows)
     total_cold = sum(r.inner_iterations for r in cold.rows)
     assert total_warm <= total_cold
