@@ -26,6 +26,14 @@ stage is a ``Stage`` (the problem's blocks, their barrier transforms and t)
 solved by one ``newton_solve`` call extending the same ``SolveResult``: its
 trace rows count the stages and iterations, and its ``t_final`` gives the
 final gap proxy m / t_final.
+
+With ``warm_start``, the record also carries what the next stage starts
+from: its first direction begins at the previous stage's final duals, and
+from the third stage on its point is extrapolated along the central path.
+Stage centres approach the optimum like 1/t, so consecutive centre
+differences shrink by mu, and ``s_k + (s_k - s_{k-1}) / mu`` predicts the
+next centre; each agent backs the step off along the line search's
+feasibility ladder, and the smallest agent step wins by one min-consensus.
 """
 
 from dataclasses import replace
@@ -109,7 +117,9 @@ def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
 
     Requires a consistent, strictly feasible start; stage 0's Newton solve
     checks both. Stage q minimizes the barrier transform at t = t0 mu^q from
-    the previous stage's solution; the loop ends after the first stage whose
+    the previous stage's solution (with ``warm_start``, from stage 2 on,
+    extrapolated from the last two stage solutions, and with the previous
+    stage's final duals); the loop ends after the first stage whose
     duality-gap proxy m/t is below eps_p. Factorizations are never reused
     across stages since every stage changes both t and the linearization
     points. Every stage extends one ``SolveResult``, whose rows are ``rows``

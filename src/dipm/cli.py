@@ -27,7 +27,9 @@ directory. Exit codes: of the failures the solver can diagnose, a parse or
 validation problem is 2, an infeasible start 3, inner non-convergence 4, a
 failed line search 5, an outer iteration cap 6, a NaN or infinite
 derivative or inner residual 7, an agent's system that cannot be factored
-or solved 8, and an agent's Schur complement made singular by its curvature 9.
+or solved 8, an agent's Schur complement made singular by its curvature 9,
+a significantly negative local decrement 10, and a stage objective
+evaluated outside its barrier domain 11.
 """
 
 import argparse
@@ -42,6 +44,8 @@ import numpy as np
 from .barrier import solve_ipm
 from .config import SolverConfig
 from .errors import (
+    BarrierDomainError,
+    DecrementError,
     DirectionConvergenceError,
     DisconnectedNetworkError,
     FactorizationError,
@@ -77,6 +81,8 @@ EXIT_CAP = 6
 EXIT_NONFINITE = 7
 EXIT_FACTORIZATION = 8
 EXIT_RANK = 9
+EXIT_DECREMENT = 10
+EXIT_DOMAIN = 11
 # the first entry whose classes match a SolverError gives the exit code; 1 otherwise
 EXIT_CODES = (
     ((ParseError, StructureError, DisconnectedNetworkError), EXIT_PARSE),
@@ -87,6 +93,8 @@ EXIT_CODES = (
     ((NonFiniteError,), EXIT_NONFINITE),
     ((FactorizationError,), EXIT_FACTORIZATION),
     ((RankError,), EXIT_RANK),
+    ((DecrementError,), EXIT_DECREMENT),
+    ((BarrierDomainError,), EXIT_DOMAIN),
 )
 
 MODES = ("newton", "ipm", "oracle-newton", "oracle-ipm", "compare")

@@ -37,6 +37,8 @@ import numpy as np
 from . import linalg
 from .errors import FactorizationError, NonFiniteError, RankError
 from .network import all_agree, exchange_shared_components
+# gather_average stays importable from here: perfbench/tracing.py wraps it
+# at this lookup site
 from .problem import gather_average, merge_slices, scatter
 
 
@@ -65,11 +67,14 @@ class DirectionWorkspace:
     ``config.rho``; they stay valid for the lifetime of the workspace, which
     is tied to the linearization point it was built from. A system that
     cannot be factored raises with the failing agent attached.
+    ``flat_index`` lists the global index of every local entry, agents in
+    ascending order.
     """
 
     def __init__(self, stage, points, coupling, config):
         self.coupling = coupling
         self.config = config
+        self.flat_index = np.concatenate(coupling.index_arrays)
         self.agents = []
         for i, (h, blk, s, idx) in enumerate(zip(stage.objectives, stage.blocks, points,
                                                   coupling.index_arrays)):
@@ -134,8 +139,13 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     ``dz0`` warm-starts the averaged direction and ``v0`` the per-agent
     duals (zeros when omitted). ``v0`` must have a zero owner-average, which
     is what keeps the duals in the null space of the consensus projection;
-    the Newton driver passes the previous direction's final duals, which
-    have one.
+    the Newton driver passes the final duals of the previous direction
+    (within a stage) or of the previous stage's last direction (at a
+    barrier stage's first direction), which have one.
+
+    ``max_dual_average`` is the largest owner-average of the duals over the
+    iterations, a diagnostic summed in ascending agent order as
+    ``gather_average`` sums, so its value is the same to the bit.
 
     A non-converged result (iteration cap) is returned rather than raised;
     ``newton_solve`` rejects it. A disconnected graph raises
@@ -193,7 +203,8 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
             pri = max(pri, e_pri)
             dua = max(dua, e_dual)
 
-        avg_v = gather_average(v, coupling)
+        avg_v = np.bincount(workspace.flat_index, weights=np.concatenate(v),
+                            minlength=coupling.n) / coupling.degrees
         max_dual_avg = max(max_dual_avg, float(np.abs(avg_v).max(initial=0.0)))
 
         dz = dz_new

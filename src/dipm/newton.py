@@ -14,8 +14,13 @@ started consistent stay consistent to the last bit.
 With ``warm_start`` on, each direction after the first in a stage starts
 the splitting iteration from the previous direction scaled by (1 - alpha)
 and from its final duals, on a quadratic stage exactly the next direction's
-fixed point (the gradient moves by alpha H dx). Both reset at every stage;
-without ``warm_start`` every direction starts from zero.
+fixed point (the gradient moves by alpha H dx). The first direction of a
+continued barrier stage starts from zero and the previous stage's final
+duals, unscaled: H, g and rho all grow like t, so v = (H dz + g) / rho is
+roughly scale-free. From the third stage on, the stage also starts from
+its centre extrapolated along the central path (``extrapolated_start``).
+Without ``warm_start`` every direction starts from zero and every stage
+from the previous stage's solution.
 
 Per-agent work (prox solves, decrements, backtracking) depends only on
 agent-local state and could run concurrently; the consensus calls are the
@@ -88,47 +93,59 @@ STAGE_EQ_DRIFT = 1e-5
 BOUNDARY_FRACTION = 0.01
 
 
-def local_decrement(agent, ds):
+def local_decrement(agent, ds, index=None):
     """Curvature form ds' H ds of one agent; its local decrement squared.
 
     Tiny negative values (inexact directions meeting a semidefinite
     Hessian) are clamped to zero; anything below -1e-12 signals corrupted
-    data and raises.
+    data and raises, naming the agent by its ``index``.
     """
     val = float(ds @ agent.hess @ ds)
     if val < -1e-12:
-        raise DecrementError(f"local decrement {val:.3e} is significantly negative")
+        raise DecrementError(f"agent {index}: local decrement {val:.3e} is significantly "
+                             "negative", agent=index)
     return max(val, 0.0)
+
+
+def feasible_steps(inequality, s, ds, config):
+    """The steps on the ladder 1, b, b^2, ... that keep ``s + alpha ds`` inside the boundary.
+
+    A step qualifies when it keeps every ``inequality`` value at or below
+    ``BOUNDARY_FRACTION`` times its value at ``s``. ``config`` supplies the
+    shrink factor b and the ladder length ``max_backtracks + 1``. Yields
+    each qualifying step with its point, largest first.
+    """
+    gap_floor = [BOUNDARY_FRACTION * g.value(s) for g in inequality]
+    alpha = 1.0
+    for _ in range(config.max_backtracks + 1):
+        cand = s + alpha * ds
+        if all(g.value(cand) <= floor for g, floor in zip(inequality, gap_floor)):
+            yield alpha, cand
+        alpha *= config.shrink_b
 
 
 def agent_step_size(h, inequality, s, h0, ds, grad_dot, config):
     """Backtrack on one agent's own stage objective ``h``, whose value at ``s`` is ``h0``.
 
-    Strict feasibility of the ``inequality`` functions is restored first
-    (the stage objective is undefined outside their region), then the
-    Armijo test is applied on the stage objective. A direction that improves
-    the sum may ascend along an individual agent's slice (grad_dot >= 0);
-    such an agent cannot satisfy any local decrease test, so only
-    feasibility binds it and the descending agents govern the step through
-    the later min reduction. ``config`` supplies the Armijo constant, the
-    shrink factor and the backtracking budget. Returns the accepted step, or
-    None once the budget is spent.
+    Only the feasible steps of the ladder are tried (the stage objective
+    is undefined outside the ``inequality`` region), and the first that
+    passes the Armijo test on the stage objective is accepted. A direction
+    that improves the sum may ascend along an individual agent's slice
+    (grad_dot >= 0); such an agent cannot satisfy any local decrease test,
+    so only feasibility binds it and the descending agents govern the step
+    through the later min reduction. ``config`` supplies the Armijo
+    constant, the shrink factor and the backtracking budget. Returns the
+    accepted step, or None once the budget is spent.
     """
-    alpha = 1.0
     descending = grad_dot < 0.0
-    gap_floor = [BOUNDARY_FRACTION * g.value(s) for g in inequality]
     # resolution of the objective value itself; the acceptable decrease near
     # a stiff stage center can be smaller than one rounding step of h0
     noise = 8.0 * np.finfo(float).eps * (1.0 + abs(h0))
-    for _ in range(config.max_backtracks + 1):
-        cand = s + alpha * ds
-        feasible = all(g.value(cand) <= floor for g, floor in zip(inequality, gap_floor))
-        if feasible:
-            if not descending:
-                return alpha
-            if h.value(cand) <= h0 + config.armijo_a * alpha * grad_dot + noise:
-                return alpha
-        alpha *= config.shrink_b
+    for alpha, cand in feasible_steps(inequality, s, ds, config):
+        if not descending:
+            return alpha
+        if h.value(cand) <= h0 + config.armijo_a * alpha * grad_dot + noise:
+            return alpha
     return None
 
 
@@ -147,6 +164,25 @@ def distributed_line_search(stage, points, h_values, workspace, ds_slices, confi
     return min_consensus(scheduler, alphas)
 
 
+def extrapolated_start(stage, s_last, s_before, config, scheduler):
+    """Start of a barrier stage, extrapolated along the central path.
+
+    ``s_last`` and ``s_before`` are each agent's last two stage solutions.
+    On the central path ``x*(t) - x*`` shrinks like 1/t, so the next
+    centre lies near ``s_last + (s_last - s_before) / mu``. Every agent
+    takes the largest step beta of the feasibility ladder along that
+    displacement (0 when none qualifies), and the agents move by the
+    min-consensus of their steps. Shared entries see the same arithmetic on
+    equal inputs, so a consistent pair of solutions gives a consistent
+    start, to the bit.
+    """
+    steps = [(s - p) / config.mu for s, p in zip(s_last, s_before)]
+    betas = [next(feasible_steps(blk.inequality, s, d, config), (0.0,))[0]
+             for blk, s, d in zip(stage.blocks, s_last, steps)]
+    beta = min_consensus(scheduler, betas)
+    return [s + beta * d for s, d in zip(s_last, steps)]
+
+
 @dataclass
 class SolveResult:
     """Record of one Newton run, or of all the barrier stages run so far.
@@ -154,15 +190,19 @@ class SolveResult:
     Counts are read from ``rows``: the stages are ``rows[-1].stage + 1``,
     the directions ``len(rows)``, the inner iterations
     ``[r.inner_iterations for r in rows]``, the final decrement
-    ``rows[-1].decrement_half``. The fields hold the final iterate, the last
-    stage parameter, the consistency budget ``e_c`` carried between stages,
-    the largest agent share of the final decrement, and the invariant maxima
-    and descent-check failures over every iterate of every stage.
+    ``rows[-1].decrement_half``. The fields hold the final iterate, the
+    solution of the stage before the last (None after one stage), the final
+    duals of the last direction, the last stage parameter, the consistency
+    budget ``e_c`` carried between stages, the largest agent share of the
+    final decrement, and the invariant maxima and descent-check failures
+    over every iterate of every stage.
     """
 
     rows: list = field(default_factory=list)
     x: np.ndarray = None
     s_slices: list = None
+    s_before: list = None
+    v: list = None
     t_final: float = 1.0
     e_c: float = 0.0
     decrement_half_max_agent: float = 0.0
@@ -191,8 +231,18 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
     is a start, held to ``problem.START_EQ_ATOL``; a continued stage may
     carry an equality residual up to ``STAGE_EQ_DRIFT``. A disconnected
     coupling raises from the first consensus.
+
+    With ``warm_start``, a continued stage starts its first direction from
+    the previous stage's final duals, and from the third stage on
+    ``s0_slices`` (the last stage's solution) is moved to the
+    ``extrapolated_start``; the stage's first trace row counts that
+    consensus.
     """
     points = [np.array(s, dtype=float) for s in s0_slices]
+    sent_before = scheduler.total_sent
+    warm = (np.zeros(coupling.n), None if earlier is None else earlier.v)
+    if config.warm_start and earlier is not None and earlier.s_before is not None:
+        points = extrapolated_start(stage, points, earlier.s_before, config, scheduler)
     cons = consistency_error(points, coupling)
     if cons > 1e-12:
         raise InfeasibleStartError(
@@ -207,12 +257,9 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
         result, stage_index = earlier, earlier.rows[-1].stage + 1
     result.t_final = stage.t
     result.max_consistency_error = max(result.max_consistency_error, cons)
-    # duals never cross a stage: rho and the inner tolerances change with t
-    warm = (np.zeros(coupling.n), None)
     h_values, obj_f = _stage_objectives(stage, points)
 
     for outer in range(config.newton_max_iter):
-        sent_before = scheduler.total_sent
         workspace = DirectionWorkspace(stage, points, coupling, config)
         res = compute_direction(workspace, scheduler, *(warm if config.warm_start else ()))
         result.max_dual_average = max(result.max_dual_average, res.max_dual_average)
@@ -225,7 +272,8 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
                 dual_residual=res.dual_residual,
             )
 
-        decs = [local_decrement(a, d) for a, d in zip(workspace.agents, res.ds_slices)]
+        decs = [local_decrement(a, d, i)
+                for i, (a, d) in enumerate(zip(workspace.agents, res.ds_slices))]
         flags = [d / 2.0 <= config.eps_nt / coupling.n_agents for d in decs]
         done = all_agree(scheduler, flags)
 
@@ -251,8 +299,9 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
             objective_f=obj_f, messages=scheduler.total_sent - sent_before,
             e_c_bound=result.e_c,
         ))
+        sent_before = scheduler.total_sent
         if done:
-            result.s_slices = points
+            result.s_before, result.s_slices, result.v = result.s_slices, points, res.v
             result.x = merge_slices(points, coupling)
             result.decrement_half_max_agent = max(decs) / 2.0
             return result

@@ -14,6 +14,8 @@ import dipm.newton
 from dipm import cli
 from dipm.cli import (
     EXIT_CAP,
+    EXIT_DECREMENT,
+    EXIT_DOMAIN,
     EXIT_FACTORIZATION,
     EXIT_INFEASIBLE,
     EXIT_INNER,
@@ -30,10 +32,10 @@ from dipm.cli import (
 from dipm.barrier import barrier_stage, ipm_solve, solve_ipm
 from dipm.config import SolverConfig
 from dipm.errors import (
-    DecrementError,
     FactorizationError,
     InfeasibleStartError,
     ParseError,
+    SolverError,
     StructureError,
 )
 from dipm.generator import random_qp
@@ -437,12 +439,42 @@ class TestMainExitCodes:
 
     def test_unlisted_solver_error_exits_1(self, tmp_path, monkeypatch, capsys):
         def failing_run(*args):
-            raise DecrementError("local decrement -1.000e+00 is significantly negative")
+            raise SolverError("no exit code of its own")
 
         monkeypatch.setattr(cli, "run", failing_run)
         assert main(["run", "--mode", "newton", "--problem", "p.json",
                      "--out", str(tmp_path / "o")]) == 1
-        assert "error: local decrement -1.000e+00 is significantly negative" \
+        assert "error: no exit code of its own" in capsys.readouterr().err
+
+    def test_negative_decrement_names_the_agent(self, tmp_path, monkeypatch, capsys):
+        # the model admits only convex objectives, so no file reaches a
+        # negative curvature form; flip agent 1's curvature after factoring
+        class Corrupted(dipm.newton.DirectionWorkspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.agents[1].hess = -self.agents[1].hess
+
+        monkeypatch.setattr(dipm.newton, "DirectionWorkspace", Corrupted)
+        path = write_doc(tmp_path / "p.json", chain_doc())
+        assert main(["run", "--mode", "newton", "--problem", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_DECREMENT
+        assert "error: agent 1: local decrement" in capsys.readouterr().err
+
+    def test_step_outside_the_barrier_domain_names_the_constraint(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # the line search keeps every step inside the domain; accept the full
+        # Newton step instead, which from 5 overshoots the bound s >= 1 to -7
+        monkeypatch.setattr(dipm.newton, "agent_step_size", lambda *args: 1.0)
+        path = write_doc(tmp_path / "p.json", {
+            "n": 1,
+            "agents": [{"index_set": [0],
+                        "objective": {"kind": "quadratic", "P": [[0.0]], "q": [1.0]},
+                        "inequalities": [{"a": [-1.0], "c": 1.0}]}],
+            "x0": [5.0],
+        })
+        assert main(["run", "--mode", "ipm", "--problem", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_DOMAIN
+        assert "error: constraint 0 of agent 0 is not strictly satisfied" \
             in capsys.readouterr().err
 
     def test_numerically_rank_deficient_equality_names_the_agent(self, tmp_path, capsys):

@@ -163,6 +163,22 @@ class TestComputeDirection:
         assert res.converged
         assert np.abs(gather_average(res.v, coupling)).max() <= 1e-12
 
+    def test_dual_average_diagnostic_matches_gather_average_bitwise(self):
+        # duals with a nonzero owner-average on a three-owner coupling, so the
+        # diagnostic sums three unequal terms per interior variable, whose
+        # rounding depends on their order; over 20 draws, summing in
+        # descending agent order changes the value in some
+        prob, x0 = random_qp(1, n_agents=6, block_size=3, overlap=2)
+        coupling, sched, cfg = setup_instance(prob, SolverConfig(admm_max_iter=1))
+        ws = DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            v0 = [rng.standard_normal(len(idx)) for idx in coupling.index_arrays]
+            res = compute_direction(ws, sched, v0=v0)
+            assert res.iterations == 1
+            assert res.max_dual_average == float(np.abs(gather_average(res.v, coupling)).max())
+            assert res.max_dual_average > 0.0
+
     def test_chain_matches_dense_oracle(self):
         prob = chain_qp()
         coupling, sched, cfg = setup_instance(prob)

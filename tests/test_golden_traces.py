@@ -7,11 +7,13 @@ two runs of the same code cannot catch.
 
 Regenerate the fixtures (only when a change of results is intended) with
 
-    PYTHONPATH=src python tests/test_golden_traces.py
+    PYTHONPATH=src python tests/test_golden_traces.py [NAME ...]
 
-which prints, for each fixture before it is overwritten, the row count,
-whether every step size is unchanged, and the inner-iteration and message
-totals, old -> new.
+which rewrites the named fixtures (``ipm_family_seed0`` or
+``ipm_family_seed0.trace.csv``), or all of them when no name is given, and
+prints, for each fixture before it is overwritten, the row count, whether
+every step size is unchanged, and the inner-iteration and message totals,
+old -> new.
 
 The ``_cold`` fixtures run with ``warm_start=False``, so they pin the
 splitting iteration's cold start as well.
@@ -91,8 +93,15 @@ def _report(name, old, new):
 
 
 if __name__ == "__main__":
+    import sys
+
+    names = [n if n.endswith(".trace.csv") else n + ".trace.csv" for n in sys.argv[1:]]
+    unknown = [n for n in names if n not in RUNS]
+    if unknown:
+        sys.exit(f"unknown fixture {unknown[0]}; known: {', '.join(sorted(RUNS))}")
     FIXTURES.mkdir(exist_ok=True)
-    for name, (run, seed) in sorted(RUNS.items()):
+    for name in sorted(names or RUNS):
+        run, seed = RUNS[name]
         path = FIXTURES / name
         new = rows_to_csv(run(seed))
         if path.exists():

@@ -94,6 +94,14 @@ class TestLocalDecrement:
         with pytest.raises(DecrementError):
             local_decrement(bad, np.array([1.0]))
 
+    def test_negative_decrement_names_its_agent(self):
+        bad = AgentDirectionState(index_set=np.arange(1), grad=np.zeros(1),
+                                  hess=np.array([[-1.0]]), factor=None)
+        with pytest.raises(DecrementError, match=r"^agent 3: local decrement -1\.000e\+00") \
+                as err:
+            local_decrement(bad, np.array([1.0]), 3)
+        assert err.value.agent == 3
+
 
 class TestAgentStepSize:
     def test_quadratic_full_step(self):
@@ -366,7 +374,16 @@ class TestWarmStart:
             if not warm_start:
                 assert dz0 is None and v0 is None
             elif row.outer == 0:
-                assert not dz0.any() and v0 is None
+                # a stage's first direction: zero, and the previous stage's
+                # final duals, unscaled
+                assert not dz0.any()
+                if row.stage == 0:
+                    assert v0 is None
+                else:
+                    prev = calls[k - 1][2]
+                    assert len(v0) == len(prev.v)
+                    for vi, prev_vi in zip(v0, prev.v):
+                        np.testing.assert_array_equal(vi, prev_vi)
             else:
                 alpha, prev = result.rows[k - 1].alpha, calls[k - 1][2]
                 np.testing.assert_array_equal(dz0, (1.0 - alpha) * prev.dx)
