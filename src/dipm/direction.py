@@ -17,6 +17,15 @@ curvature matrix is constant across inner iterations, so each agent
 factors exactly once per direction computation no matter how many
 iterations are needed.
 
+The simulation runs the agents' local work group by group: agents with
+the same local size and the same number of equality rows form an
+``AgentGroup``, factored by one stacked ``linalg`` call and solved by one
+prox call per inner iteration. Each agent's arithmetic in the stack is
+what it would be alone, bit for bit, so the grouping changes no iterate,
+count or trace byte. The iterates themselves are flat vectors of all
+local entries, agents in ascending order, which the exchange averages as
+they are.
+
 Per-agent convergence is declared when the squared slice change and the
 squared disagreement both fall below their tolerances split evenly across
 agents; one flooded AND per iteration turns the local declarations into a
@@ -29,7 +38,6 @@ Newton driver's carry-over is on a quadratic stage, stops after one
 iteration.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,16 +47,39 @@ from .errors import FactorizationError, NonFiniteError, RankError
 from .network import all_agree, exchange_shared_components
 # gather_average stays importable from here: perfbench/tracing.py wraps it
 # at this lookup site
-from .problem import gather_average, merge_slices, scatter
+from .problem import gather_average, scatter
 
 
 @dataclass
 class AgentDirectionState:
-    """One agent's share of a direction computation at one linearization point."""
+    """One agent's share of a direction computation at one linearization point.
+
+    ``factor`` is the agent's own solve handle when it is factored alone;
+    the workspace factors its agents by ``AgentGroup`` and leaves it None.
+    """
 
     index_set: np.ndarray
     grad: np.ndarray
     hess: np.ndarray = field(repr=False)
+    factor: object = field(default=None, repr=False)
+    A_eq: np.ndarray = None
+
+
+@dataclass
+class AgentGroup:
+    """The agents of one local size and one number of equality rows, stacked.
+
+    ``members`` lists their indices in ascending order; row k of every
+    stack belongs to agent ``members[k]``. ``pos`` holds the positions of
+    each member's entries in the flat vector of all local entries (agents
+    in ascending order), ``grad`` and ``A_eq`` their gradients and
+    equality matrices (``A_eq`` is None for agents without equality
+    rows), and ``factor`` one stacked handle with all their factorizations.
+    """
+
+    members: np.ndarray
+    pos: np.ndarray
+    grad: np.ndarray
     factor: object = field(repr=False)
     A_eq: np.ndarray = None
 
@@ -60,49 +91,85 @@ def _blame(exc, agent):
     return exc
 
 
+def _raise_first(failures):
+    """Raise the failure of the lowest-numbered agent, if there is one."""
+    if failures:
+        raise min(failures, key=lambda exc: exc.agent)
+
+
 class DirectionWorkspace:
     """Per-agent gradients and cached factorizations at one linearization point.
 
     Building the workspace performs the N factorizations with penalty
-    ``config.rho``; they stay valid for the lifetime of the workspace, which
-    is tied to the linearization point it was built from. A system that
-    cannot be factored raises with the failing agent attached.
-    ``flat_index`` lists the global index of every local entry, agents in
-    ascending order.
+    ``config.rho``, one ``linalg.factor_spd`` or ``linalg.factor_kkt``
+    call per ``AgentGroup`` (agents of one local size and one number of
+    equality rows); they stay valid for the lifetime of the workspace,
+    which is tied to the linearization point it was built from. A system
+    that cannot be factored, or a non-finite gradient or Hessian, raises
+    with the lowest-numbered failing agent attached, as a loop over the
+    agents in order would. ``flat_index`` lists the global index of every
+    local entry, agents in ascending order; ``starts`` holds where each
+    agent's entries begin in it, and their total at the end.
     """
 
     def __init__(self, stage, points, coupling, config):
         self.coupling = coupling
         self.config = config
         self.flat_index = np.concatenate(coupling.index_arrays)
+        self.starts = np.cumsum([0] + [len(idx) for idx in coupling.index_arrays])
         self.agents = []
+        nonfinite = None
         for i, (h, blk, s, idx) in enumerate(zip(stage.objectives, stage.blocks, points,
                                                   coupling.index_arrays)):
             g = h.gradient(s)
             H = h.hessian(s)
             for quantity, arr in (("gradient", g), ("Hessian", H)):
-                if not np.isfinite(arr).all():
-                    raise NonFiniteError(i, quantity)
+                if nonfinite is None and not np.isfinite(arr).all():
+                    nonfinite = NonFiniteError(i, quantity)
+            if nonfinite is not None:
+                break
+            self.agents.append(AgentDirectionState(index_set=idx, grad=g, hess=H, A_eq=blk.A_eq))
+
+        members = {}
+        for i, a in enumerate(self.agents):
+            key = (len(a.index_set), None if a.A_eq is None else len(a.A_eq))
+            members.setdefault(key, []).append(i)
+        self.groups = []
+        failures = []
+        for (d, p), group in members.items():
+            group = np.array(group)
+            H = np.stack([self.agents[i].hess for i in group])
+            A_eq = None if p is None else np.stack([self.agents[i].A_eq for i in group])
             try:
-                if blk.A_eq is None:
-                    fac = linalg.factor_spd(H + config.rho * np.eye(len(s)))
+                if A_eq is None:
+                    fac = linalg.factor_spd(H + config.rho * np.eye(d))
                 else:
-                    fac = linalg.factor_kkt(H, config.rho, blk.A_eq)
+                    fac = linalg.factor_kkt(H, config.rho, A_eq)
             except (FactorizationError, RankError) as exc:
-                raise _blame(exc, i)
-            self.agents.append(
-                AgentDirectionState(index_set=idx, grad=g, hess=H, factor=fac, A_eq=blk.A_eq)
-            )
+                failures.append(_blame(exc, int(group[exc.row])))
+                continue
+            self.groups.append(AgentGroup(
+                members=group, pos=self.starts[group][:, None] + np.arange(d),
+                grad=np.stack([self.agents[i].grad for i in group]), factor=fac, A_eq=A_eq,
+            ))
+        # an agent that fails to factor comes before a later non-finite one
+        _raise_first(failures)
+        if nonfinite is not None:
+            raise nonfinite
 
 
 def prox_step_unconstrained(agent, dz_slice, v, rho):
-    """Local quadratic prox solve against the cached factorization."""
+    """Local quadratic prox solve against the cached factorization.
+
+    ``agent`` is one agent's state or an ``AgentGroup``, whose slices and
+    duals are stacked one row per member.
+    """
     rhs = rho * (dz_slice + v) - agent.grad
     return agent.factor.solve(rhs)
 
 
 def prox_step_equality(agent, dz_slice, v, rho):
-    """Equality-constrained prox: saddle solve, direction in null(A)."""
+    """Equality-constrained prox: saddle solve, direction in null(A); stacks as above."""
     rhs = rho * (dz_slice + v) - agent.grad
     ds, _ = agent.factor.solve(rhs)
     return ds
@@ -143,6 +210,12 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     (within a stage) or of the previous stage's last direction (at a
     barrier stage's first direction), which have one.
 
+    The iterates are flat vectors of all local entries, agents in
+    ascending order; each inner iteration makes one prox call per
+    ``AgentGroup``, whose arithmetic is each member's own, bit for bit.
+    An error names the lowest-numbered failing agent, and a non-finite
+    primal residual comes before a non-finite dual one of the same agent.
+
     ``max_dual_average`` is the largest owner-average of the duals over the
     iterations, a diagnostic summed in ascending agent order as
     ``gather_average`` sums, so its value is the same to the bit.
@@ -152,58 +225,61 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     ``DisconnectedNetworkError`` from the first flooded AND.
     """
     coupling = workspace.coupling
-    agents = workspace.agents
-    n_agents = len(agents)
+    groups = workspace.groups
+    n_agents = coupling.n_agents
     config = workspace.config
     rho = config.rho
 
     dx0 = np.zeros(coupling.n) if dz0 is None else np.asarray(dz0, dtype=float)
-    dz = scatter(dx0, coupling)
-    if v0 is None:
-        v = [np.zeros(len(a.index_set)) for a in agents]
-    else:
-        v = [np.array(vi, dtype=float) for vi in v0]
+    dz = np.concatenate(scatter(dx0, coupling))
+    v = np.zeros(dz.size) if v0 is None else np.concatenate(v0, dtype=float)
 
     eps_pri_i = config.eps_pri / n_agents
     eps_dual_i = config.eps_dual / n_agents
     max_dual_avg = 0.0
     max_eq_viol = 0.0
     pri = dua = np.inf
+    ds = np.empty(dz.size)
+    e_pri = np.empty(n_agents)
+    e_dual = np.empty(n_agents)
 
     converged = False
     iterations = config.admm_max_iter
     for k in range(config.admm_max_iter):
-        ds = []
-        for i, a in enumerate(agents):
+        failures = []
+        for grp in groups:
             try:
-                if a.A_eq is None:
-                    d = prox_step_unconstrained(a, dz[i], v[i], rho)
+                if grp.A_eq is None:
+                    d = prox_step_unconstrained(grp, dz[grp.pos], v[grp.pos], rho)
                 else:
-                    d = prox_step_equality(a, dz[i], v[i], rho)
-                    viol = float(np.abs(a.A_eq @ d).max(initial=0.0))
+                    d = prox_step_equality(grp, dz[grp.pos], v[grp.pos], rho)
+                    viol = float(np.abs(np.matmul(grp.A_eq, d[..., None])).max(initial=0.0))
                     max_eq_viol = max(max_eq_viol, viol)
             except FactorizationError as exc:
-                raise _blame(exc, i)
-            ds.append(d)
+                failures.append(_blame(exc, int(grp.members[exc.row])))
+                continue
+            ds[grp.pos] = d
+        _raise_first(failures)
 
         dz_new = exchange_shared_components(scheduler, ds)
 
-        flags = []
-        pri = dua = 0.0
-        for i in range(n_agents):
-            v[i] += dz_new[i] - ds[i]
-            e_dual = float(np.sum((dz_new[i] - dz[i]) ** 2))
-            e_pri = float(np.sum((ds[i] - dz_new[i]) ** 2))
-            # max() below would drop a NaN and let the iteration run to its cap
-            if not math.isfinite(e_pri):
-                raise NonFiniteError(i, "primal residual")
-            if not math.isfinite(e_dual):
-                raise NonFiniteError(i, "dual residual")
-            flags.append(e_dual <= eps_dual_i and e_pri <= eps_pri_i)
-            pri = max(pri, e_pri)
-            dua = max(dua, e_dual)
+        v += dz_new - ds
+        sq_dual = (dz_new - dz) ** 2
+        sq_pri = (ds - dz_new) ** 2
+        for grp in groups:
+            e_dual[grp.members] = sq_dual[grp.pos].sum(axis=1)
+            e_pri[grp.members] = sq_pri[grp.pos].sum(axis=1)
+        # max() below would drop a NaN and let the iteration run to its cap
+        finite_pri = np.isfinite(e_pri)
+        finite = finite_pri & np.isfinite(e_dual)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NonFiniteError(i, "dual residual" if finite_pri[i] else "primal residual")
+        flags = (e_dual <= eps_dual_i) & (e_pri <= eps_pri_i)
+        pri = float(e_pri.max())
+        dua = float(e_dual.max())
 
-        avg_v = np.bincount(workspace.flat_index, weights=np.concatenate(v),
+        avg_v = np.bincount(workspace.flat_index, weights=v,
                             minlength=coupling.n) / coupling.degrees
         max_dual_avg = max(max_dual_avg, float(np.abs(avg_v).max(initial=0.0)))
 
@@ -213,7 +289,8 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
             iterations = k + 1
             break
 
-    dx = merge_slices(dz, coupling)
+    dx = np.zeros(coupling.n)
+    dx[workspace.flat_index] = dz
     return DirectionResult(
         converged=converged,
         iterations=iterations,
@@ -223,5 +300,5 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
         dual_residual=dua,
         max_dual_average=max_dual_avg,
         max_eq_violation=max_eq_viol,
-        v=v,
+        v=np.split(v, workspace.starts[1:-1]),
     )

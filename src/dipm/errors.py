@@ -21,16 +21,28 @@ class ParseError(SolverError):
 
 
 class FactorizationError(SolverError):
-    """Matrix could not be factored; ``pivot_index`` names the failing pivot."""
+    """Matrix could not be factored or solved.
 
-    def __init__(self, message, pivot_index=None, pivot_value=None):
+    ``pivot_index`` names the failing pivot, and ``row`` the failing matrix
+    of a stack (0 for a single matrix).
+    """
+
+    def __init__(self, message, pivot_index=None, pivot_value=None, row=0):
         super().__init__(message)
         self.pivot_index = pivot_index
         self.pivot_value = pivot_value
+        self.row = row
 
 
 class RankError(SolverError):
-    """An agent's Schur complement A (H + rho I)^-1 A' is singular for its curvature."""
+    """An agent's Schur complement A (H + rho I)^-1 A' is singular for its curvature.
+
+    ``row`` names the failing matrix of a stack (0 for a single matrix).
+    """
+
+    def __init__(self, message, row=0):
+        super().__init__(message)
+        self.row = row
 
 
 class BarrierDomainError(SolverError):

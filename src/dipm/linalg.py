@@ -1,16 +1,26 @@
-"""Dense symmetric factorizations with reusable solve handles.
+"""Dense symmetric factorizations with reusable solve handles, over stacks.
 
 Factorizations are computed once, then solved against arbitrarily many
 right-hand sides; the prox layer leans on this to amortize one
-factorization per agent across a whole inner-iteration run. One handle,
-``KKTFactorization``, serves every agent: it factors the shifted leading
-block G = H + rho I and, when the agent has p > 0 equality rows, the Schur
-complement of the saddle system (a Schur pivot that fails means the
-curvature made it singular: the model runs the same test at G = I); with
-p = 0 it is the plain positive definite solve (``SymmetricFactorization``
-is that case with the primal part as its only return value). Every solve
-is residual-checked against the original matrix; a single refinement step
-is attempted when the bound fails, after which the solve raises.
+factorization per agent across a whole inner-iteration run. A handle
+holds a stack of g matrices of one size, shape (g, n, n), and factors and
+solves all of them at once, one numpy call per step for the whole stack;
+a single matrix is a stack of one. Each matrix of a stack gets the same
+arithmetic, bit for bit, as it would alone: ``np.matmul`` and
+``scipy.linalg.solve_triangular`` act on each matrix of a stack as on the
+matrix by itself (``np.einsum`` does not, so it is not used here).
+
+One handle, ``KKTFactorization``, serves every agent: it factors the
+shifted leading block G = H + rho I and, when the agents have p > 0
+equality rows, the Schur complement of the saddle system (a Schur pivot
+that fails means the curvature made it singular: the model runs the same
+test at G = I); with p = 0 it is the plain positive definite solve
+(``SymmetricFactorization`` is that case with the primal part as its only
+return value). Every solve is residual-checked against the original
+matrix, row by row; a single refinement step is attempted on the rows
+whose bound fails, after which the solve raises, naming the lowest row
+that still fails as the error's ``row``. A failed factorization names the
+lowest failing matrix the same way.
 
 The Cholesky factor is computed by a hand-written loop rather than LAPACK:
 ``scipy.linalg.cholesky`` rounds differently on small blocks, so switching
@@ -18,8 +28,9 @@ would change solver iterates in the last bits and with them the recorded
 traces.
 
 Handles are immutable after construction and safe for concurrent solves.
-A module-level counter records every factorization event so callers can
-assert how many factorizations a computation performed.
+A module-level counter records every factorization event, one per matrix
+of a stack, so callers can assert how many factorizations a computation
+performed.
 """
 
 import numpy as np
@@ -47,35 +58,70 @@ def factorization_count():
     return _factorizations
 
 
-def _count_one():
+def _count(events):
     global _factorizations
-    _factorizations += 1
+    _factorizations += events
 
 
-def _require_symmetric(M, what):
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+def _mv(M, x):
+    """Matrix-vector products of a stack: M (g, m, n) times x (g, n)."""
+    return np.matmul(M, x[..., None])[..., 0]
+
+
+def _norm_inf(M):
+    """||M||_inf of each matrix of a stack (0 for an empty one)."""
+    return np.abs(M).sum(axis=2).max(axis=1, initial=0.0)
+
+
+def _symmetric_stack(M, what):
+    """M as a float stack (g, n, n), each matrix checked for symmetry."""
+    M = np.array(M, dtype=float)
+    if M.ndim == 2:
+        M = M[None]
+    if M.ndim != 3 or M.shape[1] != M.shape[2]:
         raise StructureError(f"{what} must be square")
-    scale = float(np.abs(M).max(initial=0.0))
-    if np.abs(M - M.T).max(initial=0.0) > 1e-12 * max(1.0, scale):
+    scale = np.abs(M).max(axis=(1, 2), initial=0.0)
+    asym = np.abs(M - M.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    if (asym > 1e-12 * np.maximum(1.0, scale)).any():
         raise StructureError(f"{what} must be symmetric")
+    return M
 
 
 def _cholesky_lower(M):
-    """Left-looking Cholesky with a pivot floor relative to ||M||_inf."""
-    n = M.shape[0]
+    """Left-looking Cholesky of each matrix of a stack (g, n, n).
+
+    Each matrix has its own pivot floor relative to its ||M||_inf. When
+    pivots fall to their floor, the lowest such matrix raises, with its
+    first failing pivot; the other matrices are factored on, so which one
+    raises does not depend on what else is in the stack.
+    """
+    n = M.shape[1]
     L = np.zeros_like(M)
-    floor = PIVOT_RTOL * float(np.linalg.norm(M, np.inf)) if n else 0.0
+    floor = PIVOT_RTOL * _norm_inf(M)
+    failed_at = np.full(len(M), -1)
+    failed_value = np.zeros(len(M))
     for k in range(n):
-        d = M[k, k] - L[k, :k] @ L[k, :k]
-        if d <= floor:
-            raise FactorizationError(
-                f"pivot {k} fell to {d:.3e} (floor {floor:.3e}); matrix is not positive definite",
-                pivot_index=k,
-                pivot_value=float(d),
-            )
-        L[k, k] = np.sqrt(d)
+        d = M[:, k, k] - np.matmul(L[:, k, None, :k], L[:, k, :k, None])[:, 0, 0]
+        low = d <= floor
+        if low.any():
+            first = low & (failed_at < 0)
+            failed_at[first] = k
+            failed_value[first] = d[first]
+            d = np.where(low, 1.0, d)
+        L[:, k, k] = np.sqrt(d)
         if k + 1 < n:
-            L[k + 1:, k] = (M[k + 1:, k] - L[k + 1:, :k] @ L[k, :k]) / L[k, k]
+            below = M[:, k + 1:, k] - _mv(L[:, k + 1:, :k], L[:, k, :k])
+            L[:, k + 1:, k] = below / L[:, k, k, None]
+    failed = np.flatnonzero(failed_at >= 0)
+    if failed.size:
+        row = int(failed[0])
+        k, d, f = int(failed_at[row]), float(failed_value[row]), float(floor[row])
+        raise FactorizationError(
+            f"pivot {k} fell to {d:.3e} (floor {f:.3e}); matrix is not positive definite",
+            pivot_index=k,
+            pivot_value=d,
+            row=row,
+        )
     return L
 
 
@@ -83,123 +129,169 @@ def require_full_row_rank(A):
     """Raise StructureError unless A passes the Schur-complement pivot test at G = I."""
     W = A @ A.T
     try:
-        _cholesky_lower(0.5 * (W + W.T))
+        _cholesky_lower(0.5 * (W + W.T)[None])
     except FactorizationError as exc:
         raise StructureError(f"equality matrix must have full row rank: {exc}") from exc
 
 
 def _spd_inverse(M):
-    """Inverse of a positive definite M through its Cholesky factor."""
+    """Inverses of a stack of positive definite matrices through their Cholesky factors."""
     L = _cholesky_lower(M)
-    n = L.shape[0]
+    n = L.shape[1]
     if n == 0:
-        return np.zeros((0, 0))
+        return np.zeros_like(M)
     Linv = solve_triangular(L, np.eye(n), lower=True)
-    return Linv.T @ Linv
+    return np.matmul(Linv.swapaxes(1, 2), Linv)
 
 
 class KKTFactorization:
-    """Solve handle for the saddle system [[G, A'], [A, 0]] with p >= 0 rows in A.
+    """Solve handles for saddle systems [[G, A'], [A, 0]], one per matrix of a stack.
 
-    G is the symmetric, already shifted leading block (H + rho I). Solves
-    are carried out by block elimination through G; ``solve`` takes the
-    top-block right-hand side (the bottom block is zero in this solver) and
-    returns the primal part together with the multiplier; the primal part
-    lies in the null space of A to within the residual bound. With p = 0
-    the system is G itself and the multiplier has length zero.
+    ``G`` (g, n, n) holds the symmetric, already shifted leading blocks
+    (H + rho I) and ``A`` (g, p, n) the p >= 0 equality rows of each; a
+    single matrix (n, n) with rows (p, n) is a stack of one. Solves are
+    carried out by block elimination through G; ``solve`` takes the
+    top-block right-hand sides (the bottom block is zero in this solver),
+    one row per matrix, and returns the primal parts together with the
+    multipliers; each primal part lies in the null space of its A to
+    within the residual bound. With p = 0 the systems are the G themselves
+    and the multipliers have length zero.
     """
 
     def __init__(self, G, A=None):
-        self._G = G
-        self._Ginv = _spd_inverse(G)
-        self.n = n = G.shape[0]
-        self.norm_inf = float(np.linalg.norm(G, np.inf)) if n else 0.0
-        A = np.zeros((0, n)) if A is None else np.array(A, dtype=float)
-        if A.ndim != 2 or A.shape[1] != n:
+        G = np.asarray(G, dtype=float)
+        if G.ndim == 2:
+            G = G[None]
+        g, n = G.shape[:2]
+        A = np.zeros((g, 0, n)) if A is None else np.array(A, dtype=float)
+        if A.ndim == 2:
+            A = A[None]
+        if A.ndim != 3 or A.shape[0] != g or A.shape[2] != n:
             raise StructureError("A must have one column per primal variable")
-        self.p = A.shape[0]
-        self._A = A
-        self._A_norm = float(np.linalg.norm(A, np.inf)) if self.p else 0.0
-        self._no_multiplier = np.zeros(0)
+        self.n, self.p = n, A.shape[1]
+        self.G, self.A = G, A
+        try:
+            self.Ginv = _spd_inverse(G)
+        except FactorizationError as exc:
+            # a lower matrix whose Schur complement fails is named first
+            if self.p and exc.row:
+                KKTFactorization(G[:exc.row], A[:exc.row])
+            raise
+        self.norm_inf = _norm_inf(G)
+        self.A_norm = _norm_inf(A)
         if self.p:
-            W = A @ self._Ginv @ A.T
+            W = np.matmul(np.matmul(A, self.Ginv), A.swapaxes(1, 2))
             try:
-                self._Winv = _spd_inverse(0.5 * (W + W.T))
+                self.Winv = _spd_inverse(0.5 * (W + W.swapaxes(1, 2)))
             except FactorizationError as exc:
-                raise RankError(f"Schur complement A (H + rho I)^-1 A' is singular: {exc}") from exc
+                raise RankError(f"Schur complement A (H + rho I)^-1 A' is singular: {exc}",
+                                row=exc.row) from exc
+
+    def _eliminate(self, k, top, bottom=None):
+        """Block elimination on matrices ``k``: (y, du) with G y + A' du = top, A y = bottom.
+
+        ``bottom`` is zero when omitted.
+        """
+        Ginv = self.Ginv[k]
+        y = _mv(Ginv, top)
+        if not self.p:
+            return y, np.zeros((len(y), 0))
+        A = self.A[k]
+        w = _mv(A, y)
+        if bottom is not None:
+            w = w - bottom
+        du = _mv(self.Winv[k], w)
+        return y - _mv(Ginv, _mv(A.swapaxes(1, 2), du)), du
+
+    def _check(self, k, top, r_scale, ds, u):
+        """Residuals of the solves on matrices ``k`` and which miss their bounds."""
+        res = top - _mv(self.G[k], ds)
+        ds_scale = np.abs(ds).max(axis=1, initial=0.0)
+        noise = self.norm_inf[k] * ds_scale
+        eq = None
+        err_eq = bound_eq = np.zeros(len(res))
+        if self.p:
+            A, A_norm = self.A[k], self.A_norm[k]
+            res = res - _mv(A.swapaxes(1, 2), u)
+            eq = _mv(A, ds)
+            noise = noise + A_norm * np.abs(u).max(axis=1, initial=0.0)
+            err_eq = np.abs(eq).max(axis=1, initial=0.0)
+            bound_eq = _solve_bound(0.0, A_norm * ds_scale, self.n)
+        err = np.abs(res).max(axis=1, initial=0.0)
+        bound = _solve_bound(r_scale, noise, self.n)
+        # written so that a NaN passes: non-finite values are the
+        # caller's to diagnose, not a factorization failure
+        fail = (err > bound) | (err_eq > bound_eq)
+        return res, eq, fail, (err, err_eq, bound, bound_eq)
 
     def _solve(self, r):
-        """Block elimination, residual check, and at most one refinement."""
+        """Block elimination, residual checks, and at most one refinement of failing rows."""
         r = np.asarray(r, dtype=float)
-        Ginv, A, p = self._Ginv, self._A, self.p
-        ds = Ginv @ r
-        u = self._no_multiplier
-        if p:
-            u = self._Winv @ (A @ ds)
-            ds = ds - Ginv @ (A.T @ u)
-        r_scale = float(np.abs(r).max(initial=0.0))
-        for refined in (False, True):
-            res = r - self._G @ ds
-            ds_scale = float(np.abs(ds).max(initial=0.0))
-            noise = self.norm_inf * ds_scale
-            err_eq = bound_eq = 0.0
-            if p:
-                res = res - A.T @ u
-                eq = A @ ds
-                noise = noise + self._A_norm * float(np.abs(u).max(initial=0.0))
-                err_eq = np.abs(eq).max(initial=0.0)
-                bound_eq = _solve_bound(0.0, self._A_norm * ds_scale, self.n)
-            err = np.abs(res).max(initial=0.0)
-            bound = _solve_bound(r_scale, noise, self.n)
-            # written so that a NaN passes: non-finite values are the
-            # caller's to diagnose, not a factorization failure
-            if not (err > bound or err_eq > bound_eq):
-                return ds, u
-            if refined:
+        top = r.reshape(-1, self.n)
+        if r.ndim > 2 or top.shape[0] != len(self.G):
+            raise StructureError(f"right-hand side of shape {r.shape} does not match "
+                                 f"{len(self.G)} systems of size {self.n}")
+        whole = slice(None)
+        ds, u = self._eliminate(whole, top)
+        r_scale = np.abs(top).max(axis=1, initial=0.0)
+        res, eq, fail, _ = self._check(whole, top, r_scale, ds, u)
+        if fail.any():
+            k = np.flatnonzero(fail)
+            y, du = self._eliminate(k, res[k], None if eq is None else eq[k])
+            ds[k] += y
+            u[k] += du
+            _, _, fail, report = self._check(k, top[k], r_scale[k], ds[k], u[k])
+            if fail.any():
+                j = int(np.argmax(fail))
+                err, err_eq, bound, bound_eq = (float(a[j]) for a in report)
                 raise FactorizationError(
                     f"solve residuals ({err:.3e}, {err_eq:.3e}) exceed bounds "
-                    f"({bound:.3e}, {bound_eq:.3e}) after refinement"
+                    f"({bound:.3e}, {bound_eq:.3e}) after refinement",
+                    row=int(k[j]),
                 )
-            y = Ginv @ res
-            if p:
-                du = self._Winv @ (A @ y - eq)
-                y = y - Ginv @ (A.T @ du)
-                u = u + du
-            ds = ds + y
+        if r.ndim == 1:
+            return ds[0], u[0]
+        return ds, u
 
     def solve(self, r):
-        """Return (ds, u) solving the saddle system with bottom block zero."""
+        """Return (ds, u) solving the saddle systems with bottom block zero.
+
+        ``r`` is one right-hand side (n,) for a stack of one, or one per
+        matrix (g, n); the results have the same leading shape.
+        """
         return self._solve(r)
 
 
 class SymmetricFactorization(KKTFactorization):
-    """Solve handle for one symmetric positive definite matrix (p = 0)."""
+    """Solve handles for a stack of symmetric positive definite matrices (p = 0)."""
 
     def solve(self, r):
-        """Return x with M x = r, residual-checked and refined once if needed."""
+        """Return x with M x = r per matrix, residual-checked and refined once if needed."""
         return self._solve(r)[0]
 
 
 def factor_spd(M):
-    """Factor a symmetric positive definite matrix; counts one event."""
-    M = np.array(M, dtype=float)
-    _require_symmetric(M, "matrix")
-    f = SymmetricFactorization(0.5 * (M + M.T))
-    _count_one()
+    """Factor a symmetric positive definite matrix, or each of a stack (g, n, n).
+
+    Counts one event per matrix.
+    """
+    M = _symmetric_stack(M, "matrix")
+    f = SymmetricFactorization(0.5 * (M + M.swapaxes(1, 2)))
+    _count(len(M))
     return f
 
 
 def factor_kkt(H, rho, A):
-    """Factor [[H + rho I, A'], [A, 0]]; counts one event.
+    """Factor [[H + rho I, A'], [A, 0]], or each of a stack; counts one event per matrix.
 
+    ``H`` is (n, n) or (g, n, n) and ``A`` accordingly (p, n) or (g, p, n).
     With A empty this degenerates to the positive definite case but keeps
     the (ds, u) return shape, u having length zero.
     """
-    H = np.array(H, dtype=float)
-    _require_symmetric(H, "H")
+    H = _symmetric_stack(H, "H")
     if rho <= 0:
         raise StructureError("rho must be positive")
-    G = 0.5 * (H + H.T) + rho * np.eye(H.shape[0])
+    G = 0.5 * (H + H.swapaxes(1, 2)) + rho * np.eye(H.shape[1])
     try:
         f = KKTFactorization(G, A)
     except FactorizationError as exc:
@@ -207,6 +299,7 @@ def factor_kkt(H, rho, A):
             f"leading block is indefinite even after adding rho I: {exc}",
             pivot_index=exc.pivot_index,
             pivot_value=exc.pivot_value,
+            row=exc.row,
         ) from exc
-    _count_one()
+    _count(len(H))
     return f

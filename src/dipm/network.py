@@ -185,17 +185,23 @@ def exchange_shared_components(scheduler, contributions):
     Every agent sends one message per neighbor, carrying exactly the
     components both parties own. Each agent then averages, per variable,
     its own contribution with the received ones in ascending agent order,
-    which reproduces the dense consensus projection bit for bit. Returns
-    per-agent views into one averaged vector.
+    which reproduces the dense consensus projection bit for bit.
+    ``contributions`` is a list of the agents' local vectors, answered
+    with per-agent views into one averaged vector, or those vectors
+    already concatenated in ascending agent order (one flat array),
+    answered with the averaged flat array.
     """
     plan = scheduler.plan
-    flat = np.concatenate(contributions)
+    is_flat = isinstance(contributions, np.ndarray)
+    flat = contributions if is_flat else np.concatenate(contributions)
     if flat.shape != (plan.agent_start[-1],):
         raise StructureError("contributions do not match the agents' index sets")
     received = scheduler.deliver_round(flat[plan.send_pos], KIND_SHARED)
     terms = np.concatenate((flat, received))[plan.acc_order]
     averaged = np.bincount(plan.acc_slot, weights=terms, minlength=flat.size)
     averaged /= plan.local_degrees
+    if is_flat:
+        return averaged
     bounds = plan.agent_start.tolist()
     return [averaged[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 

@@ -23,10 +23,13 @@ Without ``warm_start`` every direction starts from zero and every stage
 from the previous stage's solution.
 
 Per-agent work (prox solves, decrements, backtracking) depends only on
-agent-local state and could run concurrently; the consensus calls are the
-only barriers. The driver itself owns its state for the duration of a
-solve, and all reductions run in ascending agent order so repeated runs
-are bit-identical.
+agent-local state, so the consensus calls are the only barriers. The
+direction layer already runs its share at once for every group of agents
+of one local size and one number of equality rows (stacked factorizations
+and prox solves, each agent's arithmetic bit for bit); decrements and
+backtracking still run agent by agent. The driver itself owns its state
+for the duration of a solve, and all reductions run in ascending agent
+order so repeated runs are bit-identical.
 
 A run's record is a ``SolveResult``: one trace row per outer iteration,
 which holds every count, plus what the rows do not hold. The barrier

@@ -323,14 +323,21 @@ def merge_slices(slices, coupling):
 
 
 def consistency_error(slices, coupling):
-    """Max deviation of the slices from their own consensus projection."""
-    z = gather_average(slices, coupling)
-    err = 0.0
-    for i, s in enumerate(slices):
-        d = np.abs(s - z[coupling.index_arrays[i]])
-        if d.size:
-            err = max(err, float(d.max()))
-    return err
+    """Largest half-spread (max - min) / 2 of any variable's copies over its owners.
+
+    Bit-equal copies read exactly 0; two owners' copies read their distance
+    from their average. NaN copies are left out: ``check_start`` rejects them.
+    """
+    for i, (s, idx) in enumerate(zip(slices, coupling.index_arrays)):
+        if np.shape(s) != idx.shape:
+            raise StructureError(f"slice {i} has wrong length")
+    flat_index = np.concatenate(coupling.index_arrays)
+    copies = np.concatenate(slices, dtype=float)
+    hi = np.full(coupling.n, -np.inf)
+    lo = np.full(coupling.n, np.inf)
+    np.fmax.at(hi, flat_index, copies)
+    np.fmin.at(lo, flat_index, copies)
+    return float(((hi - lo) / 2.0).max(initial=0.0))
 
 
 def check_start(blocks, slices, eq_atol=START_EQ_ATOL):

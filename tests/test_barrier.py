@@ -267,8 +267,6 @@ class TestStageWarmStart:
     def test_extrapolated_start_is_consistent_and_keeps_the_gaps(self, monkeypatch):
         # three owners per interior variable: the shared entries are computed
         # by three agents, and must agree to the bit
-        # (consistency_error itself can read 6e-17 there, since a three-term
-        # average of equal values can round away from them)
         calls = spy_on_extrapolation(monkeypatch)
         prob, x0 = random_qp(0, n_agents=6, block_size=3, overlap=2, n_ineq=1)
         result, _ = solve_ipm(prob, x0, SolverConfig())
@@ -277,6 +275,7 @@ class TestStageWarmStart:
         for stage, s_last, start in calls:
             for s_new, copy in zip(start, scatter(merge_slices(start, coupling), coupling)):
                 np.testing.assert_array_equal(s_new, copy)
+            assert consistency_error(start, coupling) == 0.0
             for blk, s, s_new in zip(stage.blocks, s_last, start):
                 for g in blk.inequality:
                     assert g.value(s_new) <= BOUNDARY_FRACTION * g.value(s)

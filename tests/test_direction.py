@@ -302,14 +302,110 @@ class TestFactorizationFailure:
         assert (info.value.agent, info.value.pivot_index) == (1, 0)
 
     def test_failed_prox_solve_names_agent(self):
-        class FailingFactor:
-            def solve(self, rhs):
-                raise FactorizationError("solve residuals exceed bounds after refinement")
-
+        # both agents share one stacked handle; doubling agent 1's stored
+        # matrix behind its inverse leaves its solve residual at -rhs, which
+        # refinement cannot fix, while agent 0's row still solves cleanly
         prob = chain_qp()
         coupling, sched, cfg = setup_instance(prob)
         ws = DirectionWorkspace(plain_stage(prob), scatter(np.zeros(3), coupling), coupling, cfg)
-        ws.agents[1].factor = FailingFactor()
+        [group] = ws.groups
+        assert group.members.tolist() == [0, 1]
+        group.factor.G[1] *= 2.0
         with pytest.raises(FactorizationError, match="^agent 1: solve residuals") as info:
             compute_direction(ws, sched)
         assert info.value.agent == 1
+
+
+# sizes and equality rows interleaved along a chain (each block shares its
+# first variable with the previous one): groups by first appearance are
+# (2, -): 0, 4; (3, 1): 1, 6; (4, 1): 2; (3, -): 3; (4, 2): 5
+MIXED = ((2, 0), (3, 1), (4, 1), (3, 0), (2, 0), (4, 2), (3, 1))
+
+
+def mixed_chain(indefinite=()):
+    """The MIXED chain, with each equality row orthogonal to the unconstrained direction.
+
+    The dense oracle ignores equality rows; rows that the unconstrained
+    direction already satisfies leave it the constrained one as well.
+    Agents in ``indefinite`` get the curvature -2 I instead.
+    """
+    rng = np.random.default_rng(4)
+    index_sets, start = [], 0
+    for d, _ in MIXED:
+        index_sets.append(tuple(range(start, start + d)))
+        start += d - 1
+    n = start + 1
+    objectives = []
+    for d, _ in MIXED:
+        X = rng.standard_normal((d, d))
+        objectives.append(QuadraticFunction(X @ X.T + 0.5 * np.eye(d), rng.standard_normal(d)))
+    x0 = rng.standard_normal(n)
+    plain = LooselyCoupledProblem(n=n, blocks=tuple(
+        AgentBlock(index_set=idx, objective=f) for idx, f in zip(index_sets, objectives)))
+    _, dx = direct_direction(plain, scatter(x0, build_coupling(plain)), build_coupling(plain))
+    blocks = []
+    for i, ((d, p), idx, f) in enumerate(zip(MIXED, index_sets, objectives)):
+        if i in indefinite:
+            f = CustomFunction(d, lambda s: -float(s @ s), lambda s: -2.0 * s,
+                               lambda s, d=d: -2.0 * np.eye(d))
+        A = b = None
+        if p:
+            w = dx[list(idx)]
+            A = rng.standard_normal((p, d))
+            A -= np.outer(A @ w, w) / (w @ w)
+            b = A @ x0[list(idx)]
+        blocks.append(AgentBlock(index_set=idx, objective=f, A_eq=A, b_eq=b))
+    return LooselyCoupledProblem(n=n, blocks=tuple(blocks)), x0, dx
+
+
+class TestGroups:
+    def test_mixed_groups_match_the_dense_oracle(self):
+        prob, x0, dx = mixed_chain()
+        cfg = SolverConfig(eps_pri=1e-24, eps_dual=1e-24, admm_max_iter=20000)
+        coupling, sched, cfg = setup_instance(prob, cfg)
+        before = factorization_count()
+        ws = DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
+        assert factorization_count() - before == len(MIXED)
+        assert [g.members.tolist() for g in ws.groups] == [[0, 4], [1, 6], [2], [3], [5]]
+        for g in ws.groups:
+            for k, i in enumerate(g.members):
+                np.testing.assert_array_equal(ws.flat_index[g.pos[k]], coupling.index_arrays[i])
+        res = compute_direction(ws, sched)
+        assert res.converged
+        assert np.abs(res.dx - dx).max() <= 1e-8
+        assert res.max_eq_violation <= 1e-9
+
+    def test_failure_in_the_second_group_names_its_agent(self):
+        # agent 6 is row 1 of the group (3, 1)
+        prob, x0, _ = mixed_chain(indefinite=(6,))
+        coupling, _, cfg = setup_instance(prob)
+        with pytest.raises(FactorizationError, match="^agent 6: leading block is indefinite") \
+                as info:
+            DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
+        assert (info.value.agent, info.value.row) == (6, 1)
+
+    def test_lowest_failing_agent_is_named_across_groups(self):
+        # agent 4 fails in the first group factored, agent 3 in a later one
+        prob, x0, _ = mixed_chain(indefinite=(3, 4))
+        coupling, _, cfg = setup_instance(prob)
+        with pytest.raises(FactorizationError, match="^agent 3: pivot 0 fell") as info:
+            DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
+        assert info.value.agent == 3
+
+    def test_factorization_failure_comes_before_a_later_non_finite_gradient(self):
+        nan_grad = CustomFunction(
+            2, lambda s: 0.5 * float(s @ s), lambda s: np.full(2, np.nan), lambda s: np.eye(2)
+        )
+        indefinite = CustomFunction(
+            2, lambda s: -float(s @ s), lambda s: -2.0 * s, lambda s: -2.0 * np.eye(2)
+        )
+        quad = QuadraticFunction(np.eye(2), np.zeros(2))
+        for objectives, agent, error in (((quad, indefinite, nan_grad), 1, FactorizationError),
+                                         ((quad, nan_grad, indefinite), 1, NonFiniteError)):
+            prob = LooselyCoupledProblem(n=4, blocks=tuple(
+                AgentBlock(index_set=(i, i + 1), objective=f) for i, f in enumerate(objectives)))
+            coupling, _, cfg = setup_instance(prob)
+            with pytest.raises(error) as info:
+                DirectionWorkspace(plain_stage(prob), scatter(np.zeros(4), coupling), coupling,
+                                   cfg)
+            assert info.value.agent == agent

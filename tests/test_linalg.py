@@ -201,3 +201,88 @@ class TestCounter:
         factor_spd(np.eye(3))
         factor_kkt(np.eye(3), 1.0, np.array([[1.0, 1.0, 0.0]]))
         assert factorization_count() == before + 2
+
+
+def random_stack(rng, g, d, p):
+    """g positive semidefinite d x d curvatures, p equality rows each, and right-hand sides."""
+    X = rng.standard_normal((g, d, d))
+    H = np.matmul(X, X.swapaxes(1, 2)) * rng.uniform(0.01, 3.0, size=(g, 1, 1))
+    return H, rng.standard_normal((g, p, d)), rng.standard_normal((g, d))
+
+
+class TestStacks:
+    # a stack of N is N stacks of one: same factors, same solves, to the bit
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_stack_of_n_equals_n_stacks_of_one(self, d, p):
+        rng = np.random.default_rng(100 * d + p)
+        for _ in range(20):
+            H, A, r = random_stack(rng, 6, d, p)
+            before = factorization_count()
+            spd = factor_spd(H + 0.7 * np.eye(d))
+            kkt = factor_kkt(H, 0.7, A)
+            assert factorization_count() == before + 12
+            x = spd.solve(r)
+            ds, u = kkt.solve(r)
+            assert x.shape == ds.shape == (6, d) and u.shape == (6, p)
+            for k in range(6):
+                one_spd = factor_spd(H[k] + 0.7 * np.eye(d))
+                one_kkt = factor_kkt(H[k], 0.7, A[k])
+                np.testing.assert_array_equal(spd.Ginv[k], one_spd.Ginv[0])
+                np.testing.assert_array_equal(kkt.Ginv[k], one_kkt.Ginv[0])
+                np.testing.assert_array_equal(x[k], one_spd.solve(r[k]))
+                ds_k, u_k = one_kkt.solve(r[k])
+                np.testing.assert_array_equal(ds[k], ds_k)
+                np.testing.assert_array_equal(u[k], u_k)
+
+    def test_single_right_hand_side_needs_a_stack_of_one(self):
+        f = factor_spd(np.stack([np.eye(2), 2.0 * np.eye(2)]))
+        with pytest.raises(StructureError, match="does not match 2 systems of size 2"):
+            f.solve(np.ones(2))
+
+    def test_lowest_failing_matrix_is_named_whatever_its_pivot(self):
+        # matrix 1 fails at pivot 2, matrix 3 already at pivot 0: matrix 1 is
+        # named, with the pivot it reports alone
+        M = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0]), np.eye(3), np.diag([-1.0, 1.0, 1.0])])
+        with pytest.raises(FactorizationError) as info:
+            factor_spd(M)
+        assert (info.value.row, info.value.pivot_index, info.value.pivot_value) == (1, 2, -1.0)
+        assert str(info.value).startswith("pivot 2 fell to -1.000e+00")
+
+    def test_schur_failure_below_a_leading_block_failure_is_named_first(self):
+        # matrix 0 has dependent equality rows (a singular Schur complement),
+        # matrix 1 an indefinite leading block: matrix 0 fails first
+        H = np.stack([np.eye(3), np.diag([1.0, -5.0, 1.0])])
+        A = np.stack([[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
+        with pytest.raises(RankError) as info:
+            factor_kkt(H, 1.0, A)
+        assert info.value.row == 0
+        with pytest.raises(FactorizationError, match="indefinite") as info:
+            factor_kkt(H[::-1], 1.0, A[::-1])
+        assert info.value.row == 0
+
+    def test_only_the_failing_row_is_refined(self, monkeypatch):
+        # the reflected saddle of TestRefinement misses its first bound and
+        # meets it refined; between two well-conditioned systems it is the
+        # only row refined, and every row solves as it does alone
+        rng = np.random.default_rng(9)
+        G1, A1 = reflected_saddle([-3, 0, 2, -2, 3], [[3, -3, 2, 2, 3]])
+        G = np.stack([random_spd(rng, 5), G1, random_spd(rng, 5)])
+        A = np.stack([rng.standard_normal((1, 5)), A1, rng.standard_normal((1, 5))])
+        r = np.stack([rng.standard_normal(5), [2.0, 2.0, 3.0, -2.0, 3.0],
+                      rng.standard_normal(5)])
+        alone = [KKTFactorization(G[k], A[k]).solve(r[k]) for k in range(3)]
+        f = KKTFactorization(G, A)
+        bounds = recorded_bounds(monkeypatch)
+        ds, u = f.solve(r)
+        assert [np.shape(b) for b in bounds] == [(3,), (3,), (1,), (1,)]
+        for k in range(3):
+            np.testing.assert_array_equal(ds[k], alone[k][0])
+            np.testing.assert_array_equal(u[k], alone[k][1])
+
+    def test_solve_that_fails_after_refinement_names_its_row(self):
+        f = factor_spd(np.stack([np.eye(2), np.eye(2), np.eye(2)]))
+        f.G[1] *= 2.0   # the stored matrix no longer matches its inverse
+        with pytest.raises(FactorizationError, match="after refinement") as info:
+            f.solve(np.ones((3, 2)))
+        assert info.value.row == 1
