@@ -91,12 +91,6 @@ def _blame(exc, agent):
     return exc
 
 
-def _raise_first(failures):
-    """Raise the failure of the lowest-numbered agent, if there is one."""
-    if failures:
-        raise min(failures, key=lambda exc: exc.agent)
-
-
 class DirectionWorkspace:
     """Per-agent gradients and cached factorizations at one linearization point.
 
@@ -104,12 +98,14 @@ class DirectionWorkspace:
     ``config.rho``, one ``linalg.factor_spd`` or ``linalg.factor_kkt``
     call per ``AgentGroup`` (agents of one local size and one number of
     equality rows); they stay valid for the lifetime of the workspace,
-    which is tied to the linearization point it was built from. A system
-    that cannot be factored, or a non-finite gradient or Hessian, raises
-    with the lowest-numbered failing agent attached, as a loop over the
-    agents in order would. ``flat_index`` lists the global index of every
-    local entry, agents in ascending order; ``starts`` holds where each
-    agent's entries begin in it, and their total at the end.
+    which is tied to the linearization point it was built from. When a
+    group fails to factor, the agents are factored again one at a time, in
+    ascending order, so the error names the lowest-numbered failing agent
+    as a loop over the agents would; a non-finite gradient or Hessian
+    likewise comes after the failures of the agents before it.
+    ``flat_index`` lists the global index of every local entry, agents in
+    ascending order; ``starts`` holds where each agent's entries begin in
+    it, and their total at the end.
     """
 
     def __init__(self, stage, points, coupling, config):
@@ -123,10 +119,9 @@ class DirectionWorkspace:
                                                   coupling.index_arrays)):
             g = h.gradient(s)
             H = h.hessian(s)
-            for quantity, arr in (("gradient", g), ("Hessian", H)):
-                if nonfinite is None and not np.isfinite(arr).all():
-                    nonfinite = NonFiniteError(i, quantity)
-            if nonfinite is not None:
+            bad = [q for q, arr in (("gradient", g), ("Hessian", H)) if not np.isfinite(arr).all()]
+            if bad:
+                nonfinite = NonFiniteError(i, bad[0])
                 break
             self.agents.append(AgentDirectionState(index_set=idx, grad=g, hess=H, A_eq=blk.A_eq))
 
@@ -134,28 +129,31 @@ class DirectionWorkspace:
         for i, a in enumerate(self.agents):
             key = (len(a.index_set), None if a.A_eq is None else len(a.A_eq))
             members.setdefault(key, []).append(i)
-        self.groups = []
-        failures = []
-        for (d, p), group in members.items():
-            group = np.array(group)
-            H = np.stack([self.agents[i].hess for i in group])
-            A_eq = None if p is None else np.stack([self.agents[i].A_eq for i in group])
-            try:
-                if A_eq is None:
-                    fac = linalg.factor_spd(H + config.rho * np.eye(d))
-                else:
-                    fac = linalg.factor_kkt(H, config.rho, A_eq)
-            except (FactorizationError, RankError) as exc:
-                failures.append(_blame(exc, int(group[exc.row])))
-                continue
-            self.groups.append(AgentGroup(
-                members=group, pos=self.starts[group][:, None] + np.arange(d),
-                grad=np.stack([self.agents[i].grad for i in group]), factor=fac, A_eq=A_eq,
-            ))
-        # an agent that fails to factor comes before a later non-finite one
-        _raise_first(failures)
+        try:
+            self.groups = [self._group(group) for group in members.values()]
+        except (FactorizationError, RankError):
+            for i in range(len(self.agents)):
+                try:
+                    self._group([i])
+                except (FactorizationError, RankError) as exc:
+                    raise _blame(exc, i) from None
+            raise
         if nonfinite is not None:
             raise nonfinite
+
+    def _group(self, members):
+        """The ``AgentGroup`` of ``members``, factored as one stack."""
+        members = np.array(members)
+        agents = [self.agents[i] for i in members]
+        d = len(agents[0].index_set)
+        H = np.stack([a.hess for a in agents])
+        A_eq = None if agents[0].A_eq is None else np.stack([a.A_eq for a in agents])
+        if A_eq is None:
+            fac = linalg.factor_spd(H + self.config.rho * np.eye(d))
+        else:
+            fac = linalg.factor_kkt(H, self.config.rho, A_eq)
+        return AgentGroup(members=members, pos=self.starts[members][:, None] + np.arange(d),
+                          grad=np.stack([a.grad for a in agents]), factor=fac, A_eq=A_eq)
 
 
 def prox_step_unconstrained(agent, dz_slice, v, rho):
@@ -259,7 +257,8 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
                 failures.append(_blame(exc, int(grp.members[exc.row])))
                 continue
             ds[grp.pos] = d
-        _raise_first(failures)
+        if failures:
+            raise min(failures, key=lambda exc: exc.agent)
 
         dz_new = exchange_shared_components(scheduler, ds)
 

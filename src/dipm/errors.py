@@ -23,11 +23,11 @@ class ParseError(SolverError):
 class FactorizationError(SolverError):
     """Matrix could not be factored or solved.
 
-    ``pivot_index`` names the failing pivot, and ``row`` the failing matrix
-    of a stack (0 for a single matrix).
+    ``pivot_index`` names the failing pivot of a factorization; ``row``
+    names the matrix of a stack whose solve failed (None otherwise).
     """
 
-    def __init__(self, message, pivot_index=None, pivot_value=None, row=0):
+    def __init__(self, message, pivot_index=None, pivot_value=None, row=None):
         super().__init__(message)
         self.pivot_index = pivot_index
         self.pivot_value = pivot_value
@@ -35,14 +35,7 @@ class FactorizationError(SolverError):
 
 
 class RankError(SolverError):
-    """An agent's Schur complement A (H + rho I)^-1 A' is singular for its curvature.
-
-    ``row`` names the failing matrix of a stack (0 for a single matrix).
-    """
-
-    def __init__(self, message, row=0):
-        super().__init__(message)
-        self.row = row
+    """An agent's Schur complement A (H + rho I)^-1 A' is singular for its curvature."""
 
 
 class BarrierDomainError(SolverError):

@@ -6,9 +6,10 @@ factorization per agent across a whole inner-iteration run. A handle
 holds a stack of g matrices of one size, shape (g, n, n), and factors and
 solves all of them at once, one numpy call per step for the whole stack;
 a single matrix is a stack of one. Each matrix of a stack gets the same
-arithmetic, bit for bit, as it would alone: ``np.matmul`` and
-``scipy.linalg.solve_triangular`` act on each matrix of a stack as on the
-matrix by itself (``np.einsum`` does not, so it is not used here).
+arithmetic, bit for bit, as it would alone: ``np.matmul`` acts on each
+matrix of a stack as on the matrix by itself (``np.einsum`` does not, so
+it is not used here), and the triangular inverses are taken by
+``scipy.linalg.solve_triangular`` one matrix at a time.
 
 One handle, ``KKTFactorization``, serves every agent: it factors the
 shifted leading block G = H + rho I and, when the agents have p > 0
@@ -19,8 +20,9 @@ test at G = I); with p = 0 it is the plain positive definite solve
 return value). Every solve is residual-checked against the original
 matrix, row by row; a single refinement step is attempted on the rows
 whose bound fails, after which the solve raises, naming the lowest row
-that still fails as the error's ``row``. A failed factorization names the
-lowest failing matrix the same way.
+that still fails as the error's ``row``. A stack whose factorization
+fails raises as a whole; a caller that must name the failing matrix
+factors them one at a time.
 
 The Cholesky factor is computed by a hand-written loop rather than LAPACK:
 ``scipy.linalg.cholesky`` rounds differently on small blocks, so switching
@@ -90,38 +92,27 @@ def _symmetric_stack(M, what):
 def _cholesky_lower(M):
     """Left-looking Cholesky of each matrix of a stack (g, n, n).
 
-    Each matrix has its own pivot floor relative to its ||M||_inf. When
-    pivots fall to their floor, the lowest such matrix raises, with its
-    first failing pivot; the other matrices are factored on, so which one
-    raises does not depend on what else is in the stack.
+    Each matrix has its own pivot floor relative to its ||M||_inf; the
+    first pivot that falls to its floor in any matrix raises.
     """
     n = M.shape[1]
     L = np.zeros_like(M)
     floor = PIVOT_RTOL * _norm_inf(M)
-    failed_at = np.full(len(M), -1)
-    failed_value = np.zeros(len(M))
     for k in range(n):
         d = M[:, k, k] - np.matmul(L[:, k, None, :k], L[:, k, :k, None])[:, 0, 0]
-        low = d <= floor
-        if low.any():
-            first = low & (failed_at < 0)
-            failed_at[first] = k
-            failed_value[first] = d[first]
-            d = np.where(low, 1.0, d)
+        low = np.flatnonzero(d <= floor)
+        if low.size:
+            j = low[0]
+            raise FactorizationError(
+                f"pivot {k} fell to {d[j]:.3e} (floor {floor[j]:.3e}); "
+                "matrix is not positive definite",
+                pivot_index=k,
+                pivot_value=float(d[j]),
+            )
         L[:, k, k] = np.sqrt(d)
         if k + 1 < n:
             below = M[:, k + 1:, k] - _mv(L[:, k + 1:, :k], L[:, k, :k])
             L[:, k + 1:, k] = below / L[:, k, k, None]
-    failed = np.flatnonzero(failed_at >= 0)
-    if failed.size:
-        row = int(failed[0])
-        k, d, f = int(failed_at[row]), float(failed_value[row]), float(floor[row])
-        raise FactorizationError(
-            f"pivot {k} fell to {d:.3e} (floor {f:.3e}); matrix is not positive definite",
-            pivot_index=k,
-            pivot_value=d,
-            row=row,
-        )
     return L
 
 
@@ -140,7 +131,8 @@ def _spd_inverse(M):
     n = L.shape[1]
     if n == 0:
         return np.zeros_like(M)
-    Linv = solve_triangular(L, np.eye(n), lower=True)
+    # one call per matrix: stacked input needs SciPy 1.15, which loops the same way
+    Linv = np.stack([solve_triangular(l, np.eye(n), lower=True) for l in L])
     return np.matmul(Linv.swapaxes(1, 2), Linv)
 
 
@@ -170,13 +162,7 @@ class KKTFactorization:
             raise StructureError("A must have one column per primal variable")
         self.n, self.p = n, A.shape[1]
         self.G, self.A = G, A
-        try:
-            self.Ginv = _spd_inverse(G)
-        except FactorizationError as exc:
-            # a lower matrix whose Schur complement fails is named first
-            if self.p and exc.row:
-                KKTFactorization(G[:exc.row], A[:exc.row])
-            raise
+        self.Ginv = _spd_inverse(G)
         self.norm_inf = _norm_inf(G)
         self.A_norm = _norm_inf(A)
         if self.p:
@@ -184,8 +170,7 @@ class KKTFactorization:
             try:
                 self.Winv = _spd_inverse(0.5 * (W + W.swapaxes(1, 2)))
             except FactorizationError as exc:
-                raise RankError(f"Schur complement A (H + rho I)^-1 A' is singular: {exc}",
-                                row=exc.row) from exc
+                raise RankError(f"Schur complement A (H + rho I)^-1 A' is singular: {exc}") from exc
 
     def _eliminate(self, k, top, bottom=None):
         """Block elimination on matrices ``k``: (y, du) with G y + A' du = top, A y = bottom.
@@ -227,10 +212,11 @@ class KKTFactorization:
     def _solve(self, r):
         """Block elimination, residual checks, and at most one refinement of failing rows."""
         r = np.asarray(r, dtype=float)
-        top = r.reshape(-1, self.n)
-        if r.ndim > 2 or top.shape[0] != len(self.G):
+        g = len(self.G)
+        if r.shape != (g, self.n) and (g != 1 or r.shape != (self.n,)):
             raise StructureError(f"right-hand side of shape {r.shape} does not match "
-                                 f"{len(self.G)} systems of size {self.n}")
+                                 f"{g} systems of size {self.n}")
+        top = r.reshape(g, self.n)
         whole = slice(None)
         ds, u = self._eliminate(whole, top)
         r_scale = np.abs(top).max(axis=1, initial=0.0)
@@ -299,7 +285,6 @@ def factor_kkt(H, rho, A):
             f"leading block is indefinite even after adding rho I: {exc}",
             pivot_index=exc.pivot_index,
             pivot_value=exc.pivot_value,
-            row=exc.row,
         ) from exc
     _count(len(H))
     return f

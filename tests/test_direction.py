@@ -382,7 +382,7 @@ class TestGroups:
         with pytest.raises(FactorizationError, match="^agent 6: leading block is indefinite") \
                 as info:
             DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
-        assert (info.value.agent, info.value.row) == (6, 1)
+        assert info.value.agent == 6
 
     def test_lowest_failing_agent_is_named_across_groups(self):
         # agent 4 fails in the first group factored, agent 3 in a later one
@@ -390,6 +390,20 @@ class TestGroups:
         coupling, _, cfg = setup_instance(prob)
         with pytest.raises(FactorizationError, match="^agent 3: pivot 0 fell") as info:
             DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
+        assert info.value.agent == 3
+
+    def test_lowest_failing_solve_is_named_across_groups(self):
+        # doubling a stored matrix fails its row's solve after refinement, as
+        # in TestFactorizationFailure: agent 4 is row 1 of the first group
+        # solved, agent 3 row 0 of a later one
+        prob, x0, _ = mixed_chain()
+        coupling, sched, cfg = setup_instance(prob)
+        ws = DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
+        for g, k, agent in ((0, 1, 4), (3, 0, 3)):
+            assert ws.groups[g].members[k] == agent
+            ws.groups[g].factor.G[k] *= 2.0
+        with pytest.raises(FactorizationError, match="^agent 3: solve residuals") as info:
+            compute_direction(ws, sched)
         assert info.value.agent == 3
 
     def test_factorization_failure_comes_before_a_later_non_finite_gradient(self):
