@@ -8,8 +8,14 @@ solves all of them at once, one numpy call per step for the whole stack;
 a single matrix is a stack of one. Each matrix of a stack gets the same
 arithmetic, bit for bit, as it would alone: ``np.matmul`` acts on each
 matrix of a stack as on the matrix by itself (``np.einsum`` does not, so
-it is not used here), and the triangular inverses are taken by
-``scipy.linalg.solve_triangular`` one matrix at a time.
+it is not used here), and the triangular inverses are taken one matrix at
+a time by LAPACK's ``dtrtrs`` on the transposed factor. That is the call
+``scipy.linalg.solve_triangular`` makes for a C-ordered lower factor, so
+the bits are its own, without the wrapper's input validation on every
+matrix. Finiteness is checked instead once per stack, by ``factor_spd``
+and ``factor_kkt`` (a ``KKTFactorization`` built directly is the caller's
+to keep finite); the direction workspace rejects a non-finite Hessian
+before either is reached.
 
 One handle, ``KKTFactorization``, serves every agent: it factors the
 shifted leading block G = H + rho I and, when the agents have p > 0
@@ -36,7 +42,7 @@ performed.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import FactorizationError, RankError, StructureError
 
@@ -76,12 +82,14 @@ def _norm_inf(M):
 
 
 def _symmetric_stack(M, what):
-    """M as a float stack (g, n, n), each matrix checked for symmetry."""
+    """M as a float stack (g, n, n), each matrix checked for finiteness and symmetry."""
     M = np.array(M, dtype=float)
     if M.ndim == 2:
         M = M[None]
     if M.ndim != 3 or M.shape[1] != M.shape[2]:
         raise StructureError(f"{what} must be square")
+    if not np.isfinite(M).all():
+        raise StructureError(f"{what} must be finite")
     scale = np.abs(M).max(axis=(1, 2), initial=0.0)
     asym = np.abs(M - M.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
     if (asym > 1e-12 * np.maximum(1.0, scale)).any():
@@ -96,7 +104,7 @@ def _cholesky_lower(M):
     first pivot that falls to its floor in any matrix raises.
     """
     n = M.shape[1]
-    L = np.zeros_like(M)
+    L = np.zeros(M.shape)
     floor = PIVOT_RTOL * _norm_inf(M)
     for k in range(n):
         d = M[:, k, k] - np.matmul(L[:, k, None, :k], L[:, k, :k, None])[:, 0, 0]
@@ -131,8 +139,11 @@ def _spd_inverse(M):
     n = L.shape[1]
     if n == 0:
         return np.zeros_like(M)
-    # one call per matrix: stacked input needs SciPy 1.15, which loops the same way
-    Linv = np.stack([solve_triangular(l, np.eye(n), lower=True) for l in L])
+    # L^-1 per matrix, as solve_triangular(l, I, lower=True) computes it for
+    # the C-ordered l: dtrtrs on the Fortran-ordered transpose, upper,
+    # transposed. Its info is 0, since every pivot passed its floor
+    eye = np.eye(n)
+    Linv = np.stack([dtrtrs(l.T, eye, lower=0, trans=1)[0] for l in L])
     return np.matmul(Linv.swapaxes(1, 2), Linv)
 
 
@@ -223,7 +234,7 @@ class KKTFactorization:
         res, eq, fail, _ = self._check(whole, top, r_scale, ds, u)
         if fail.any():
             k = np.flatnonzero(fail)
-            y, du = self._eliminate(k, res[k], None if eq is None else eq[k])
+            y, du = self._eliminate(k, res[k], None if eq is None else -eq[k])
             ds[k] += y
             u[k] += du
             _, _, fail, report = self._check(k, top[k], r_scale[k], ds[k], u[k])
@@ -275,8 +286,10 @@ def factor_kkt(H, rho, A):
     the (ds, u) return shape, u having length zero.
     """
     H = _symmetric_stack(H, "H")
-    if rho <= 0:
-        raise StructureError("rho must be positive")
+    if not 0.0 < rho < np.inf:
+        raise StructureError("rho must be positive and finite")
+    if A is not None and not np.isfinite(A).all():
+        raise StructureError("A must be finite")
     G = 0.5 * (H + H.swapaxes(1, 2)) + rho * np.eye(H.shape[1])
     try:
         f = KKTFactorization(G, A)

@@ -3,7 +3,7 @@
 The scheduler moves messages in lockstep rounds: everything sent during a
 round is delivered at the next round boundary, and only pairs of agents
 that share at least one variable may exchange messages. Message counts are
-exact and kept per agent and per message kind, so tests can assert the
+exact, per agent and per message kind, so tests can assert the
 communication pattern of an algorithm rather than trust it.
 
 A round is one flat, edge-indexed payload laid out by the scheduler's
@@ -12,11 +12,16 @@ edge, edges listed receiver-major with senders ascending. A consensus round
 carries one scalar per edge; a shared-component round carries, edge by
 edge, the sender's values of the variables both parties own. A message to
 a non-neighbour therefore cannot be expressed, and every round credits
-each agent with exactly its degree.
+each agent with exactly its degree. So the scheduler keeps only round
+counts, one per kind, and derives every message tally from them: an
+agent's messages of a kind are its rounds of that kind times its degree.
 
 Consensus primitives (boolean AND, minimum) are realized by flooding,
-which is exact after diameter-many rounds on a connected graph. On a
-disconnected graph with more than one agent they raise, since values
+which is exact after diameter-many rounds on a connected graph. Both
+operations are idempotent, so once every agent holds the same value no
+round can change it: the remaining rounds are still delivered, one
+``deliver_round`` each, carrying that value, but nothing is recombined.
+On a disconnected graph with more than one agent they raise, since values
 cannot propagate between components, so a solver meets a disconnected
 problem at its first consensus. Fully decoupled single-agent problems are
 trivially connected. Rounds are counted by the scheduler alone.
@@ -146,10 +151,7 @@ class RoundScheduler:
         self.n_agents = coupling.n_agents
         self.neighbors = coupling.neighbors
         self.round_index = 0
-        self.sent = np.zeros(self.n_agents, dtype=np.int64)
-        self.sent_by_kind = {}
-        self.total_sent = 0
-        self.total_delivered = 0
+        self.rounds_by_kind = {}
         self.diameter = _diameter(self.neighbors)
         self.is_connected = self.diameter is not None
         self.plan = _build_round_plan(coupling)
@@ -158,25 +160,36 @@ class RoundScheduler:
         """Deliver one synchronous round of ``kind`` laid out by ``self.plan``.
 
         Every directed edge carries one message. Returns the delivered
-        payload; raises if its length does not match the plan.
+        payload; raises, counting nothing, if its length does not match the plan.
         """
-        plan = self.plan
-        if len(payload) != plan.payload_length(kind):
+        expected = self.plan.payload_length(kind)
+        if len(payload) != expected:
             raise StructureError(f"{kind} payload has {len(payload)} entries; "
-                                 f"the round plan lays out {plan.payload_length(kind)}")
-        count = self.sent_by_kind.get(kind)
-        if count is None:
-            count = self.sent_by_kind[kind] = np.zeros(self.n_agents, dtype=np.int64)
-        self.sent += plan.out_degree
-        count += plan.out_degree
-        self.total_sent += plan.n_edges
-        self.total_delivered += plan.n_edges
+                                 f"the round plan lays out {expected}")
+        self.rounds_by_kind[kind] = self.rounds_by_kind.get(kind, 0) + 1
         self.round_index += 1
         return payload
 
+    @property
+    def sent(self):
+        """Messages sent by each agent, all kinds."""
+        return self.round_index * self.plan.out_degree
+
+    @property
+    def sent_by_kind(self):
+        """Messages sent by each agent, per kind that has had a round."""
+        return {kind: rounds * self.plan.out_degree
+                for kind, rounds in self.rounds_by_kind.items()}
+
+    @property
+    def total_sent(self):
+        return self.round_index * self.plan.n_edges
+
+    # the transport is lossless: every message sent is delivered in its round
+    total_delivered = total_sent
+
     def messages_of_kind(self, kind):
-        arr = self.sent_by_kind.get(kind)
-        return 0 if arr is None else int(arr.sum())
+        return self.rounds_by_kind.get(kind, 0) * self.plan.n_edges
 
 
 def exchange_shared_components(scheduler, contributions):
@@ -211,9 +224,15 @@ def _flood(scheduler, state, combine, kind):
         raise DisconnectedNetworkError("coupling graph is disconnected; split the problem "
                                        "and solve the pieces")
     plan = scheduler.plan
+    settled = False
     for _ in range(scheduler.diameter):
-        received = scheduler.deliver_round(state[plan.edge_src], kind)
-        state = combine(state, combine.reduceat(received, plan.recv_start))
+        if not settled:
+            # equal to the bit: a uniform state is a fixed point of combine
+            settled = state.tobytes() == state[:1].tobytes() * state.size
+            payload = state[plan.edge_src]
+        received = scheduler.deliver_round(payload, kind)
+        if not settled:
+            state = combine(state, combine.reduceat(received, plan.recv_start))
     return state[0]
 
 

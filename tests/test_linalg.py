@@ -51,6 +51,13 @@ class TestFactorSpd:
         with pytest.raises(StructureError):
             factor_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, bad):
+        # checked before the symmetry test; the triangular solves do not check
+        for M in ([[bad]], [[1.0, bad], [bad, 1.0]]):
+            with pytest.raises(StructureError, match="matrix must be finite"):
+                factor_spd(M)
+
     def test_deterministic_solves(self):
         rng = np.random.default_rng(2)
         M = random_spd(rng, 6)
@@ -147,12 +154,22 @@ class TestFactorKkt:
         with pytest.raises(FactorizationError, match="indefinite"):
             factor_kkt(np.diag([1.0, -5.0]), 1.0, np.array([[1.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, bad):
+        for H in ([[bad]], [[1.0, bad], [bad, 1.0]]):
+            with pytest.raises(StructureError, match="H must be finite"):
+                factor_kkt(H, 1.0, np.ones((1, len(H))))
+        with pytest.raises(StructureError, match="A must be finite"):
+            factor_kkt(np.eye(2), 1.0, [[1.0, bad]])
+        with pytest.raises(StructureError, match="rho must be positive and finite"):
+            factor_kkt(np.eye(2), bad, [[1.0, 1.0]])
 
-def reflected_saddle(v, A):
-    """G = Q diag(1, 1e-3, ..., 1e-12) Q' for the reflector Q along v, and A."""
+
+def reflected_saddle(v, A, step=3.0):
+    """G = Q diag(1, 10^-step, ..., 10^-4 step) Q' for the reflector Q along v, and A."""
     v = np.array(v, dtype=float)
     Q = np.eye(5) - 2.0 * np.outer(v, v) / (v @ v)
-    G = Q @ np.diag(10.0 ** -(3 * np.arange(5.0))) @ Q.T
+    G = Q @ np.diag(10.0 ** -(step * np.arange(5.0))) @ Q.T
     return 0.5 * (G + G.T), np.array(A, dtype=float)
 
 
@@ -170,11 +187,10 @@ def recorded_bounds(monkeypatch):
 
 
 class TestRefinement:
-    # condition number 1e12 with one equality row; each pass computes the
-    # equality bound, then the primal one. On the first data the plain
-    # elimination misses its bound about 300-fold and the refined solve
-    # meets it with the same margin; on the second the refined solve still
-    # misses it about a million-fold
+    # one equality row; each pass computes the equality bound, then the
+    # primal one. At condition number 1e12 the plain elimination misses its
+    # bound about 300-fold and the refined solve meets it with the same
+    # margin; at 1e14 the refined solve still misses it about 60-fold
     def test_refined_saddle_solve_meets_its_bound(self, monkeypatch):
         G, A = reflected_saddle([-3, 0, 2, -2, 3], [[3, -3, 2, 2, 3]])
         r = np.array([2.0, 2.0, 3.0, -2.0, 3.0])
@@ -187,12 +203,34 @@ class TestRefinement:
         assert np.abs(G @ ds + A.T @ u - r).max() <= bound
 
     def test_refined_saddle_solve_that_misses_its_bound_raises(self, monkeypatch):
-        G, A = reflected_saddle([0, 1, 1, -2, 1], [[0, 1, 1, -1, -1]])
+        G, A = reflected_saddle([1, 2, -1, -2, 3], [[-1, 3, -2, 0, 0]], step=3.5)
         f = KKTFactorization(G, A)
         bounds = recorded_bounds(monkeypatch)
         with pytest.raises(FactorizationError, match="after refinement"):
-            f.solve(np.array([1.0, 3.0, 3.0, -3.0, -3.0]))
+            f.solve(np.array([2.0, 0.0, 3.0, -2.0, 3.0]))
         assert len(bounds) == 4
+
+    def test_refinement_removes_the_equality_residual(self, monkeypatch):
+        # a well-conditioned system whose first elimination is pushed off
+        # the null space of A: the correction solves A y = -A ds, which
+        # takes A ds to rounding (solving A y = +A ds would double it)
+        rng = np.random.default_rng(11)
+        G, A, r = random_spd(rng, 4), rng.standard_normal((1, 4)), rng.standard_normal(4)
+        f = KKTFactorization(G, A)
+        exact, _ = f.solve(r)
+        eliminate = f._eliminate
+        calls = []
+
+        def perturbed(k, top, bottom=None):
+            y, du = eliminate(k, top, bottom)
+            calls.append(bottom)
+            return (y + 1e-3 * A[0] if len(calls) == 1 else y), du
+
+        monkeypatch.setattr(f, "_eliminate", perturbed)
+        ds, u = f.solve(r)
+        assert len(calls) == 2 and np.abs(calls[1]).max() > 1e-4
+        assert np.abs(A @ ds).max() <= 1e-14
+        np.testing.assert_allclose(ds, exact, rtol=0, atol=1e-12)
 
 
 class TestCounter:

@@ -111,7 +111,9 @@ class TestExchange:
         for kind, length in ((KIND_MIN, plan.n_edges), (KIND_SHARED, len(plan.seg_global))):
             with pytest.raises(StructureError, match="round plan"):
                 sched.deliver_round(np.zeros(length + 1), kind)
+        # a refused round counts nothing, not even its kind
         assert sched.total_sent == 0 and sched.round_index == 0
+        assert sched.sent_by_kind == {} and not sched.sent.any()
 
     def test_payload_indices_owned_by_both_parties(self):
         # locality: only mutually owned components ever cross a boundary
@@ -183,6 +185,62 @@ class TestConsensus:
         sched = RoundScheduler(chain_coupling(2))
         with pytest.raises(StructureError, match="finite"):
             min_consensus(sched, [1.0, float("nan")])
+
+
+class CountingScheduler(RoundScheduler):
+    """``RoundScheduler`` that counts its ``deliver_round`` calls."""
+
+    calls = 0
+
+    def deliver_round(self, payload, kind):
+        self.calls += 1
+        return super().deliver_round(payload, kind)
+
+
+def recomputing_flood(c, state, combine):
+    """Flood for diameter rounds, recombining every agent's state in every round."""
+    sched = RoundScheduler(c)
+    plan = sched.plan
+    for _ in range(sched.diameter):
+        state = combine(state, combine.reduceat(state[plan.edge_src], plan.recv_start))
+    return state[0]
+
+
+FLOOD_COUPLINGS = {
+    "chain": lambda: chain_coupling(6),
+    "star": lambda: coupling_from_graph(6, [(0, i) for i in range(1, 6)]),
+    "grid": lambda: grid(6, None),
+}
+
+
+class TestUniformFlood:
+    # a uniform state is a fixed point, so the flood stops recombining once
+    # every agent holds the same bits, but still delivers diameter rounds
+    @pytest.mark.parametrize("shape", sorted(FLOOD_COUPLINGS))
+    def test_rounds_and_results_match_a_recomputing_flood(self, shape):
+        c = FLOOD_COUPLINGS[shape]()
+        n = c.n_agents
+        rng = np.random.default_rng(len(shape))
+        flag_starts = [[True] * n, [False] * n, [True] * (n - 1) + [False],
+                       [False] + [True] * (n - 1), rng.random(n) < 0.5]
+        value_starts = [[2.5] * n, [-0.0] * n, [0.0] * (n - 1) + [-0.0],
+                        [-0.0] + [0.0] * (n - 1), list(range(n, 0, -1)),
+                        rng.standard_normal(n), rng.integers(0, 2, n)]
+        sched = CountingScheduler(c)
+        assert sched.diameter > 1
+        for flags in flag_starts:
+            before = sched.calls
+            want = recomputing_flood(c, np.array(flags, dtype=bool), np.logical_and)
+            assert all_agree(sched, flags) is bool(want)
+            assert sched.calls - before == sched.diameter
+        for values in value_starts:
+            before = sched.calls
+            want = recomputing_flood(c, np.array(values, dtype=float), np.minimum)
+            got = min_consensus(sched, values)
+            assert np.float64(got).tobytes() == want.tobytes()
+            assert sched.calls - before == sched.diameter
+        rounds = sched.diameter * (len(flag_starts) + len(value_starts))
+        assert sched.calls == sched.round_index == rounds
 
 
 class TestAccounting:
@@ -293,17 +351,33 @@ class TestShapes:
         assert sched.round_index == 2 * sched.diameter
 
     @PROPERTY
-    @given(c=shaped_coupling())
-    def test_per_agent_messages_are_rounds_times_degree(self, c):
+    @given(c=shaped_coupling(), data=st.data())
+    def test_per_agent_messages_are_rounds_times_degree(self, c, data):
+        # a mixed sequence of rounds, with mixed or uniform consensus starts
         sched = RoundScheduler(c)
-        exchange_shared_components(sched, [np.ones(len(idx)) for idx in c.index_arrays])
-        all_agree(sched, [True] * c.n_agents)
-        min_consensus(sched, [1.0] * c.n_agents)
+        rounds = dict.fromkeys((KIND_SHARED, KIND_FLAG, KIND_MIN), 0)
+        for kind in data.draw(st.lists(st.sampled_from(sorted(rounds)), max_size=6)):
+            if kind == KIND_SHARED:
+                exchange_shared_components(
+                    sched, [np.ones(len(idx)) for idx in c.index_arrays])
+                rounds[kind] += 1
+            elif kind == KIND_FLAG:
+                all_agree(sched, per_agent(data, c, st.booleans()))
+                rounds[kind] += sched.diameter
+            else:
+                min_consensus(sched, per_agent(data, c, st.sampled_from([0.0, 1.0, -2.5])))
+                rounds[kind] += sched.diameter
         degree = np.array([len(ne) for ne in c.neighbors])
-        rounds = {KIND_SHARED: 1, KIND_FLAG: sched.diameter, KIND_MIN: sched.diameter}
         for kind, r in rounds.items():
-            np.testing.assert_array_equal(sched.sent_by_kind[kind], r * degree)
-        np.testing.assert_array_equal(sched.sent, (1 + 2 * sched.diameter) * degree)
+            if r:
+                np.testing.assert_array_equal(sched.sent_by_kind[kind], r * degree)
+            else:
+                assert kind not in sched.sent_by_kind
+            assert sched.messages_of_kind(kind) == r * degree.sum()
+        total = sum(rounds.values())
+        assert sched.round_index == total
+        np.testing.assert_array_equal(sched.sent, total * degree)
+        assert sched.total_sent == sched.total_delivered == total * degree.sum()
 
 
 def spd_problem_on(c, rng):
