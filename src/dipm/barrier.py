@@ -132,7 +132,11 @@ def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
     result = None
     t = config.t0
     while True:
-        scale = max(1.0, t) ** 2
+        try:
+            scale = max(1.0, t) ** 2
+        except OverflowError:
+            # t beyond sqrt(float max): the tolerances fall to their floor
+            scale = np.inf
         stage_config = replace(
             config,
             rho=config.rho * t,

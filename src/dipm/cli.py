@@ -201,6 +201,8 @@ def _parse_agent(obj, k):
     if "objective" not in obj:
         raise ParseError(f"missing 'objective' in {where}")
     objective = _parse_objective(obj["objective"], dim, where)
+    if not isinstance(obj.get("inequalities", []), list):
+        raise ParseError(f"{where}.inequalities must be a list")
     ineqs = []
     for c, ent in enumerate(obj.get("inequalities", [])):
         ineqs.append(_parse_inequality(ent, dim, f"{where}.inequalities[{c}]"))

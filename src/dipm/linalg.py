@@ -23,22 +23,80 @@ equality rows, the Schur complement of the saddle system (a Schur pivot
 that fails means the curvature made it singular: the model runs the same
 test at G = I); with p = 0 it is the plain positive definite solve
 (``SymmetricFactorization`` is that case with the primal part as its only
-return value). Every solve is residual-checked against the original
-matrix, row by row; a single refinement step is attempted on the rows
-whose bound fails, after which the solve raises, naming the lowest row
-that still fails as the error's ``row``. A stack whose factorization
-fails raises as a whole; a caller that must name the failing matrix
-factors them one at a time.
+return value). A solve's residuals must meet a bound against the original
+matrix, row by row: RESIDUAL_RTOL (1 + ||top||) plus a rounding floor
+4 n eps (||G|| ||ds|| + ||A|| ||u||) for the top block, and RESIDUAL_RTOL
+plus 4 n eps ||A|| ||ds|| for A ds (all norms max-norms). A row that
+misses its bound gets a single refinement step, after which the solve
+raises, naming the lowest row that still fails as the error's ``row``. A
+stack whose factorization fails raises as a whole; a caller that must name
+the failing matrix factors them one at a time.
+
+The bound is certified once per factorization rather than checked on
+every solve. For each matrix the handle computes a cap on ||top||, and a
+solve whose right-hand sides all lie within their caps skips the check,
+which it provably passes; if any matrix of the stack is beyond its cap,
+the whole stack runs the check and refinement. The cap follows Higham,
+*Accuracy and Stability of Numerical Algorithms*, ch. 3 and section 14.1.
+A product of inner dimension k computed in floating point differs from
+the exact one by at most gamma_k |X||Y| entrywise, gamma_k = k eps / (1 -
+k eps), whatever the summation order; all the inner dimensions here are at
+most n + p + 1, so gamma = gamma_(n+p+1) serves for every product, and
+for products of three factors 2 gamma does. Write G^ for the stored
+inverse of G, W for the computed Schur complement fl(fl(A G^) A'), W^ for
+the stored inverse of its symmetric part, and T = ||top||.
+
+p = 0. The solve is y = fl(G^ top), so top - G y = (I - G G^) top -
+G dy with |dy| <= gamma |G^||top|. Bounding the exact I - G G^ by the
+computed fl(G G^) adds another gamma |G||G^|, so row by row
+||top - G y|| <= E_G T with
+
+    E_G = max row sum of |I - fl(G G^)| + 2 gamma fl(|G||G^|).
+
+Evaluating the residual adds at most gamma_n |G||ds|, which the floor
+term 4 n eps ||G|| ||ds|| covers, and one relative rounding eps.
+The matrix is certified, with cap infinity, when E_G <= RESIDUAL_RTOL / 2.
+
+p > 0. Elimination computes w = fl(A y), u = fl(W^ w), z = fl(G^ fl(A' u))
+and ds = fl(y - z). In exact arithmetic on the stored inverses these give
+top - G ds - A' u = (I - G G^)(top - A' u) and A ds = (I - M W^) w with
+M = A G^ A'. With w1 = ||A|| ||G^|| (so ||w|| <= w1 T) and
+v = ||A'|| ||W^|| w1 (so ||A' u|| <= v T), tracing the rounding of each
+step as above (the floor term now also covers the eps |G||ds| of the
+last subtraction) gives
+
+    ||top - G ds - A' u|| <= [(1 + v) E_G + gamma (2 + E_G) v] T = c_top T
+    ||A ds||              <= w1 [E_W + gamma (4 + 2 E_W + 4 v)] T = c_eq T
+
+with E_W = ||I - fl(W W^)|| + 2 gamma v bounding ||I - M W^||; the
+rounding of evaluating G ds and A ds again falls to the floor terms.
+The equality bound is absolute, so the cap is finite: RESIDUAL_RTOL /
+(2 c_eq) when c_top <= RESIDUAL_RTOL / 2, and 0 otherwise (a zero
+right-hand side solves exactly).
+
+Every constant above is a first-order bound; the dropped factors are
+(1 + gamma)^k with k below 40, and the rounding of computing the norms,
+the cap and the check's own bound is of the same kind. The factor 1/2 in
+each cap absorbs them with room to spare whenever (n + p) eps is below
+1e-3, i.e. for any matrix this solver can hold. So a check that is
+skipped would have passed, and certified and checked solves return the
+same bits. A right-hand side with a NaN or an infinity never fails the
+check either (a comparison with NaN is false, and an infinity makes the
+bound infinite), so a handle whose caps are all infinite skips the check
+without looking at the right-hand side at all.
 
 The Cholesky factor is computed by a hand-written loop rather than LAPACK:
 ``scipy.linalg.cholesky`` rounds differently on small blocks, so switching
 would change solver iterates in the last bits and with them the recorded
 traces.
 
-Handles are immutable after construction and safe for concurrent solves.
-A module-level counter records every factorization event, one per matrix
-of a stack, so callers can assert how many factorizations a computation
-performed.
+Handles are immutable after construction, which is what keeps their
+certificates sound: the constructor copies G and freezes every array it
+stores (``setflags(write=False)``), so a stored matrix can never drift
+from the inverse its cap was computed for. Handles are safe for
+concurrent solves. A module-level counter records every factorization
+event, one per matrix of a stack, so callers can assert how many
+factorizations a computation performed; the certificate adds none.
 """
 
 import numpy as np
@@ -76,9 +134,14 @@ def _mv(M, x):
     return np.matmul(M, x[..., None])[..., 0]
 
 
+def _row_sum_max(M):
+    """Largest row sum of each matrix of a stack (0 for an empty one)."""
+    return M.sum(axis=2).max(axis=1, initial=0.0)
+
+
 def _norm_inf(M):
     """||M||_inf of each matrix of a stack (0 for an empty one)."""
-    return np.abs(M).sum(axis=2).max(axis=1, initial=0.0)
+    return _row_sum_max(np.abs(M))
 
 
 def _symmetric_stack(M, what):
@@ -158,11 +221,13 @@ class KKTFactorization:
     one row per matrix, and returns the primal parts together with the
     multipliers; each primal part lies in the null space of its A to
     within the residual bound. With p = 0 the systems are the G themselves
-    and the multipliers have length zero.
+    and the multipliers have length zero. ``cap`` holds each matrix's
+    certificate, the largest ||top||_inf whose solve skips the residual
+    check, and ``covers_all`` says that every cap is infinite.
     """
 
     def __init__(self, G, A=None):
-        G = np.asarray(G, dtype=float)
+        G = np.array(G, dtype=float)
         if G.ndim == 2:
             G = G[None]
         g, n = G.shape[:2]
@@ -176,12 +241,40 @@ class KKTFactorization:
         self.Ginv = _spd_inverse(G)
         self.norm_inf = _norm_inf(G)
         self.A_norm = _norm_inf(A)
+        W = self.Winv = None
         if self.p:
             W = np.matmul(np.matmul(A, self.Ginv), A.swapaxes(1, 2))
             try:
                 self.Winv = _spd_inverse(0.5 * (W + W.swapaxes(1, 2)))
             except FactorizationError as exc:
                 raise RankError(f"Schur complement A (H + rho I)^-1 A' is singular: {exc}") from exc
+        self.cap = self._certificate(W)
+        # every right-hand side lies within an infinite cap
+        self.covers_all = bool(np.isinf(self.cap).all())
+        for a in (G, A, self.Ginv, self.norm_inf, self.A_norm, self.Winv, self.cap):
+            if a is not None:
+                a.setflags(write=False)
+
+    def _certificate(self, W):
+        """Caps on ||top||_inf within which a solve cannot fail its check, one per matrix.
+
+        ``W`` is the Schur complement as computed, before it is
+        symmetrized (None when p = 0). The module docstring derives the
+        constants.
+        """
+        n, p, G, Ginv = self.n, self.p, self.G, self.Ginv
+        gamma = (n + p + 1) * _EPS / (1.0 - (n + p + 1) * _EPS)
+        abs_Ginv = np.abs(Ginv)
+        E_G = _row_sum_max(np.abs(np.eye(n) - np.matmul(G, Ginv))
+                           + 2.0 * gamma * np.matmul(np.abs(G), abs_Ginv))
+        if not p:
+            return np.where(E_G <= 0.5 * RESIDUAL_RTOL, np.inf, 0.0)
+        w = self.A_norm * _row_sum_max(abs_Ginv)
+        v = _norm_inf(self.A.swapaxes(1, 2)) * _norm_inf(self.Winv) * w
+        E_W = _norm_inf(np.eye(p) - np.matmul(W, self.Winv)) + 2.0 * gamma * v
+        c_top = (1.0 + v) * E_G + gamma * (2.0 + E_G) * v
+        c_eq = w * (E_W + gamma * (4.0 + 2.0 * E_W + 4.0 * v))
+        return np.where(c_top <= 0.5 * RESIDUAL_RTOL, 0.5 * RESIDUAL_RTOL / c_eq, 0.0)
 
     def _eliminate(self, k, top, bottom=None):
         """Block elimination on matrices ``k``: (y, du) with G y + A' du = top, A y = bottom.
@@ -220,32 +313,39 @@ class KKTFactorization:
         fail = (err > bound) | (err_eq > bound_eq)
         return res, eq, fail, (err, err_eq, bound, bound_eq)
 
+    def _check_and_refine(self, top, r_scale, ds, u):
+        """Check every solve, refine the failing ones once in place, raise if any still fails."""
+        res, eq, fail, _ = self._check(slice(None), top, r_scale, ds, u)
+        if not fail.any():
+            return
+        k = np.flatnonzero(fail)
+        y, du = self._eliminate(k, res[k], None if eq is None else -eq[k])
+        ds[k] += y
+        u[k] += du
+        _, _, fail, report = self._check(k, top[k], r_scale[k], ds[k], u[k])
+        if fail.any():
+            j = int(np.argmax(fail))
+            err, err_eq, bound, bound_eq = (float(a[j]) for a in report)
+            raise FactorizationError(
+                f"solve residuals ({err:.3e}, {err_eq:.3e}) exceed bounds "
+                f"({bound:.3e}, {bound_eq:.3e}) after refinement",
+                row=int(k[j]),
+            )
+
     def _solve(self, r):
-        """Block elimination, residual checks, and at most one refinement of failing rows."""
+        """Block elimination, then the residual checks unless the certificate covers ``r``."""
         r = np.asarray(r, dtype=float)
         g = len(self.G)
         if r.shape != (g, self.n) and (g != 1 or r.shape != (self.n,)):
             raise StructureError(f"right-hand side of shape {r.shape} does not match "
                                  f"{g} systems of size {self.n}")
         top = r.reshape(g, self.n)
-        whole = slice(None)
-        ds, u = self._eliminate(whole, top)
-        r_scale = np.abs(top).max(axis=1, initial=0.0)
-        res, eq, fail, _ = self._check(whole, top, r_scale, ds, u)
-        if fail.any():
-            k = np.flatnonzero(fail)
-            y, du = self._eliminate(k, res[k], None if eq is None else -eq[k])
-            ds[k] += y
-            u[k] += du
-            _, _, fail, report = self._check(k, top[k], r_scale[k], ds[k], u[k])
-            if fail.any():
-                j = int(np.argmax(fail))
-                err, err_eq, bound, bound_eq = (float(a[j]) for a in report)
-                raise FactorizationError(
-                    f"solve residuals ({err:.3e}, {err_eq:.3e}) exceed bounds "
-                    f"({bound:.3e}, {bound_eq:.3e}) after refinement",
-                    row=int(k[j]),
-                )
+        ds, u = self._eliminate(slice(None), top)
+        if not self.covers_all:
+            r_scale = np.abs(top).max(axis=1, initial=0.0)
+            # within its cap a solve provably passes the check (module docstring)
+            if not (r_scale <= self.cap).all():
+                self._check_and_refine(top, r_scale, ds, u)
         if r.ndim == 1:
             return ds[0], u[0]
         return ds, u

@@ -95,9 +95,6 @@ class RoundPlan:
     def n_edges(self):
         return len(self.edge_src)
 
-    def payload_length(self, kind):
-        return len(self.seg_global) if kind == KIND_SHARED else self.n_edges
-
 
 def _build_round_plan(coupling):
     """Lay out the directed edges and the shared-component segments once."""
@@ -155,6 +152,10 @@ class RoundScheduler:
         self.diameter = _diameter(self.neighbors)
         self.is_connected = self.diameter is not None
         self.plan = _build_round_plan(coupling)
+        # a shared-component round carries the plan's segments, any other
+        # round one entry per directed edge
+        self._n_edges = self.plan.n_edges
+        self._payload_lengths = {KIND_SHARED: len(self.plan.seg_global)}
 
     def deliver_round(self, payload, kind):
         """Deliver one synchronous round of ``kind`` laid out by ``self.plan``.
@@ -162,7 +163,7 @@ class RoundScheduler:
         Every directed edge carries one message. Returns the delivered
         payload; raises, counting nothing, if its length does not match the plan.
         """
-        expected = self.plan.payload_length(kind)
+        expected = self._payload_lengths.get(kind, self._n_edges)
         if len(payload) != expected:
             raise StructureError(f"{kind} payload has {len(payload)} entries; "
                                  f"the round plan lays out {expected}")

@@ -532,6 +532,36 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "o")]) == EXIT_PARSE
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inequalities", [5, True], ids=["number", "boolean"])
+    def test_inequalities_not_a_list_is_a_parse_error(self, tmp_path, capsys, inequalities):
+        doc = minimal_quadratic_doc()
+        doc["agents"][0]["inequalities"] = inequalities
+        path = write_doc(tmp_path / "p.json", doc)
+        assert main(["run", "--mode", "ipm", "--problem", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        assert "error: agents[0].inequalities must be a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["t0", "mu"])
+    def test_stage_parameter_beyond_sqrt_float_max_is_a_solver_error(self, tmp_path, capsys,
+                                                                      setting):
+        # t = 1e300 at the first or the second stage: t^2 overflows, so the
+        # stage's inner tolerances fall to their floor, which the inner
+        # iteration cannot meet at that scale; the run ends at the inner cap
+        doc = {
+            "n": 1,
+            "agents": [{
+                "index_set": [0],
+                "objective": {"kind": "quadratic", "P": [[0.0]], "q": [1.0]},
+                "inequalities": [{"a": [-1.0], "c": 1.0}],
+            }],
+            "x0": [3.0],
+            "solver": {setting: 1e300, "admm_max_iter": 50},
+        }
+        path = write_doc(tmp_path / "p.json", doc)
+        assert main(["run", "--mode", "compare", "--problem", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_INNER
+        assert "error: direction iteration cap 50 reached" in capsys.readouterr().err
+
     def test_generate_then_run(self, tmp_path):
         pfile = tmp_path / "gen.json"
         assert main(["generate", "--seed", "3", "--out", str(pfile),

@@ -301,16 +301,16 @@ class TestFactorizationFailure:
             DirectionWorkspace(plain_stage(prob), scatter(np.zeros(3), coupling), coupling, cfg)
         assert (info.value.agent, info.value.pivot_index) == (1, 0)
 
-    def test_failed_prox_solve_names_agent(self):
-        # both agents share one stacked handle; doubling agent 1's stored
-        # matrix behind its inverse leaves its solve residual at -rhs, which
+    def test_failed_prox_solve_names_agent(self, mismatched_inverses):
+        # both agents share one stacked handle; halving agent 1's stored
+        # inverse leaves its solve residual at half the rhs, which
         # refinement cannot fix, while agent 0's row still solves cleanly
         prob = chain_qp()
         coupling, sched, cfg = setup_instance(prob)
         ws = DirectionWorkspace(plain_stage(prob), scatter(np.zeros(3), coupling), coupling, cfg)
         [group] = ws.groups
         assert group.members.tolist() == [0, 1]
-        group.factor.G[1] *= 2.0
+        group.factor = mismatched_inverses(group.factor, [1])
         with pytest.raises(FactorizationError, match="^agent 1: solve residuals") as info:
             compute_direction(ws, sched)
         assert info.value.agent == 1
@@ -392,8 +392,8 @@ class TestGroups:
             DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
         assert info.value.agent == 3
 
-    def test_lowest_failing_solve_is_named_across_groups(self):
-        # doubling a stored matrix fails its row's solve after refinement, as
+    def test_lowest_failing_solve_is_named_across_groups(self, mismatched_inverses):
+        # halving a stored inverse fails its row's solve after refinement, as
         # in TestFactorizationFailure: agent 4 is row 1 of the first group
         # solved, agent 3 row 0 of a later one
         prob, x0, _ = mixed_chain()
@@ -401,7 +401,7 @@ class TestGroups:
         ws = DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
         for g, k, agent in ((0, 1, 4), (3, 0, 3)):
             assert ws.groups[g].members[k] == agent
-            ws.groups[g].factor.G[k] *= 2.0
+            ws.groups[g].factor = mismatched_inverses(ws.groups[g].factor, [k])
         with pytest.raises(FactorizationError, match="^agent 3: solve residuals") as info:
             compute_direction(ws, sched)
         assert info.value.agent == 3

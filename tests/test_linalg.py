@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from dipm import linalg
 from dipm.errors import FactorizationError, RankError, StructureError
@@ -213,10 +215,15 @@ class TestRefinement:
     def test_refinement_removes_the_equality_residual(self, monkeypatch):
         # a well-conditioned system whose first elimination is pushed off
         # the null space of A: the correction solves A y = -A ds, which
-        # takes A ds to rounding (solving A y = +A ds would double it)
+        # takes A ds to rounding (solving A y = +A ds would double it). It
+        # is stacked with an ill-conditioned system that the certificate
+        # does not cover, so the stack's solves run the full check
         rng = np.random.default_rng(11)
         G, A, r = random_spd(rng, 4), rng.standard_normal((1, 4)), rng.standard_normal(4)
-        f = KKTFactorization(G, A)
+        f = KKTFactorization(np.stack([G, random_spd(rng, 4, cond=1e10)]),
+                             np.stack([A, rng.standard_normal((1, 4))]))
+        r = np.stack([r, rng.standard_normal(4)])
+        assert np.abs(r[1]).max() > f.cap[1]
         exact, _ = f.solve(r)
         eliminate = f._eliminate
         calls = []
@@ -224,13 +231,15 @@ class TestRefinement:
         def perturbed(k, top, bottom=None):
             y, du = eliminate(k, top, bottom)
             calls.append(bottom)
-            return (y + 1e-3 * A[0] if len(calls) == 1 else y), du
+            if len(calls) == 1:
+                y[0] += 1e-3 * A[0]
+            return y, du
 
         monkeypatch.setattr(f, "_eliminate", perturbed)
         ds, u = f.solve(r)
         assert len(calls) == 2 and np.abs(calls[1]).max() > 1e-4
-        assert np.abs(A @ ds).max() <= 1e-14
-        np.testing.assert_allclose(ds, exact, rtol=0, atol=1e-12)
+        assert np.abs(A @ ds[0]).max() <= 1e-14
+        np.testing.assert_allclose(ds[0], exact[0], rtol=0, atol=1e-12)
 
 
 class TestCounter:
@@ -313,9 +322,74 @@ class TestStacks:
             np.testing.assert_array_equal(ds[k], alone[k][0])
             np.testing.assert_array_equal(u[k], alone[k][1])
 
-    def test_solve_that_fails_after_refinement_names_its_row(self):
+    def test_solve_that_fails_after_refinement_names_its_row(self, mismatched_inverses):
         f = factor_spd(np.stack([np.eye(2), np.eye(2), np.eye(2)]))
-        f.G[1] *= 2.0   # the stored matrix no longer matches its inverse
+        f = mismatched_inverses(f, [1])   # the stored matrix no longer matches its inverse
         with pytest.raises(FactorizationError, match="after refinement") as info:
             f.solve(np.ones((3, 2)))
         assert info.value.row == 1
+
+
+@st.composite
+def stacks(draw, max_log_cond, ps=(0, 1, 2), well_conditioned=False):
+    """A solve handle on a random stack with its right-hand sides, one per matrix.
+
+    Each matrix has its own condition number in 10^[0, max_log_cond]. With
+    ``well_conditioned`` the equality rows are orthonormal, so that the
+    Schur complement is no worse conditioned than G, and the right-hand
+    sides are unit vectors in the max-norm; otherwise the rows are Gaussian
+    and the right-hand sides have max-norms in 10^[-8, 8].
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g, n, p = draw(st.integers(1, 3)), draw(st.integers(3, 6)), draw(st.sampled_from(ps))
+    G = np.stack([random_spd(rng, n, cond=10.0 ** draw(st.floats(0.0, max_log_cond)))
+                  for _ in range(g)])
+    if well_conditioned:
+        A = np.stack([np.linalg.qr(rng.standard_normal((n, p)))[0].T for _ in range(g)])
+    else:
+        A = rng.standard_normal((g, p, n))
+    try:
+        f = KKTFactorization(G, A)
+    except RankError:
+        reject()
+    r = rng.standard_normal((g, n))
+    r /= np.abs(r).max(axis=1, keepdims=True)
+    if not well_conditioned:
+        r *= 10.0 ** np.array([draw(st.floats(-8.0, 8.0)) for _ in range(g)])[:, None]
+    return f, r
+
+
+class TestCertificate:
+    # the certificate caps ||top||_inf per matrix; within its cap a solve
+    # must pass the full check, whatever the conditioning
+    @settings(deadline=None, database=None)
+    @given(stacks(max_log_cond=10.0))
+    def test_certified_solves_pass_the_full_check(self, stack):
+        f, r = stack
+        r_scale = np.abs(r).max(axis=1)
+        ds, u = f._eliminate(slice(None), r)
+        _, _, fail, _ = f._check(slice(None), r, r_scale, ds, u)
+        assert not (fail & (r_scale <= f.cap)).any()
+
+    # without equality rows the certificate covers condition numbers up to
+    # 1e4; with them the normwise bound reaches 1e2
+    @settings(deadline=None, database=None)
+    @given(stacks(max_log_cond=4.0, ps=(0,), well_conditioned=True),
+           stacks(max_log_cond=2.0, ps=(1, 2), well_conditioned=True))
+    def test_well_conditioned_stacks_are_certified(self, plain, saddle):
+        for f, r in (plain, saddle):
+            assert (np.abs(r).max(axis=1) <= f.cap).all()
+
+    def test_certified_solve_skips_the_check(self, monkeypatch):
+        f = factor_kkt(np.eye(3), 1.0, np.array([[1.0, 1.0, 0.0]]))
+        bounds = recorded_bounds(monkeypatch)
+        f.solve(np.array([1.0, -2.0, 0.5]))
+        assert bounds == []
+
+    def test_handles_are_read_only(self):
+        G = np.eye(3)
+        f = KKTFactorization(G, np.array([[1.0, 1.0, 0.0]]))
+        for a in (f.G, f.A, f.Ginv, f.Winv, f.cap):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] *= 2.0
+        G[0, 0] = 2.0   # the caller's matrix is copied, not frozen
