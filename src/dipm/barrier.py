@@ -41,7 +41,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import SolverConfig
-from .errors import BarrierDomainError
+from .errors import BarrierDomainError, StructureError
 from .network import RoundScheduler
 from .newton import Stage, newton_solve
 from .problem import build_coupling, scatter
@@ -127,16 +127,15 @@ def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
 
     Each stage runs on a copy of ``config`` with penalty and inner
     tolerances matched to the stage scale (see the module docstring), so
-    the consistency-error budget uses each stage's primal tolerance.
+    the consistency-error budget uses each stage's primal tolerance. A
+    stage parameter t whose square overflows raises ``StructureError``.
     """
     result = None
     t = config.t0
     while True:
-        try:
-            scale = max(1.0, t) ** 2
-        except OverflowError:
-            # t beyond sqrt(float max): the tolerances fall to their floor
-            scale = np.inf
+        scale = max(1.0, t) * max(1.0, t)
+        if scale == np.inf:
+            raise StructureError(f"stage parameter t = {t:g} is too large: t^2 overflows")
         stage_config = replace(
             config,
             rho=config.rho * t,

@@ -22,9 +22,9 @@ the same local size and the same number of equality rows form an
 ``AgentGroup``, factored by one stacked ``linalg`` call and solved by one
 prox call per inner iteration. Each agent's arithmetic in the stack is
 what it would be alone, bit for bit, so the grouping changes no iterate,
-count or trace byte. The iterates themselves are flat vectors of all
-local entries, agents in ascending order, which the exchange averages as
-they are.
+count or trace byte. The iterates and the duals are flat vectors of all
+local entries in the coupling's layout (``CouplingStructure.flat_index``,
+agents in ascending order), which the exchange averages as they are.
 
 Per-agent convergence is declared when the squared slice change and the
 squared disagreement both fall below their tolerances split evenly across
@@ -43,26 +43,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import FactorizationError, NonFiniteError, RankError
+from .errors import FactorizationError, NonFiniteError, RankError, StructureError
 from .network import all_agree, exchange_shared_components
 # gather_average stays importable from here: perfbench/tracing.py wraps it
 # at this lookup site
 from .problem import gather_average, scatter
-
-
-@dataclass
-class AgentDirectionState:
-    """One agent's share of a direction computation at one linearization point.
-
-    ``factor`` is the agent's own solve handle when it is factored alone;
-    the workspace factors its agents by ``AgentGroup`` and leaves it None.
-    """
-
-    index_set: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray = field(repr=False)
-    factor: object = field(default=None, repr=False)
-    A_eq: np.ndarray = None
 
 
 @dataclass
@@ -71,10 +56,10 @@ class AgentGroup:
 
     ``members`` lists their indices in ascending order; row k of every
     stack belongs to agent ``members[k]``. ``pos`` holds the positions of
-    each member's entries in the flat vector of all local entries (agents
-    in ascending order), ``grad`` and ``A_eq`` their gradients and
-    equality matrices (``A_eq`` is None for agents without equality
-    rows), and ``factor`` one stacked handle with all their factorizations.
+    each member's entries in the coupling's flat vector of local entries,
+    ``grad`` and ``A_eq`` their gradients and equality matrices (``A_eq``
+    is None for agents without equality rows), and ``factor`` one stacked
+    handle with all their factorizations.
     """
 
     members: np.ndarray
@@ -92,7 +77,7 @@ def _blame(exc, agent):
 
 
 class DirectionWorkspace:
-    """Per-agent gradients and cached factorizations at one linearization point.
+    """Per-agent ``grads``, ``hessians`` and cached factorizations at one linearization point.
 
     Building the workspace performs the N factorizations with penalty
     ``config.rho``, one ``linalg.factor_spd`` or ``linalg.factor_kkt``
@@ -103,64 +88,62 @@ class DirectionWorkspace:
     ascending order, so the error names the lowest-numbered failing agent
     as a loop over the agents would; a non-finite gradient or Hessian
     likewise comes after the failures of the agents before it.
-    ``flat_index`` lists the global index of every local entry, agents in
-    ascending order; ``starts`` holds where each agent's entries begin in
-    it, and their total at the end.
     """
 
     def __init__(self, stage, points, coupling, config):
         self.coupling = coupling
         self.config = config
-        self.flat_index = np.concatenate(coupling.index_arrays)
-        self.starts = np.cumsum([0] + [len(idx) for idx in coupling.index_arrays])
-        self.agents = []
+        self.grads = []
+        self.hessians = []
         nonfinite = None
-        for i, (h, blk, s, idx) in enumerate(zip(stage.objectives, stage.blocks, points,
-                                                  coupling.index_arrays)):
+        for i, (h, s) in enumerate(zip(stage.objectives, points)):
             g = h.gradient(s)
             H = h.hessian(s)
             bad = [q for q, arr in (("gradient", g), ("Hessian", H)) if not np.isfinite(arr).all()]
             if bad:
                 nonfinite = NonFiniteError(i, bad[0])
                 break
-            self.agents.append(AgentDirectionState(index_set=idx, grad=g, hess=H, A_eq=blk.A_eq))
+            self.grads.append(g)
+            self.hessians.append(H)
 
         members = {}
-        for i, a in enumerate(self.agents):
-            key = (len(a.index_set), None if a.A_eq is None else len(a.A_eq))
+        for i, blk in enumerate(stage.blocks[:len(self.grads)]):
+            key = (blk.dim, None if blk.A_eq is None else len(blk.A_eq))
             members.setdefault(key, []).append(i)
         try:
-            self.groups = [self._group(group) for group in members.values()]
+            self.groups = [self._group(group, stage.blocks) for group in members.values()]
         except (FactorizationError, RankError):
-            for i in range(len(self.agents)):
+            for i in range(len(self.grads)):
                 try:
-                    self._group([i])
+                    self._group([i], stage.blocks)
                 except (FactorizationError, RankError) as exc:
                     raise _blame(exc, i) from None
             raise
         if nonfinite is not None:
             raise nonfinite
 
-    def _group(self, members):
-        """The ``AgentGroup`` of ``members``, factored as one stack."""
+    def _group(self, members, blocks):
+        """The ``AgentGroup`` of ``members``, whose ``blocks`` hold the equality rows."""
         members = np.array(members)
-        agents = [self.agents[i] for i in members]
-        d = len(agents[0].index_set)
-        H = np.stack([a.hess for a in agents])
-        A_eq = None if agents[0].A_eq is None else np.stack([a.A_eq for a in agents])
+        d = blocks[members[0]].dim
+        H = np.stack([self.hessians[i] for i in members])
+        A_eq = blocks[members[0]].A_eq
         if A_eq is None:
             fac = linalg.factor_spd(H + self.config.rho * np.eye(d))
         else:
+            A_eq = np.stack([blocks[i].A_eq for i in members])
             fac = linalg.factor_kkt(H, self.config.rho, A_eq)
-        return AgentGroup(members=members, pos=self.starts[members][:, None] + np.arange(d),
-                          grad=np.stack([a.grad for a in agents]), factor=fac, A_eq=A_eq)
+        pos = self.coupling.offsets[members][:, None] + np.arange(d)
+        return AgentGroup(members=members, pos=pos, factor=fac, A_eq=A_eq,
+                          grad=np.stack([self.grads[i] for i in members]))
 
 
 def prox_step_unconstrained(agent, dz_slice, v, rho):
     """Local quadratic prox solve against the cached factorization.
 
-    ``agent`` is one agent's state or an ``AgentGroup``, whose slices and
-    duals are stacked one row per member.
+    ``agent`` is any object with a ``grad`` and a solve handle ``factor``,
+    such as an ``AgentGroup``, whose gradients, slices and duals are
+    stacked one row per member.
     """
     rhs = rho * (dz_slice + v) - agent.grad
     return agent.factor.solve(rhs)
@@ -180,11 +163,12 @@ class DirectionResult:
     ``dx`` is the global direction; ``ds_slices`` are its per-agent slices,
     read from the one vector so they are consistent by construction.
     Residuals are the final per-agent maxima of the squared norms the
-    termination test uses. ``v`` holds the final per-agent duals, which
-    the Newton driver carries into the next direction. ``max_dual_average``
-    tracks how far the averaged dual variables drifted from zero;
-    ``max_eq_violation`` tracks the worst violation of the local equality
-    null-space condition over all inner iterates.
+    termination test uses. ``v`` holds the final duals, one flat vector in
+    the coupling's layout, which the Newton driver carries into the next
+    direction. ``max_dual_average`` tracks how far the averaged dual
+    variables drifted from zero; ``max_eq_violation`` tracks the worst
+    violation of the local equality null-space condition over all inner
+    iterates.
     """
 
     converged: bool
@@ -195,24 +179,25 @@ class DirectionResult:
     dual_residual: float
     max_dual_average: float
     max_eq_violation: float
-    v: list
+    v: np.ndarray
 
 
 def compute_direction(workspace, scheduler, dz0=None, v0=None):
     """Run the splitting iteration to consensus on the Newton direction.
 
-    ``dz0`` warm-starts the averaged direction and ``v0`` the per-agent
-    duals (zeros when omitted). ``v0`` must have a zero owner-average, which
-    is what keeps the duals in the null space of the consensus projection;
-    the Newton driver passes the final duals of the previous direction
-    (within a stage) or of the previous stage's last direction (at a
-    barrier stage's first direction), which have one.
+    ``dz0`` warm-starts the averaged direction (a global vector) and ``v0``
+    the duals (one flat vector in the coupling's layout, copied), zeros
+    when omitted; any other shape raises ``StructureError``. ``v0`` must
+    have a zero owner-average, which keeps the duals in the null space of
+    the consensus projection; the Newton driver passes the final duals of
+    the previous direction (within a stage) or of the previous stage's
+    last direction (at a barrier stage's first direction), which have one.
 
-    The iterates are flat vectors of all local entries, agents in
-    ascending order; each inner iteration makes one prox call per
-    ``AgentGroup``, whose arithmetic is each member's own, bit for bit.
-    An error names the lowest-numbered failing agent, and a non-finite
-    primal residual comes before a non-finite dual one of the same agent.
+    The iterates are flat vectors in the coupling's layout; each inner
+    iteration makes one prox call per ``AgentGroup``, whose arithmetic is
+    each member's own, bit for bit. An error names the lowest-numbered
+    failing agent, and a non-finite primal residual comes before a
+    non-finite dual one of the same agent.
 
     ``max_dual_average`` is the largest owner-average of the duals over the
     iterations, a diagnostic summed in ascending agent order as
@@ -229,8 +214,13 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     rho = config.rho
 
     dx0 = np.zeros(coupling.n) if dz0 is None else np.asarray(dz0, dtype=float)
-    dz = np.concatenate(scatter(dx0, coupling))
-    v = np.zeros(dz.size) if v0 is None else np.concatenate(v0, dtype=float)
+    if dx0.shape != (coupling.n,):
+        raise StructureError(f"dz0 must be a global vector of length {coupling.n}")
+    dz = dx0[coupling.flat_index]
+    if v0 is not None and not (isinstance(v0, np.ndarray) and v0.shape == dz.shape):
+        raise StructureError("v0 must be one flat vector of the agents' local entries")
+    # a copy: the dual update below works in place, and v0 is the caller's
+    v = np.zeros(dz.size) if v0 is None else v0.astype(float)
 
     eps_pri_i = config.eps_pri / n_agents
     eps_dual_i = config.eps_dual / n_agents
@@ -278,7 +268,7 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
         pri = float(e_pri.max())
         dua = float(e_dual.max())
 
-        avg_v = np.bincount(workspace.flat_index, weights=v,
+        avg_v = np.bincount(coupling.flat_index, weights=v,
                             minlength=coupling.n) / coupling.degrees
         max_dual_avg = max(max_dual_avg, float(np.abs(avg_v).max(initial=0.0)))
 
@@ -289,7 +279,7 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
             break
 
     dx = np.zeros(coupling.n)
-    dx[workspace.flat_index] = dz
+    dx[coupling.flat_index] = dz
     return DirectionResult(
         converged=converged,
         iterations=iterations,
@@ -299,5 +289,5 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
         dual_residual=dua,
         max_dual_average=max_dual_avg,
         max_eq_violation=max_eq_viol,
-        v=np.split(v, workspace.starts[1:-1]),
+        v=v,
     )

@@ -10,7 +10,8 @@ A round is one flat, edge-indexed payload laid out by the scheduler's
 ``RoundPlan``, built once from the coupling graph: one message per directed
 edge, edges listed receiver-major with senders ascending. A consensus round
 carries one scalar per edge; a shared-component round carries, edge by
-edge, the sender's values of the variables both parties own. A message to
+edge, the sender's values of the variables both parties own, read from
+the coupling's flat vector of local entries. A message to
 a non-neighbour therefore cannot be expressed, and every round credits
 each agent with exactly its degree. So the scheduler keeps only round
 counts, one per kind, and derives every message tally from them: an
@@ -73,10 +74,10 @@ class RoundPlan:
     then sender; ``recv_start[i]`` is agent i's first incoming edge (the
     ``reduceat`` offsets). In a shared-component payload edge e owns entries
     ``seg_start[e]:seg_start[e + 1]``; entry k is global variable
-    ``seg_global[k]``, read at ``send_pos[k]`` of the concatenated local
-    vectors, of which agent i owns ``agent_start[i]:agent_start[i + 1]``.
-    Averaging sums own and received entries, permuted by ``acc_order`` into
-    ascending sender order, into slots ``acc_slot`` of that concatenation.
+    ``seg_global[k]``, read at ``send_pos[k]`` of the coupling's flat vector
+    of local entries. Averaging sums own and received entries, permuted by
+    ``acc_order`` into ascending sender order, into slots ``acc_slot`` of
+    that vector, and divides entry k by ``local_degrees[k]``.
     """
 
     edge_src: np.ndarray
@@ -86,7 +87,6 @@ class RoundPlan:
     seg_start: np.ndarray
     seg_global: np.ndarray
     send_pos: np.ndarray
-    agent_start: np.ndarray
     acc_order: np.ndarray
     acc_slot: np.ndarray
     local_degrees: np.ndarray
@@ -99,11 +99,9 @@ class RoundPlan:
 def _build_round_plan(coupling):
     """Lay out the directed edges and the shared-component segments once."""
     neighbors = coupling.neighbors
-    g2l = coupling.global_to_local
     index_lists = [idx.tolist() for idx in coupling.index_arrays]
-    agent_start = [0]
-    for idx in index_lists:
-        agent_start.append(agent_start[-1] + len(idx))
+    g2l = [{j: k for k, j in enumerate(idx)} for idx in index_lists]
+    offsets = coupling.offsets.tolist()
     edge = {}
     src, dst, recv_start, seg_start = [], [], [], [0]
     seg_global, send_pos, recv_slot = [], [], []
@@ -116,24 +114,24 @@ def _build_round_plan(coupling):
             dst.append(d)
             seg_start.append(seg_start[-1] + len(shared))
             seg_global += shared
-            send_pos += [agent_start[s] + g2l[s][g] for g in shared]
-            recv_slot += [agent_start[d] + g2l[d][g] for g in shared]
+            send_pos += [offsets[s] + g2l[s][g] for g in shared]
+            recv_slot += [offsets[d] + g2l[d][g] for g in shared]
     # the terms of every average in ascending sender order, as gather_average
     # adds them: each sender's own values (the head of the summed array), then
     # the segments it sent (the payload, after them)
     acc_order, acc_slot = [], []
     for s, receivers in enumerate(neighbors):
-        own = range(agent_start[s], agent_start[s + 1])
+        own = range(offsets[s], offsets[s + 1])
         acc_order += own
         acc_slot += own
         for d in receivers:
             a, b = seg_start[edge[s, d]], seg_start[edge[s, d] + 1]
-            acc_order += range(agent_start[-1] + a, agent_start[-1] + b)
+            acc_order += range(offsets[-1] + a, offsets[-1] + b)
             acc_slot += recv_slot[a:b]
     arrays = (src, dst, recv_start, [len(ne) for ne in neighbors], seg_start, seg_global,
-              send_pos, agent_start, acc_order, acc_slot)
+              send_pos, acc_order, acc_slot)
     return RoundPlan(*(np.array(a, dtype=np.intp) for a in arrays),
-                     local_degrees=coupling.degrees[np.concatenate(coupling.index_arrays)])
+                     local_degrees=coupling.degrees[coupling.flat_index])
 
 
 class RoundScheduler:
@@ -145,11 +143,9 @@ class RoundScheduler:
 
     def __init__(self, coupling):
         self.coupling = coupling
-        self.n_agents = coupling.n_agents
-        self.neighbors = coupling.neighbors
         self.round_index = 0
         self.rounds_by_kind = {}
-        self.diameter = _diameter(self.neighbors)
+        self.diameter = _diameter(coupling.neighbors)
         self.is_connected = self.diameter is not None
         self.plan = _build_round_plan(coupling)
         # a shared-component round carries the plan's segments, any other
@@ -193,31 +189,25 @@ class RoundScheduler:
         return self.rounds_by_kind.get(kind, 0) * self.plan.n_edges
 
 
-def exchange_shared_components(scheduler, contributions):
+def exchange_shared_components(scheduler, flat):
     """One data round: average each shared variable over its owners.
 
     Every agent sends one message per neighbor, carrying exactly the
     components both parties own. Each agent then averages, per variable,
     its own contribution with the received ones in ascending agent order,
     which reproduces the dense consensus projection bit for bit.
-    ``contributions`` is a list of the agents' local vectors, answered
-    with per-agent views into one averaged vector, or those vectors
-    already concatenated in ascending agent order (one flat array),
-    answered with the averaged flat array.
+    ``flat`` is the agents' contributions as one flat array in the
+    coupling's layout (``CouplingStructure.flat_index``); the averaged
+    flat array is returned, and anything else raises ``StructureError``.
     """
     plan = scheduler.plan
-    is_flat = isinstance(contributions, np.ndarray)
-    flat = contributions if is_flat else np.concatenate(contributions)
-    if flat.shape != (plan.agent_start[-1],):
-        raise StructureError("contributions do not match the agents' index sets")
+    if not isinstance(flat, np.ndarray) or flat.shape != plan.local_degrees.shape:
+        raise StructureError("contributions must be one flat vector of local entries")
     received = scheduler.deliver_round(flat[plan.send_pos], KIND_SHARED)
     terms = np.concatenate((flat, received))[plan.acc_order]
     averaged = np.bincount(plan.acc_slot, weights=terms, minlength=flat.size)
     averaged /= plan.local_degrees
-    if is_flat:
-        return averaged
-    bounds = plan.agent_start.tolist()
-    return [averaged[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    return averaged
 
 
 def _flood(scheduler, state, combine, kind):

@@ -96,14 +96,14 @@ STAGE_EQ_DRIFT = 1e-5
 BOUNDARY_FRACTION = 0.01
 
 
-def local_decrement(agent, ds, index=None):
-    """Curvature form ds' H ds of one agent; its local decrement squared.
+def local_decrement(hess, ds, index=None):
+    """Curvature form ds' H ds of one agent, H = ``hess``; its local decrement squared.
 
     Tiny negative values (inexact directions meeting a semidefinite
     Hessian) are clamped to zero; anything below -1e-12 signals corrupted
     data and raises, naming the agent by its ``index``.
     """
-    val = float(ds @ agent.hess @ ds)
+    val = float(ds @ hess @ ds)
     if val < -1e-12:
         raise DecrementError(f"agent {index}: local decrement {val:.3e} is significantly "
                              "negative", agent=index)
@@ -156,7 +156,7 @@ def distributed_line_search(stage, points, h_values, workspace, ds_slices, confi
     """Per-agent backtracking from stage values ``h_values`` at ``points``, then min-consensus."""
     alphas = []
     for i, (h, blk) in enumerate(zip(stage.objectives, stage.blocks)):
-        grad_dot = float(workspace.agents[i].grad @ ds_slices[i])
+        grad_dot = float(workspace.grads[i] @ ds_slices[i])
         alpha = agent_step_size(h, blk.inequality, points[i], h_values[i], ds_slices[i],
                                 grad_dot, config)
         if alpha is None:
@@ -195,17 +195,17 @@ class SolveResult:
     ``[r.inner_iterations for r in rows]``, the final decrement
     ``rows[-1].decrement_half``. The fields hold the final iterate, the
     solution of the stage before the last (None after one stage), the final
-    duals of the last direction, the last stage parameter, the consistency
-    budget ``e_c`` carried between stages, the largest agent share of the
-    final decrement, and the invariant maxima and descent-check failures
-    over every iterate of every stage.
+    flat duals ``v`` of the last direction, the last stage parameter, the
+    consistency budget ``e_c`` carried between stages, the largest agent
+    share of the final decrement, and the invariant maxima and
+    descent-check failures over every iterate of every stage.
     """
 
     rows: list = field(default_factory=list)
     x: np.ndarray = None
     s_slices: list = None
     s_before: list = None
-    v: list = None
+    v: np.ndarray = None
     t_final: float = 1.0
     e_c: float = 0.0
     decrement_half_max_agent: float = 0.0
@@ -275,8 +275,8 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
                 dual_residual=res.dual_residual,
             )
 
-        decs = [local_decrement(a, d, i)
-                for i, (a, d) in enumerate(zip(workspace.agents, res.ds_slices))]
+        decs = [local_decrement(H, d, i)
+                for i, (H, d) in enumerate(zip(workspace.hessians, res.ds_slices))]
         flags = [d / 2.0 <= config.eps_nt / coupling.n_agents for d in decs]
         done = all_agree(scheduler, flags)
 

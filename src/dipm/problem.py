@@ -226,6 +226,11 @@ class CouplingStructure:
     ``degrees[j]`` is its length. ``neighbors[i]`` lists the agents (other
     than i itself) sharing at least one variable with agent i. The stacked
     selection matrix has Gram matrix diag(degrees).
+
+    The flat vector of all local entries, agents ascending, has entry k
+    at global index ``flat_index[k]``; agent i owns entries
+    ``offsets[i]:offsets[i + 1]``, and ``index_arrays[i]`` is that view of
+    ``flat_index``. All arrays are read-only.
     """
 
     n: int
@@ -233,7 +238,8 @@ class CouplingStructure:
     degrees: np.ndarray
     neighbors: tuple
     index_arrays: tuple = field(repr=False)
-    global_to_local: tuple = field(repr=False)
+    flat_index: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
 
     @property
     def n_agents(self):
@@ -262,20 +268,16 @@ def build_coupling(problem):
             for b in o:
                 if a != b:
                     neighbors[a].add(b)
-    degrees = _readonly([len(o) for o in owners])
-    index_arrays = tuple(
-        _readonly(blk.index_set, dtype=np.intp) for blk in problem.blocks
-    )
-    g2l = tuple(
-        {j: k for k, j in enumerate(blk.index_set)} for blk in problem.blocks
-    )
+    flat_index = _readonly([j for blk in problem.blocks for j in blk.index_set], dtype=np.intp)
+    offsets = _readonly(np.cumsum([0] + [blk.dim for blk in problem.blocks]), dtype=np.intp)
     return CouplingStructure(
         n=n,
         owners=tuple(tuple(o) for o in owners),
-        degrees=degrees,
+        degrees=_readonly([len(o) for o in owners]),
         neighbors=tuple(tuple(sorted(s)) for s in neighbors),
-        index_arrays=index_arrays,
-        global_to_local=g2l,
+        index_arrays=tuple(np.split(flat_index, offsets[1:-1])),
+        flat_index=flat_index,
+        offsets=offsets,
     )
 
 
@@ -331,12 +333,11 @@ def consistency_error(slices, coupling):
     for i, (s, idx) in enumerate(zip(slices, coupling.index_arrays)):
         if np.shape(s) != idx.shape:
             raise StructureError(f"slice {i} has wrong length")
-    flat_index = np.concatenate(coupling.index_arrays)
     copies = np.concatenate(slices, dtype=float)
     hi = np.full(coupling.n, -np.inf)
     lo = np.full(coupling.n, np.inf)
-    np.fmax.at(hi, flat_index, copies)
-    np.fmin.at(lo, flat_index, copies)
+    np.fmax.at(hi, coupling.flat_index, copies)
+    np.fmin.at(lo, coupling.flat_index, copies)
     return float(((hi - lo) / 2.0).max(initial=0.0))
 
 

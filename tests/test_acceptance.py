@@ -170,9 +170,9 @@ def test_criterion_4_communication_structure():
     )
     coupling = build_coupling(decoupled)
     sched = RoundScheduler(coupling)
-    out = exchange_shared_components(sched, [np.array([1.0]), np.array([2.0])])
+    out = exchange_shared_components(sched, np.array([1.0, 2.0]))
     assert sched.total_sent == 0
-    assert out[0][0] == 1.0 and out[1][0] == 2.0
+    assert out[0] == 1.0 and out[1] == 2.0
     print("\nCRITERION 4 communication structure: PASS "
           "(per-iteration sends = |Ne(i)|, decoupled runs send nothing)")
 

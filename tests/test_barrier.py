@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import dipm.barrier
 import dipm.newton
 from dipm.barrier import (
     EPS_STAGE_FLOOR,
@@ -341,6 +342,26 @@ class TestStageWarmStart:
         assert events == expected
         # no message falls between rows, the stage-start consensus's included
         assert sum(row.messages for row in result.rows) == scheduler.total_sent
+
+    def test_a_stage_record_keeps_its_duals_through_the_next_stage(self, monkeypatch):
+        # each stage's first direction starts from the last stage's final duals
+        # and updates its own duals in place, so it must start from a copy
+        stages = []
+
+        def spy(*args, **kwargs):
+            result = newton_solve(*args, **kwargs)
+            stages.append((result.v, result.v.copy()))
+            return result
+
+        newton_solve = dipm.barrier.newton_solve
+        monkeypatch.setattr(dipm.barrier, "newton_solve", spy)
+        prob, x0 = random_qp(1, n_agents=3, block_size=3, overlap=1, n_ineq=2)
+        result, _ = solve_ipm(prob, x0, SolverConfig())
+        assert len(stages) == result.rows[-1].stage + 1 >= 3
+        n_local = build_coupling(prob).offsets[-1]
+        for v, at_stage_end in stages:
+            assert v.shape == (n_local,)
+            np.testing.assert_array_equal(v, at_stage_end)
 
     def test_equality_rows_pass_the_stage_start_gate(self):
         # every continued stage, extrapolated or not, is held to STAGE_EQ_DRIFT

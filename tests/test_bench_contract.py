@@ -88,3 +88,18 @@ def test_one_deliver_call_per_round_and_one_factorization_per_agent(run):
     assert sched.kinds <= set(tracing.DELIVER)
     assert dipm.linalg.factorization_count() - before == problem.n_agents * len(rows)
     assert np.sum([r.messages for r in rows]) == sched.total_sent
+
+
+def test_every_wrapped_span_records_a_call():
+    # a lookup site the solver routes around leaves its span at zero calls;
+    # gather_average stays wrapped, but the solver no longer calls it
+    recorder = tracing.Recorder()
+    with tracing.tracing(recorder):
+        newton_run()
+        ipm_run()
+    calls = {name: count for name, (count, _, _) in recorder.summary().items()}
+    names = set()
+    for _, _, name in tracing.WRAPPED:
+        names.update(name.values() if isinstance(name, dict) else [name])
+    names.discard("problem.gather_average")
+    assert sorted(name for name in names if calls.get(name, 0) == 0) == []

@@ -452,7 +452,7 @@ class TestMainExitCodes:
         class Corrupted(dipm.newton.DirectionWorkspace):
             def __init__(self, *args):
                 super().__init__(*args)
-                self.agents[1].hess = -self.agents[1].hess
+                self.hessians[1] = -self.hessians[1]
 
         monkeypatch.setattr(dipm.newton, "DirectionWorkspace", Corrupted)
         path = write_doc(tmp_path / "p.json", chain_doc())
@@ -544,9 +544,9 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("setting", ["t0", "mu"])
     def test_stage_parameter_beyond_sqrt_float_max_is_a_solver_error(self, tmp_path, capsys,
                                                                       setting):
-        # t = 1e300 at the first or the second stage: t^2 overflows, so the
-        # stage's inner tolerances fall to their floor, which the inner
-        # iteration cannot meet at that scale; the run ends at the inner cap
+        # t = 1e300 at the first or the second stage: t^2 overflows, so no
+        # inner tolerance can be matched to the stage scale; the stage is
+        # refused before it runs
         doc = {
             "n": 1,
             "agents": [{
@@ -555,12 +555,13 @@ class TestMainExitCodes:
                 "inequalities": [{"a": [-1.0], "c": 1.0}],
             }],
             "x0": [3.0],
-            "solver": {setting: 1e300, "admm_max_iter": 50},
+            "solver": {setting: 1e300},
         }
         path = write_doc(tmp_path / "p.json", doc)
         assert main(["run", "--mode", "compare", "--problem", path,
-                     "--out", str(tmp_path / "o")]) == EXIT_INNER
-        assert "error: direction iteration cap 50 reached" in capsys.readouterr().err
+                     "--out", str(tmp_path / "o")]) == EXIT_PARSE
+        assert "error: stage parameter t = 1e+300 is too large: t^2 overflows" \
+            in capsys.readouterr().err
 
     def test_generate_then_run(self, tmp_path):
         pfile = tmp_path / "gen.json"

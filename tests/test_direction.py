@@ -1,18 +1,24 @@
 """Distributed direction computation against hand values and the dense oracle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from dipm.barrier import BarrierFunction
 from dipm.config import SolverConfig
 from dipm.direction import (
-    AgentDirectionState,
     DirectionWorkspace,
     compute_direction,
     prox_step_equality,
     prox_step_unconstrained,
 )
-from dipm.errors import DisconnectedNetworkError, FactorizationError, NonFiniteError
+from dipm.errors import (
+    DisconnectedNetworkError,
+    FactorizationError,
+    NonFiniteError,
+    StructureError,
+)
 from dipm.generator import random_qp
 from dipm.linalg import factor_kkt, factor_spd, factorization_count
 from dipm.network import RoundScheduler
@@ -48,20 +54,15 @@ class TestProxSteps:
     def test_quadratic_at_interior_point(self):
         # f(s) = 1/2 |s|^2 linearized at (1, 1): grad (1, 1), hessian I
         grad = np.array([1.0, 1.0])
-        agent = AgentDirectionState(
-            index_set=np.array([0, 1]), grad=grad, hess=np.eye(2),
-            factor=factor_spd(np.eye(2) + np.eye(2)),
-        )
+        agent = SimpleNamespace(grad=grad, factor=factor_spd(np.eye(2) + np.eye(2)))
         ds = prox_step_unconstrained(agent, np.zeros(2), np.zeros(2), 1.0)
         np.testing.assert_allclose(ds, [-0.5, -0.5], rtol=1e-14)
 
     def test_stationary_point_returns_pull(self):
         # grad 0, curvature 0: the prox just returns the pull rho w / rho
         w = np.array([0.3, -0.7])
-        agent = AgentDirectionState(
-            index_set=np.array([0, 1]), grad=np.zeros(2), hess=np.zeros((2, 2)),
-            factor=factor_spd(np.zeros((2, 2)) + 1.0 * np.eye(2)),
-        )
+        agent = SimpleNamespace(grad=np.zeros(2),
+                                factor=factor_spd(np.zeros((2, 2)) + 1.0 * np.eye(2)))
         ds = prox_step_unconstrained(agent, w, np.zeros(2), 1.0)
         np.testing.assert_allclose(ds, w, rtol=1e-14)
 
@@ -73,19 +74,13 @@ class TestProxSteps:
         s = np.array([1.0])
         np.testing.assert_allclose(h.gradient(s), [1.0], rtol=1e-14)
         np.testing.assert_allclose(h.hessian(s), [[1.0]], rtol=1e-14)
-        agent = AgentDirectionState(
-            index_set=np.array([0]), grad=h.gradient(s), hess=h.hessian(s),
-            factor=factor_spd(h.hessian(s) + np.eye(1)),
-        )
+        agent = SimpleNamespace(grad=h.gradient(s), factor=factor_spd(h.hessian(s) + np.eye(1)))
         ds = prox_step_unconstrained(agent, np.zeros(1), np.zeros(1), 1.0)
         np.testing.assert_allclose(ds, [-0.5], rtol=1e-14)
 
     def test_equality_hand_case(self):
-        agent = AgentDirectionState(
-            index_set=np.array([0, 1]), grad=np.array([-2.0, 0.0]), hess=np.eye(2),
-            factor=factor_kkt(np.eye(2), 1.0, np.array([[1.0, -1.0]])),
-            A_eq=np.array([[1.0, -1.0]]),
-        )
+        agent = SimpleNamespace(grad=np.array([-2.0, 0.0]),
+                                factor=factor_kkt(np.eye(2), 1.0, np.array([[1.0, -1.0]])))
         ds = prox_step_equality(agent, np.zeros(2), np.zeros(2), 1.0)
         np.testing.assert_allclose(ds, [0.5, 0.5], atol=1e-12)
 
@@ -100,20 +95,14 @@ class TestProxSteps:
         grad = rng.standard_normal(dim)
         w = rng.standard_normal(dim)
         rho = 1.3
-        agent = AgentDirectionState(
-            index_set=np.arange(dim), grad=grad, hess=H,
-            factor=factor_kkt(H, rho, basis), A_eq=basis,
-        )
+        agent = SimpleNamespace(grad=grad, factor=factor_kkt(H, rho, basis))
         ds = prox_step_equality(agent, w, np.zeros(dim), rho)
         tau = (rho * d @ w - d @ grad) / (d @ H @ d + rho * d @ d)
         np.testing.assert_allclose(ds, tau * d, atol=1e-9)
 
     def test_zero_rhs_gives_zero(self):
-        agent = AgentDirectionState(
-            index_set=np.array([0, 1]), grad=np.zeros(2), hess=np.eye(2),
-            factor=factor_kkt(np.eye(2), 1.0, np.array([[1.0, 1.0]])),
-            A_eq=np.array([[1.0, 1.0]]),
-        )
+        agent = SimpleNamespace(grad=np.zeros(2),
+                                factor=factor_kkt(np.eye(2), 1.0, np.array([[1.0, 1.0]])))
         ds = prox_step_equality(agent, np.zeros(2), np.zeros(2), 1.0)
         np.testing.assert_array_equal(ds, np.zeros(2))
 
@@ -148,7 +137,7 @@ class TestComputeDirection:
             )
         assert np.abs(gather_average(v_star, coupling)).max() <= 1e-12
         ws = DirectionWorkspace(plain_stage(prob), s0, coupling, cfg)
-        res = compute_direction(ws, sched, dz0=dx_star, v0=v_star)
+        res = compute_direction(ws, sched, dz0=dx_star, v0=np.concatenate(v_star))
         assert res.converged
         assert res.iterations <= 2
         np.testing.assert_allclose(res.dx, dx_star, atol=1e-9)
@@ -161,7 +150,8 @@ class TestComputeDirection:
         ws = DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
         res = compute_direction(ws, sched)
         assert res.converged
-        assert np.abs(gather_average(res.v, coupling)).max() <= 1e-12
+        v = np.split(res.v, coupling.offsets[1:-1])
+        assert np.abs(gather_average(v, coupling)).max() <= 1e-12
 
     def test_dual_average_diagnostic_matches_gather_average_bitwise(self):
         # duals with a nonzero owner-average on a three-owner coupling, so the
@@ -173,10 +163,11 @@ class TestComputeDirection:
         ws = DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            v0 = [rng.standard_normal(len(idx)) for idx in coupling.index_arrays]
+            v0 = np.concatenate([rng.standard_normal(len(idx)) for idx in coupling.index_arrays])
             res = compute_direction(ws, sched, v0=v0)
             assert res.iterations == 1
-            assert res.max_dual_average == float(np.abs(gather_average(res.v, coupling)).max())
+            v = np.split(res.v, coupling.offsets[1:-1])
+            assert res.max_dual_average == float(np.abs(gather_average(v, coupling)).max())
             assert res.max_dual_average > 0.0
 
     def test_chain_matches_dense_oracle(self):
@@ -248,6 +239,21 @@ class TestComputeDirection:
         with pytest.raises(DisconnectedNetworkError):
             compute_direction(ws, sched)
 
+    @pytest.mark.parametrize("start, message", [
+        ({"v0": [np.zeros(2), np.zeros(2)]}, "v0 must be one flat vector"),
+        ({"v0": [np.zeros(2), np.zeros(3)]}, "v0 must be one flat vector"),
+        ({"v0": np.zeros(3)}, "v0 must be one flat vector"),
+        ({"v0": np.zeros(5)}, "v0 must be one flat vector"),
+        ({"dz0": np.zeros(4)}, "dz0 must be a global vector of length 3"),
+    ], ids=["per-agent-list", "ragged-list", "short-duals", "long-duals", "long-direction"])
+    def test_warm_start_of_the_wrong_form_is_refused(self, start, message):
+        prob = chain_qp()
+        coupling, sched, cfg = setup_instance(prob)
+        ws = DirectionWorkspace(plain_stage(prob), scatter(np.zeros(3), coupling), coupling, cfg)
+        with pytest.raises(StructureError, match=message):
+            compute_direction(ws, sched, **start)
+        assert sched.round_index == 0
+
     def test_iteration_cap_returns_unconverged(self):
         prob = chain_qp()
         cfg = SolverConfig(admm_max_iter=3)
@@ -278,7 +284,7 @@ class TestNonFinite:
         prob = chain_qp()
         coupling, sched, cfg = setup_instance(prob)
         ws = DirectionWorkspace(plain_stage(prob), scatter(np.zeros(3), coupling), coupling, cfg)
-        v0 = [np.zeros(2), np.array([np.nan, 0.0])]
+        v0 = np.array([0.0, 0.0, np.nan, 0.0])
         with pytest.raises(NonFiniteError) as info:
             compute_direction(ws, sched, v0=v0)
         # agent 1's NaN reaches agent 0 through the shared variable first
@@ -369,7 +375,8 @@ class TestGroups:
         assert [g.members.tolist() for g in ws.groups] == [[0, 4], [1, 6], [2], [3], [5]]
         for g in ws.groups:
             for k, i in enumerate(g.members):
-                np.testing.assert_array_equal(ws.flat_index[g.pos[k]], coupling.index_arrays[i])
+                np.testing.assert_array_equal(coupling.flat_index[g.pos[k]],
+                                              coupling.index_arrays[i])
         res = compute_direction(ws, sched)
         assert res.converged
         assert np.abs(res.dx - dx).max() <= 1e-8

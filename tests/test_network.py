@@ -51,11 +51,9 @@ class TestExchange:
     def test_chain_example_with_message_count(self):
         c = coupling_for([(0, 1), (1, 2)], 3)
         sched = RoundScheduler(c)
-        out = exchange_shared_components(
-            sched, [np.array([1.0, 2.0]), np.array([4.0, 6.0])]
-        )
-        assert out[0].tolist() == [1.0, 3.0]
-        assert out[1].tolist() == [3.0, 6.0]
+        out = exchange_shared_components(sched, np.array([1.0, 2.0, 4.0, 6.0]))
+        assert out[0:2].tolist() == [1.0, 3.0]
+        assert out[2:4].tolist() == [3.0, 6.0]
         assert sched.total_sent == 2
         assert sched.messages_of_kind(KIND_SHARED) == 2
         assert sched.total_delivered == sched.total_sent
@@ -63,7 +61,7 @@ class TestExchange:
     def test_decoupled_exchange_no_messages(self):
         c = coupling_for([(0,), (1,)], 2)
         sched = RoundScheduler(c)
-        contributions = [np.array([5.0]), np.array([-3.0])]
+        contributions = np.array([5.0, -3.0])
         out = exchange_shared_components(sched, contributions)
         assert sched.total_sent == 0
         np.testing.assert_array_equal(out[0], contributions[0])
@@ -86,16 +84,30 @@ class TestExchange:
             contributions = [rng.standard_normal(len(s)) for s in sets]
             if not sched.is_connected:
                 continue
-            out = exchange_shared_components(sched, contributions)
+            out = exchange_shared_components(sched, np.concatenate(contributions))
             z = gather_average(contributions, c)
             expected = scatter(z, c)
-            for got, want in zip(out, expected):
+            for got, want in zip(np.split(out, c.offsets[1:-1]), expected):
                 np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("contributions", [
+        [np.zeros(2), np.zeros(3)],
+        [0.0] * 5,
+        np.zeros(4),
+        np.zeros(6),
+        np.zeros((1, 5)),
+    ], ids=["per-agent-list", "list-of-floats", "short", "long", "two-dimensional"])
+    def test_only_one_flat_vector_of_local_entries_is_exchanged(self, contributions):
+        c = coupling_for([(0, 1), (1, 2, 3)], 4)
+        sched = RoundScheduler(c)
+        with pytest.raises(StructureError, match="one flat vector of local entries"):
+            exchange_shared_components(sched, contributions)
+        assert sched.round_index == 0
 
     def test_sends_exactly_neighbor_count(self):
         c = coupling_for([(0, 1), (1, 2), (2, 3), (1, 3)], 4)
         sched = RoundScheduler(c)
-        exchange_shared_components(sched, [np.zeros(2)] * 4)
+        exchange_shared_components(sched, np.zeros(8))
         for i in range(4):
             assert sched.sent[i] == len(c.neighbors[i])
 
@@ -130,7 +142,7 @@ class TestExchange:
 
         sched.deliver_round = spy
         contributions = [rng.standard_normal(3) for _ in range(3)]
-        exchange_shared_components(sched, contributions)
+        exchange_shared_components(sched, np.concatenate(contributions))
         assert [kind for kind, _ in sent] == [KIND_SHARED]
         payload = sent[0][1]
         plan = sched.plan
@@ -140,7 +152,7 @@ class TestExchange:
             g = plan.seg_global[seg]
             assert g.size > 0
             assert set(g.tolist()) <= set(blocks[src]) & set(blocks[dst])
-            local = [c.global_to_local[src][j] for j in g.tolist()]
+            local = np.searchsorted(c.index_arrays[src], g)
             np.testing.assert_array_equal(payload[seg], contributions[src][local])
 
 
@@ -246,7 +258,7 @@ class TestUniformFlood:
 class TestAccounting:
     def test_conservation_every_kind(self):
         sched = RoundScheduler(chain_coupling(4))
-        exchange_shared_components(sched, [np.zeros(2)] * 4)
+        exchange_shared_components(sched, np.zeros(8))
         all_agree(sched, [True] * 4)
         min_consensus(sched, [1.0, 2.0, 3.0, 4.0])
         assert sched.total_sent == sched.total_delivered
@@ -258,7 +270,7 @@ class TestAccounting:
     def test_deterministic_counters(self):
         def run():
             sched = RoundScheduler(chain_coupling(5))
-            exchange_shared_components(sched, [np.arange(2.0)] * 5)
+            exchange_shared_components(sched, np.tile(np.arange(2.0), 5))
             min_consensus(sched, [3.0, 1.0, 2.0, 5.0, 4.0])
             return sched.sent.tolist(), sched.round_index
         assert run() == run()
@@ -330,9 +342,9 @@ class TestShapes:
             np.array(data.draw(st.lists(FINITE, min_size=len(idx), max_size=len(idx))))
             for idx in c.index_arrays
         ]
-        out = exchange_shared_components(RoundScheduler(c), contributions)
+        out = exchange_shared_components(RoundScheduler(c), np.concatenate(contributions))
         expected = scatter(gather_average(contributions, c), c)
-        for got, want in zip(out, expected):
+        for got, want in zip(np.split(out, c.offsets[1:-1]), expected):
             assert np.array_equal(got, want)
 
     @PROPERTY
@@ -358,8 +370,7 @@ class TestShapes:
         rounds = dict.fromkeys((KIND_SHARED, KIND_FLAG, KIND_MIN), 0)
         for kind in data.draw(st.lists(st.sampled_from(sorted(rounds)), max_size=6)):
             if kind == KIND_SHARED:
-                exchange_shared_components(
-                    sched, [np.ones(len(idx)) for idx in c.index_arrays])
+                exchange_shared_components(sched, np.ones(c.offsets[-1]))
                 rounds[kind] += 1
             elif kind == KIND_FLAG:
                 all_agree(sched, per_agent(data, c, st.booleans()))

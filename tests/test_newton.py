@@ -6,7 +6,7 @@ import pytest
 import dipm.newton
 from dipm.barrier import BarrierFunction, solve_ipm
 from dipm.config import SolverConfig
-from dipm.direction import AgentDirectionState, DirectionWorkspace, compute_direction
+from dipm.direction import DirectionWorkspace, compute_direction
 from dipm.errors import (
     DecrementError,
     DirectionConvergenceError,
@@ -16,7 +16,6 @@ from dipm.errors import (
     LineSearchError,
 )
 from dipm.generator import random_qp
-from dipm.linalg import factor_spd
 from dipm.network import RoundScheduler
 from dipm.newton import (
     agent_step_size,
@@ -54,18 +53,9 @@ def tied_chain():
     return LooselyCoupledProblem(n=3, blocks=(b1, b2))
 
 
-def agent_state(grad, hess, rho=1.0):
-    return AgentDirectionState(
-        index_set=np.arange(len(grad)), grad=np.asarray(grad, dtype=float),
-        hess=np.asarray(hess, dtype=float),
-        factor=factor_spd(np.asarray(hess, dtype=float) + rho * np.eye(len(grad))),
-    )
-
-
 class TestLocalDecrement:
     def test_zero_direction(self):
-        a = agent_state([1.0, 1.0], np.eye(2))
-        assert local_decrement(a, np.zeros(2)) == 0.0
+        assert local_decrement(np.eye(2), np.zeros(2)) == 0.0
 
     def test_chain_qp_total_is_three_halves(self):
         # exact direction (0, 1/2, 1): slices (0, 1/2) and (1/2, 1) against
@@ -75,31 +65,22 @@ class TestLocalDecrement:
         dx = np.array([0.0, 0.5, 1.0])
         total = 0.0
         for blk, idx in zip(prob.blocks, coupling.index_arrays):
-            a = agent_state(np.zeros(2), blk.objective.hessian(np.zeros(2)))
-            total += local_decrement(a, dx[idx])
+            total += local_decrement(blk.objective.hessian(np.zeros(2)), dx[idx])
         assert total == pytest.approx(1.5, rel=1e-14)
 
     def test_identity_hessian_gives_squared_norm(self):
-        a = agent_state([0.0, 0.0, 0.0], np.eye(3))
         ds = np.array([1.0, -2.0, 2.0])
-        assert local_decrement(a, ds) == pytest.approx(9.0, rel=1e-14)
+        assert local_decrement(np.eye(3), ds) == pytest.approx(9.0, rel=1e-14)
 
     def test_tiny_negative_clamps_large_raises(self):
-        # decrement only touches grad/hess, so no factorization is needed
-        a = AgentDirectionState(index_set=np.arange(1), grad=np.zeros(1),
-                                hess=np.array([[-1e-15]]), factor=None)
-        assert local_decrement(a, np.array([1.0])) == 0.0
-        bad = AgentDirectionState(index_set=np.arange(1), grad=np.zeros(1),
-                                  hess=np.array([[-1.0]]), factor=None)
+        assert local_decrement(np.array([[-1e-15]]), np.array([1.0])) == 0.0
         with pytest.raises(DecrementError):
-            local_decrement(bad, np.array([1.0]))
+            local_decrement(np.array([[-1.0]]), np.array([1.0]))
 
     def test_negative_decrement_names_its_agent(self):
-        bad = AgentDirectionState(index_set=np.arange(1), grad=np.zeros(1),
-                                  hess=np.array([[-1.0]]), factor=None)
         with pytest.raises(DecrementError, match=r"^agent 3: local decrement -1\.000e\+00") \
                 as err:
-            local_decrement(bad, np.array([1.0]), 3)
+            local_decrement(np.array([[-1.0]]), np.array([1.0]), 3)
         assert err.value.agent == 3
 
 
