@@ -334,6 +334,8 @@ def _distributed(mode, problem, x0, config):
             kind: int(arr.sum()) for kind, arr in scheduler.sent_by_kind.items()
         },
         "messages_total": int(scheduler.total_sent),
+        "rounds": dict(scheduler.rounds_by_kind),
+        "rounds_total": scheduler.round_index,
     }
     return result.x, result.rows, summary, scheduler.coupling
 

@@ -7,25 +7,31 @@ exact, per agent and per message kind, so tests can assert the
 communication pattern of an algorithm rather than trust it.
 
 A round is one flat, edge-indexed payload laid out by the scheduler's
-``RoundPlan``, built once from the coupling graph: one message per directed
+``RoundPlan``, built once from the coupling graph: one entry per directed
 edge, edges listed receiver-major with senders ascending. A consensus round
 carries one scalar per edge; a shared-component round carries, edge by
 edge, the sender's values of the variables both parties own, read from
-the coupling's flat vector of local entries. A message to
-a non-neighbour therefore cannot be expressed, and every round credits
-each agent with exactly its degree. So the scheduler keeps only round
-counts, one per kind, and derives every message tally from them: an
-agent's messages of a kind are its rounds of that kind times its degree.
+the coupling's flat vector of local entries. A message to a non-neighbour
+therefore cannot be expressed. An agent that speaks in a round sends one
+message per out-edge; in a shared-component round every agent speaks.
 
 Consensus primitives (boolean AND, minimum) are realized by flooding,
-which is exact after diameter-many rounds on a connected graph. Both
-operations are idempotent, so once every agent holds the same value no
-round can change it: the remaining rounds are still delivered, one
-``deliver_round`` each, carrying that value, but nothing is recombined.
-On a disconnected graph with more than one agent they raise, since values
-cannot propagate between components, so a solver meets a disconnected
-problem at its first consensus. Fully decoupled single-agent problems are
-trivially connected. Rounds are counted by the scheduler alone.
+which is exact after diameter-many rounds on a connected graph. A flood
+relays only news: an agent speaks only when its value differs from the
+last one it sent (before round 1, the identity: True for AND, +inf for
+MIN), so a uniform start costs one message per directed edge, or none.
+Values are compared as numbers: ``np.minimum`` returns its second argument
+on a tie, so a zero may change sign without news. Both operations are
+idempotent, so a silent edge's value, already combined by its receiver,
+cannot change the receiver's value; the transport delivers every value
+anyway, so results are bit for bit those of a flood recombining every
+value each round (masking silent edges could change only a zero's sign).
+Once every agent holds the same bits, the remaining rounds are delivered,
+one ``deliver_round`` each, but nothing is recombined. On a disconnected
+graph with more than one agent the floods raise, since values cannot
+propagate between components, so a solver meets a disconnected problem at
+its first consensus. Fully decoupled single-agent problems are trivially
+connected. Rounds are counted by the scheduler alone.
 
 Within a round, each agent's update is a pure function of its own state
 and the segments addressed to it; the round boundary is the only
@@ -152,12 +158,15 @@ class RoundScheduler:
         # round one entry per directed edge
         self._n_edges = self.plan.n_edges
         self._payload_lengths = {KIND_SHARED: len(self.plan.seg_global)}
+        # per kind: broadcasts every agent made, each agent's others, messages
+        self._tallies = {}
 
     def deliver_round(self, payload, kind):
         """Deliver one synchronous round of ``kind`` laid out by ``self.plan``.
 
-        Every directed edge carries one message. Returns the delivered
-        payload; raises, counting nothing, if its length does not match the plan.
+        Every directed edge carries its entry; the sending operation credits
+        the messages (``count_broadcasts``). Returns the delivered payload;
+        raises, counting nothing, if its length does not match the plan.
         """
         expected = self._payload_lengths.get(kind, self._n_edges)
         if len(payload) != expected:
@@ -167,26 +176,37 @@ class RoundScheduler:
         self.round_index += 1
         return payload
 
+    def count_broadcasts(self, kind, agents):
+        """Credit broadcasts of ``kind``, one message per out-edge each:
+        ``agents`` is one count every agent made (an int), or one per agent."""
+        tally = self._tallies.setdefault(kind, [0, 0, 0])
+        if isinstance(agents, int):
+            tally[0] += agents
+            tally[2] += agents * self._n_edges
+        else:
+            tally[1] = tally[1] + agents
+            tally[2] += int(agents @ self.plan.out_degree)
+
     @property
     def sent(self):
         """Messages sent by each agent, all kinds."""
-        return self.round_index * self.plan.out_degree
+        return sum(self.sent_by_kind.values(), np.zeros_like(self.plan.out_degree))
 
     @property
     def sent_by_kind(self):
         """Messages sent by each agent, per kind that has had a round."""
-        return {kind: rounds * self.plan.out_degree
-                for kind, rounds in self.rounds_by_kind.items()}
+        return {kind: sum(self._tallies.get(kind, (0, 0))[:2]) * self.plan.out_degree
+                for kind in self.rounds_by_kind}
 
     @property
     def total_sent(self):
-        return self.round_index * self.plan.n_edges
+        return sum(tally[2] for tally in self._tallies.values())
 
     # the transport is lossless: every message sent is delivered in its round
     total_delivered = total_sent
 
     def messages_of_kind(self, kind):
-        return self.rounds_by_kind.get(kind, 0) * self.plan.n_edges
+        return self._tallies.get(kind, (0, 0, 0))[2]
 
 
 def exchange_shared_components(scheduler, flat):
@@ -204,27 +224,44 @@ def exchange_shared_components(scheduler, flat):
     if not isinstance(flat, np.ndarray) or flat.shape != plan.local_degrees.shape:
         raise StructureError("contributions must be one flat vector of local entries")
     received = scheduler.deliver_round(flat[plan.send_pos], KIND_SHARED)
+    scheduler.count_broadcasts(KIND_SHARED, 1)
     terms = np.concatenate((flat, received))[plan.acc_order]
     averaged = np.bincount(plan.acc_slot, weights=terms, minlength=flat.size)
     averaged /= plan.local_degrees
     return averaged
 
 
-def _flood(scheduler, state, combine, kind):
+def _flood(scheduler, state, combine, identity, kind):
     if not scheduler.is_connected:
         raise DisconnectedNetworkError("coupling graph is disconnected; split the problem "
                                        "and solve the pieces")
     plan = scheduler.plan
+    starts = []  # the agents' values at the start of each round, until they are uniform
     settled = False
     for _ in range(scheduler.diameter):
         if not settled:
             # equal to the bit: a uniform state is a fixed point of combine
             settled = state.tobytes() == state[:1].tobytes() * state.size
+            starts.append(state)
             payload = state[plan.edge_src]
         received = scheduler.deliver_round(payload, kind)
         if not settled:
             state = combine(state, combine.reduceat(received, plan.recv_start))
+    if starts:
+        scheduler.count_broadcasts(kind, _news(starts, identity, settled))
     return state[0]
+
+
+def _news(starts, identity, settled):
+    """Each agent's broadcasts: the rounds at whose start its value differs
+    from the one at the round start before (before round 1, the identity)."""
+    if settled and len(starts) == 1:
+        return int(starts[0].item(0) != identity)
+    if starts[0].dtype == bool:
+        # a flag leaves the identity at most once, and then for good
+        return starts[-1] != identity
+    values = np.array(starts)
+    return (values[0] != identity) + (values[1:] != values[:-1]).sum(axis=0)
 
 
 def all_agree(scheduler, flags):
@@ -232,7 +269,8 @@ def all_agree(scheduler, flags):
 
     Every agent holds the returned decision after diameter-many rounds.
     """
-    return bool(_flood(scheduler, np.array(flags, dtype=bool), np.logical_and, KIND_FLAG))
+    return bool(_flood(scheduler, np.array(flags, dtype=bool), np.logical_and, True,
+                       KIND_FLAG))
 
 
 def min_consensus(scheduler, values):
@@ -240,4 +278,4 @@ def min_consensus(scheduler, values):
     values = np.array(values, dtype=float)
     if not np.isfinite(values).all():
         raise StructureError("consensus values must be finite")
-    return float(_flood(scheduler, values, np.minimum, KIND_MIN))
+    return float(_flood(scheduler, values, np.minimum, np.inf, KIND_MIN))

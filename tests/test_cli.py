@@ -39,7 +39,7 @@ from dipm.errors import (
     StructureError,
 )
 from dipm.generator import random_qp
-from dipm.network import RoundScheduler
+from dipm.network import KIND_FLAG, KIND_MIN, KIND_SHARED, RoundScheduler
 from dipm.newton import newton_solve, solve_newton
 from dipm.problem import (
     AgentBlock,
@@ -277,6 +277,27 @@ class TestRun:
             rows = list(csv.DictReader(fh))
         assert summary["stages"] == len({r["stage"] for r in rows}) > 1
         assert summary["e_c_bound"] == float(rows[-1]["e_c_bound"])
+
+    def test_summary_counts_rounds_and_messages_by_kind(self, tmp_path):
+        problem, x0 = random_qp(4, n_agents=3, block_size=3, overlap=1, n_ineq=1)
+        path = tmp_path / "p.json"
+        path.write_text(emit_problem(problem, x0, SolverConfig()))
+        summary = run("ipm", str(path), tmp_path / "out")
+        _, scheduler = solve_ipm(problem, x0, SolverConfig())
+        kinds = {KIND_SHARED, KIND_FLAG, KIND_MIN}
+        assert summary["rounds"] == scheduler.rounds_by_kind and set(summary["rounds"]) == kinds
+        assert summary["rounds_total"] == sum(summary["rounds"].values()) == scheduler.round_index
+        assert set(summary["messages"]) == kinds
+        assert summary["messages_total"] == sum(summary["messages"].values())
+        with open(tmp_path / "out" / "trace.csv", newline="") as fh:
+            assert summary["messages_total"] == sum(int(r["messages"]) for r in csv.DictReader(fh))
+        # every consensus takes diameter rounds; a flag round relays only
+        # news, while a shared-component round uses every directed edge
+        for kind in (KIND_FLAG, KIND_MIN):
+            assert summary["rounds"][kind] % scheduler.diameter == 0
+        per_round = {kind: summary["messages"][kind] / summary["rounds"][kind] for kind in kinds}
+        assert per_round[KIND_SHARED] == scheduler.plan.n_edges
+        assert per_round[KIND_FLAG] < per_round[KIND_SHARED]
 
     def test_oracle_modes(self, tmp_path):
         path = write_doc(tmp_path / "p.json", chain_doc())

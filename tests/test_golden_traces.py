@@ -12,8 +12,8 @@ Regenerate the fixtures (only when a change of results is intended) with
 which rewrites the named fixtures (``ipm_family_seed0`` or
 ``ipm_family_seed0.trace.csv``), or all of them when no name is given, and
 prints, for each fixture before it is overwritten, the row count, whether
-every step size is unchanged, and the inner-iteration and message totals,
-old -> new.
+every step size is unchanged, the inner-iteration and message totals,
+old -> new, and every column in which any value changed.
 
 The ``_cold`` fixtures run with ``warm_start=False``, so they pin the
 splitting iteration's cold start as well.
@@ -79,16 +79,27 @@ def test_trace_matches_golden_bytes(name):
     assert rows_to_csv(run(seed)).encode() == expected
 
 
+def test_report_names_every_changed_column():
+    old = "stage,inner_iterations,alpha,messages\n0,5,1.0,30\n0,1,0.5,30\n"
+    assert _report("f", old, old).endswith("changed columns: none")
+    new = "stage,inner_iterations,alpha,messages\n0,5,1.0,3\n0,1,0.25,30\n"
+    assert _report("f", old, new) == ("f: rows 2 -> 2, alpha CHANGED, inner 6 -> 6, "
+                                      "messages 60 -> 33, changed columns: alpha, messages")
+
+
 def _report(name, old, new):
     """One line comparing a fixture's recorded rows with a new run's."""
-    old_rows = list(csv.DictReader(io.StringIO(old)))
-    new_rows = list(csv.DictReader(io.StringIO(new)))
-    same_alpha = [r["alpha"] for r in old_rows] == [r["alpha"] for r in new_rows]
+    old_csv, new_csv = (csv.DictReader(io.StringIO(text)) for text in (old, new))
+    old_rows, new_rows = list(old_csv), list(new_csv)
+    columns = dict.fromkeys(old_csv.fieldnames + new_csv.fieldnames)
+    changed = [col for col in columns
+               if [r.get(col) for r in old_rows] != [r.get(col) for r in new_rows]]
     parts = [f"rows {len(old_rows)} -> {len(new_rows)}",
-             f"alpha {'unchanged' if same_alpha else 'CHANGED'}"]
+             f"alpha {'CHANGED' if 'alpha' in changed else 'unchanged'}"]
     for col, label in (("inner_iterations", "inner"), ("messages", "messages")):
         before, after = (sum(int(r[col]) for r in rows) for rows in (old_rows, new_rows))
         parts.append(f"{label} {before} -> {after}")
+    parts.append(f"changed columns: {', '.join(changed) or 'none'}")
     return f"{name}: " + ", ".join(parts)
 
 

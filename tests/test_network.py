@@ -218,6 +218,24 @@ def recomputing_flood(c, state, combine):
     return state[0]
 
 
+def news_flood(c, state, combine, identity):
+    """Reference flood over a masked transport: an agent puts its value on
+    its edges only when it differs from the last one it sent (the identity
+    before round 1), and a silent edge carries the identity. Returns agent
+    0's value and each agent's broadcasts."""
+    sched = RoundScheduler(c)
+    plan = sched.plan
+    last = np.full_like(state, identity)
+    broadcasts = np.zeros(c.n_agents, dtype=int)
+    for _ in range(sched.diameter):
+        news = state != last
+        broadcasts += news
+        last = np.where(news, state, last)
+        payload = np.where(news, state, identity)[plan.edge_src]
+        state = combine(state, combine.reduceat(payload, plan.recv_start))
+    return state[0], broadcasts
+
+
 FLOOD_COUPLINGS = {
     "chain": lambda: chain_coupling(6),
     "star": lambda: coupling_from_graph(6, [(0, i) for i in range(1, 6)]),
@@ -365,30 +383,112 @@ class TestShapes:
     @PROPERTY
     @given(c=shaped_coupling(), data=st.data())
     def test_per_agent_messages_are_rounds_times_degree(self, c, data):
-        # a mixed sequence of rounds, with mixed or uniform consensus starts
+        # a mixed sequence of rounds, with mixed or uniform consensus starts:
+        # a shared-component round costs every agent its degree, a consensus
+        # round at most that, exactly what the masked reference sends
         sched = RoundScheduler(c)
+        degree = np.array([len(ne) for ne in c.neighbors])
         rounds = dict.fromkeys((KIND_SHARED, KIND_FLAG, KIND_MIN), 0)
+        expected = {kind: 0 * degree for kind in rounds}
         for kind in data.draw(st.lists(st.sampled_from(sorted(rounds)), max_size=6)):
             if kind == KIND_SHARED:
                 exchange_shared_components(sched, np.ones(c.offsets[-1]))
                 rounds[kind] += 1
-            elif kind == KIND_FLAG:
-                all_agree(sched, per_agent(data, c, st.booleans()))
-                rounds[kind] += sched.diameter
-            else:
-                min_consensus(sched, per_agent(data, c, st.sampled_from([0.0, 1.0, -2.5])))
-                rounds[kind] += sched.diameter
-        degree = np.array([len(ne) for ne in c.neighbors])
+                expected[kind] += degree
+                continue
+            run, combine, identity, dtype = FLOODS[kind]
+            values = st.booleans() if kind == KIND_FLAG else st.sampled_from([0.0, 1.0, -2.5])
+            start = per_agent(data, c, values)
+            run(sched, start)
+            rounds[kind] += sched.diameter
+            _, broadcasts = news_flood(c, np.array(start, dtype=dtype), combine, identity)
+            expected[kind] += broadcasts * degree
         for kind, r in rounds.items():
+            assert (expected[kind] <= r * degree).all()
             if r:
-                np.testing.assert_array_equal(sched.sent_by_kind[kind], r * degree)
+                np.testing.assert_array_equal(sched.sent_by_kind[kind], expected[kind])
             else:
                 assert kind not in sched.sent_by_kind
-            assert sched.messages_of_kind(kind) == r * degree.sum()
-        total = sum(rounds.values())
-        assert sched.round_index == total
-        np.testing.assert_array_equal(sched.sent, total * degree)
-        assert sched.total_sent == sched.total_delivered == total * degree.sum()
+            assert sched.messages_of_kind(kind) == expected[kind].sum()
+        np.testing.assert_array_equal(expected[KIND_SHARED], rounds[KIND_SHARED] * degree)
+        total = sum(expected.values())
+        assert sched.round_index == sum(rounds.values())
+        np.testing.assert_array_equal(sched.sent, total)
+        assert sched.total_sent == sched.total_delivered == total.sum()
+
+
+# kind -> (operation, combine, identity, dtype of the agents' values)
+FLOODS = {KIND_FLAG: (all_agree, np.logical_and, True, bool),
+          KIND_MIN: (min_consensus, np.minimum, np.inf, float)}
+
+
+def flood_starts(kind, n):
+    """Mixed and uniform starts for ``n`` agents, and signed zeros for MIN."""
+    values = st.booleans() if kind == KIND_FLAG else FINITE
+    starts = [st.lists(values, min_size=n, max_size=n), values.map(lambda v: [v] * n)]
+    if kind == KIND_MIN:
+        starts.append(st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=n, max_size=n))
+    return st.one_of(starts)
+
+
+class TestNewsFlood:
+    """A flood relays a value only when it is news to the agent's neighbours."""
+
+    def test_all_true_and_sends_nothing(self):
+        c = grid(6, None)
+        sched = RoundScheduler(c)
+        assert all_agree(sched, [True] * c.n_agents) is True
+        assert sched.round_index == sched.diameter > 1
+        assert sched.total_sent == 0
+        assert not sched.sent_by_kind[KIND_FLAG].any()
+
+    def test_all_false_and_sends_one_message_per_directed_edge(self):
+        c = grid(6, None)
+        sched = RoundScheduler(c)
+        assert all_agree(sched, [False] * c.n_agents) is False
+        assert sched.round_index == sched.diameter > 1
+        np.testing.assert_array_equal(sched.sent_by_kind[KIND_FLAG], sched.plan.out_degree)
+        assert sched.total_sent == sched.plan.n_edges
+
+    def test_min_from_one_end_of_a_chain(self):
+        # agents 0..5 hold 0..5, so in each round every agent i > 0 whose
+        # value is not yet 0 takes i's left neighbour's: agent i speaks in
+        # round 1 and again in rounds 2..min(i + 1, 5), each time to its
+        # 1 or 2 neighbours
+        sched = RoundScheduler(chain_coupling(6))
+        assert min_consensus(sched, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]) == 0.0
+        assert sched.round_index == sched.diameter == 5
+        np.testing.assert_array_equal(sched.sent_by_kind[KIND_MIN], [1, 4, 6, 8, 10, 5])
+        # a flood of every value in every round sends 5 rounds x 10 edges
+        assert sched.total_sent == 34
+
+    def test_a_zero_changing_sign_is_not_news(self):
+        # np.minimum returns its second argument on a tie, so these zeros
+        # change sign in every round without changing value
+        c = chain_coupling(3)
+        sched = RoundScheduler(c)
+        got = min_consensus(sched, [0.0, -0.0, 0.0])
+        want = recomputing_flood(c, np.array([0.0, -0.0, 0.0]), np.minimum)
+        assert np.float64(got).tobytes() == want.tobytes()
+        np.testing.assert_array_equal(sched.sent_by_kind[KIND_MIN], [1, 2, 1])
+
+    @PROPERTY
+    @given(c=st.one_of(shaped_coupling(), st.integers(2, 9).map(chain_coupling)),
+           kind=st.sampled_from(sorted(FLOODS)), data=st.data())
+    def test_counts_of_a_masked_network_and_bits_of_a_recomputing_flood(self, c, kind, data):
+        run, combine, identity, dtype = FLOODS[kind]
+        start = np.array(data.draw(flood_starts(kind, c.n_agents)), dtype=dtype)
+        sched = RoundScheduler(c)
+        got = np.array(run(sched, start.tolist()), dtype=dtype)
+        want = recomputing_flood(c, start, combine)
+        assert got.tobytes() == want.tobytes()
+        reference, broadcasts = news_flood(c, start, combine, identity)
+        # the masked network reaches the same value; only a zero's sign may differ
+        assert reference == want
+        degree = np.array([len(ne) for ne in c.neighbors])
+        np.testing.assert_array_equal(sched.sent_by_kind[kind], broadcasts * degree)
+        assert sched.total_sent == (broadcasts * degree).sum()
+        assert sched.round_index == sched.diameter
 
 
 def spd_problem_on(c, rng):
