@@ -12,26 +12,38 @@ edge, edges listed receiver-major with senders ascending. A consensus round
 carries one scalar per edge; a shared-component round carries, edge by
 edge, the sender's values of the variables both parties own, read from
 the coupling's flat vector of local entries. A message to a non-neighbour
-therefore cannot be expressed. An agent that speaks in a round sends one
-message per out-edge; in a shared-component round every agent speaks.
+therefore cannot be expressed. Messages are credited to the directed edges
+that carry them; in a shared-component round every edge does, and a
+coupling without edges has nothing to exchange, so it takes no round.
 
-Consensus primitives (boolean AND, minimum) are realized by flooding,
-which is exact after diameter-many rounds on a connected graph. A flood
-relays only news: an agent speaks only when its value differs from the
-last one it sent (before round 1, the identity: True for AND, +inf for
-MIN), so a uniform start costs one message per directed edge, or none.
-Values are compared as numbers: ``np.minimum`` returns its second argument
-on a tie, so a zero may change sign without news. Both operations are
-idempotent, so a silent edge's value, already combined by its receiver,
-cannot change the receiver's value; the transport delivers every value
-anyway, so results are bit for bit those of a flood recombining every
-value each round (masking silent edges could change only a zero's sign).
-Once every agent holds the same bits, the remaining rounds are delivered,
-one ``deliver_round`` each, but nothing is recombined. On a disconnected
-graph with more than one agent the floods raise, since values cannot
-propagate between components, so a solver meets a disconnected problem at
-its first consensus. Fully decoupled single-agent problems are trivially
-connected. Rounds are counted by the scheduler alone.
+Consensus primitives (boolean AND, minimum) are realized by flooding over a
+connected graph. A MIN flood takes diameter rounds, after which it is exact,
+and relays only news: an agent speaks, on all its edges, only when its value
+differs from the last one it sent (before round 1, +inf), so a uniform start
+costs one message per directed edge. Values are compared as numbers:
+``np.minimum`` returns its second argument on a tie, so a zero may change
+sign without news. The minimum is idempotent, so a silent edge's value,
+already combined by its receiver, cannot change the receiver's value; the
+transport delivers every value anyway, so results are bit for bit those of
+a flood recombining every value each round (masking silent edges could
+change only a zero's sign). Once every agent holds the same bits, the
+remaining rounds are delivered, one ``deliver_round`` each, but nothing is
+recombined.
+
+An AND flood decides early (Dolev, Reischuk & Strong, J. ACM 1990): False
+absorbs, so an agent that holds False knows the outcome. It sends False
+once, in the round after it first holds it, on each edge to a neighbour
+that has not already sent it False; an agent that holds True stays silent,
+and no agent sends after round diameter, by which every agent holds the
+outcome. The flood ends after the last round in which an agent sends, so it
+takes at most diameter rounds, and exactly diameter silent ones when every
+agent starts True. Its result is the AND of the start flags, that of a flood
+run for diameter rounds.
+
+On a disconnected graph with more than one agent the floods raise, since
+values cannot propagate between components, so a solver meets a
+disconnected problem at its first consensus. Fully decoupled single-agent
+problems are trivially connected. Rounds are counted by the scheduler alone.
 
 Within a round, each agent's update is a pure function of its own state
 and the segments addressed to it; the round boundary is the only
@@ -158,14 +170,14 @@ class RoundScheduler:
         # round one entry per directed edge
         self._n_edges = self.plan.n_edges
         self._payload_lengths = {KIND_SHARED: len(self.plan.seg_global)}
-        # per kind: broadcasts every agent made, each agent's others, messages
+        # per kind: messages every directed edge carried, then each edge's further ones
         self._tallies = {}
 
     def deliver_round(self, payload, kind):
         """Deliver one synchronous round of ``kind`` laid out by ``self.plan``.
 
         Every directed edge carries its entry; the sending operation credits
-        the messages (``count_broadcasts``). Returns the delivered payload;
+        the messages (``count_messages``). Returns the delivered payload;
         raises, counting nothing, if its length does not match the plan.
         """
         expected = self._payload_lengths.get(kind, self._n_edges)
@@ -176,16 +188,21 @@ class RoundScheduler:
         self.round_index += 1
         return payload
 
-    def count_broadcasts(self, kind, agents):
-        """Credit broadcasts of ``kind``, one message per out-edge each:
-        ``agents`` is one count every agent made (an int), or one per agent."""
-        tally = self._tallies.setdefault(kind, [0, 0, 0])
-        if isinstance(agents, int):
-            tally[0] += agents
-            tally[2] += agents * self._n_edges
+    def count_messages(self, kind, used):
+        """Credit messages of ``kind`` to the directed edges that carried them:
+        ``used`` is one count every edge carried (an int), or one per edge."""
+        tally = self._tallies.get(kind)
+        if tally is None:
+            tally = self._tallies[kind] = [0, np.zeros(self._n_edges, dtype=np.intp)]
+        if isinstance(used, int):
+            tally[0] += used
         else:
-            tally[1] = tally[1] + agents
-            tally[2] += int(agents @ self.plan.out_degree)
+            tally[1] += used
+
+    def _edge_messages(self, kind):
+        """Messages of ``kind`` each directed edge carried."""
+        every, own = self._tallies.get(kind, (0, 0))
+        return np.full(self._n_edges, every, dtype=np.intp) + own
 
     @property
     def sent(self):
@@ -194,19 +211,21 @@ class RoundScheduler:
 
     @property
     def sent_by_kind(self):
-        """Messages sent by each agent, per kind that has had a round."""
-        return {kind: sum(self._tallies.get(kind, (0, 0))[:2]) * self.plan.out_degree
+        """Messages sent by each agent, per kind that has had a round: those
+        its out-edges carried (summed as floats, exact below 2**53)."""
+        return {kind: np.bincount(self.plan.edge_src, self._edge_messages(kind),
+                                  len(self.plan.out_degree)).astype(np.intp)
                 for kind in self.rounds_by_kind}
 
     @property
     def total_sent(self):
-        return sum(tally[2] for tally in self._tallies.values())
+        return sum(self.messages_of_kind(kind) for kind in self._tallies)
 
     # the transport is lossless: every message sent is delivered in its round
     total_delivered = total_sent
 
     def messages_of_kind(self, kind):
-        return self._tallies.get(kind, (0, 0, 0))[2]
+        return int(self._edge_messages(kind).sum())
 
 
 def exchange_shared_components(scheduler, flat):
@@ -223,59 +242,105 @@ def exchange_shared_components(scheduler, flat):
     plan = scheduler.plan
     if not isinstance(flat, np.ndarray) or flat.shape != plan.local_degrees.shape:
         raise StructureError("contributions must be one flat vector of local entries")
+    if not plan.n_edges:
+        # no variable has two owners: there is nothing to send, so no round
+        return flat.copy()
     received = scheduler.deliver_round(flat[plan.send_pos], KIND_SHARED)
-    scheduler.count_broadcasts(KIND_SHARED, 1)
+    scheduler.count_messages(KIND_SHARED, 1)
     terms = np.concatenate((flat, received))[plan.acc_order]
     averaged = np.bincount(plan.acc_slot, weights=terms, minlength=flat.size)
     averaged /= plan.local_degrees
     return averaged
 
 
-def _flood(scheduler, state, combine, identity, kind):
+def _require_connected(scheduler):
     if not scheduler.is_connected:
         raise DisconnectedNetworkError("coupling graph is disconnected; split the problem "
                                        "and solve the pieces")
+
+
+def all_agree(scheduler, flags):
+    """Logical AND of per-agent flags, by an early-deciding flood.
+
+    False absorbs under AND, so an agent that holds False knows the outcome:
+    it sends False once, in the round after it first holds it, to each
+    neighbour that has not already sent it False, and sends nothing after
+    round ``diameter``. An agent that holds True waits. The flood ends after
+    the last round in which an agent sends, so a False outcome takes at most
+    ``diameter`` rounds and an all-True start exactly ``diameter`` silent
+    ones. Every agent holds the returned decision when the flood ends.
+    """
+    state = np.asarray(flags, dtype=bool)
+    _require_connected(scheduler)
+    plan = scheduler.plan
+    held = state.tobytes()  # one byte per agent, 1 where it holds True
+    if 0 not in held or not scheduler.diameter:
+        # no agent holds False, or there is no other agent: a True agent
+        # waits out diameter silent rounds
+        payload = state[plan.edge_src]
+        for _ in range(scheduler.diameter):
+            scheduler.deliver_round(payload, KIND_FLAG)
+        return bool(state[0])
+    if 1 not in held:
+        # every agent holds False and tells every neighbour in round 1
+        scheduler.deliver_round(state[plan.edge_src], KIND_FLAG)
+        scheduler.count_messages(KIND_FLAG, 1)
+        return False
+    starts = [state]  # the agents' flags at the start of each round
+    received = scheduler.deliver_round(state[plan.edge_src], KIND_FLAG)
+    while len(starts) < scheduler.diameter:
+        before = state
+        state = before & np.logical_and.reduceat(received, plan.recv_start)
+        if 1 not in state.tobytes():
+            # every agent holds False; those that turned False in the last
+            # round still tell those of them that are neighbours
+            if 1 in (received & before[plan.edge_dst]).tobytes():
+                starts.append(state)
+                scheduler.deliver_round(state[plan.edge_src], KIND_FLAG)
+            break
+        starts.append(state)
+        received = scheduler.deliver_round(state[plan.edge_src], KIND_FLAG)
+    # an agent's level is the number of round starts at which it held True;
+    # it sends in round level + 1, if that is a round of the flood, on each
+    # edge to an agent of no lower level
+    rounds = len(starts)
+    level = np.add.reduce(np.array(starts))
+    src_level = level[plan.edge_src]
+    used = src_level <= level[plan.edge_dst]
+    if rounds == scheduler.diameter:
+        used &= src_level < rounds
+    scheduler.count_messages(KIND_FLAG, used)
+    return False
+
+
+def min_consensus(scheduler, values):
+    """Minimum of per-agent scalars, flooded over the coupling graph."""
+    state = np.array(values, dtype=float)
+    if not np.isfinite(state).all():
+        raise StructureError("consensus values must be finite")
+    _require_connected(scheduler)
     plan = scheduler.plan
     starts = []  # the agents' values at the start of each round, until they are uniform
     settled = False
     for _ in range(scheduler.diameter):
         if not settled:
-            # equal to the bit: a uniform state is a fixed point of combine
+            # equal to the bit: a uniform state is a fixed point of np.minimum
             settled = state.tobytes() == state[:1].tobytes() * state.size
             starts.append(state)
             payload = state[plan.edge_src]
-        received = scheduler.deliver_round(payload, kind)
+        received = scheduler.deliver_round(payload, KIND_MIN)
         if not settled:
-            state = combine(state, combine.reduceat(received, plan.recv_start))
+            state = np.minimum(state, np.minimum.reduceat(received, plan.recv_start))
     if starts:
-        scheduler.count_broadcasts(kind, _news(starts, identity, settled))
-    return state[0]
+        news = _news(starts, settled)
+        scheduler.count_messages(KIND_MIN, news if isinstance(news, int) else news[plan.edge_src])
+    return float(state[0])
 
 
-def _news(starts, identity, settled):
+def _news(starts, settled):
     """Each agent's broadcasts: the rounds at whose start its value differs
-    from the one at the round start before (before round 1, the identity)."""
+    from the one at the round start before (before round 1, +inf)."""
     if settled and len(starts) == 1:
-        return int(starts[0].item(0) != identity)
-    if starts[0].dtype == bool:
-        # a flag leaves the identity at most once, and then for good
-        return starts[-1] != identity
+        return int(starts[0].item(0) != np.inf)
     values = np.array(starts)
-    return (values[0] != identity) + (values[1:] != values[:-1]).sum(axis=0)
-
-
-def all_agree(scheduler, flags):
-    """Logical AND of per-agent flags, flooded over the coupling graph.
-
-    Every agent holds the returned decision after diameter-many rounds.
-    """
-    return bool(_flood(scheduler, np.array(flags, dtype=bool), np.logical_and, True,
-                       KIND_FLAG))
-
-
-def min_consensus(scheduler, values):
-    """Minimum of per-agent scalars, flooded over the coupling graph."""
-    values = np.array(values, dtype=float)
-    if not np.isfinite(values).all():
-        raise StructureError("consensus values must be finite")
-    return float(_flood(scheduler, values, np.minimum, np.inf, KIND_MIN))
+    return (values[0] != np.inf) + (values[1:] != values[:-1]).sum(axis=0)

@@ -162,6 +162,7 @@ def test_criterion_4_communication_structure():
     prob = LooselyCoupledProblem(n=2, blocks=(blk,))
     result, scheduler = solve_newton(prob, np.zeros(2), SolverConfig())
     assert scheduler.total_sent == 0
+    assert scheduler.round_index == 0
 
     decoupled = LooselyCoupledProblem(
         n=2,
@@ -171,7 +172,7 @@ def test_criterion_4_communication_structure():
     coupling = build_coupling(decoupled)
     sched = RoundScheduler(coupling)
     out = exchange_shared_components(sched, np.array([1.0, 2.0]))
-    assert sched.total_sent == 0
+    assert sched.total_sent == 0 and sched.round_index == 0
     assert out[0] == 1.0 and out[1] == 2.0
     print("\nCRITERION 4 communication structure: PASS "
           "(per-iteration sends = |Ne(i)|, decoupled runs send nothing)")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import dipm.barrier
+import dipm.direction
 import dipm.linalg
 import dipm.newton
 from dipm import cli
@@ -39,7 +40,7 @@ from dipm.errors import (
     StructureError,
 )
 from dipm.generator import random_qp
-from dipm.network import KIND_FLAG, KIND_MIN, KIND_SHARED, RoundScheduler
+from dipm.network import KIND_FLAG, KIND_MIN, KIND_SHARED, RoundScheduler, all_agree
 from dipm.newton import newton_solve, solve_newton
 from dipm.problem import (
     AgentBlock,
@@ -49,6 +50,7 @@ from dipm.problem import (
     build_coupling,
     scatter,
 )
+from test_network import deciding_flood
 
 
 def write_doc(path, doc):
@@ -278,11 +280,20 @@ class TestRun:
         assert summary["stages"] == len({r["stage"] for r in rows}) > 1
         assert summary["e_c_bound"] == float(rows[-1]["e_c_bound"])
 
-    def test_summary_counts_rounds_and_messages_by_kind(self, tmp_path):
+    def test_summary_counts_rounds_and_messages_by_kind(self, tmp_path, monkeypatch):
         problem, x0 = random_qp(4, n_agents=3, block_size=3, overlap=1, n_ineq=1)
         path = tmp_path / "p.json"
         path.write_text(emit_problem(problem, x0, SolverConfig()))
         summary = run("ipm", str(path), tmp_path / "out")
+        # the same solve again, with every AND's flags noted for the reference
+        agreements = []
+
+        def noting(scheduler, flags):
+            agreements.append(list(flags))
+            return all_agree(scheduler, flags)
+
+        for module in (dipm.direction, dipm.newton):
+            monkeypatch.setattr(module, "all_agree", noting)
         _, scheduler = solve_ipm(problem, x0, SolverConfig())
         kinds = {KIND_SHARED, KIND_FLAG, KIND_MIN}
         assert summary["rounds"] == scheduler.rounds_by_kind and set(summary["rounds"]) == kinds
@@ -291,10 +302,14 @@ class TestRun:
         assert summary["messages_total"] == sum(summary["messages"].values())
         with open(tmp_path / "out" / "trace.csv", newline="") as fh:
             assert summary["messages_total"] == sum(int(r["messages"]) for r in csv.DictReader(fh))
-        # every consensus takes diameter rounds; a flag round relays only
-        # news, while a shared-component round uses every directed edge
-        for kind in (KIND_FLAG, KIND_MIN):
-            assert summary["rounds"][kind] % scheduler.diameter == 0
+        # a MIN takes diameter rounds; an AND ends once every agent holds the
+        # outcome, and sends only False, each agent once to the neighbours
+        # that have not told it, while a shared-component round uses every
+        # directed edge
+        assert summary["rounds"][KIND_MIN] % scheduler.diameter == 0
+        references = [deciding_flood(scheduler.coupling, flags) for flags in agreements]
+        assert summary["rounds"][KIND_FLAG] == sum(rounds for _, _, rounds in references)
+        assert summary["messages"][KIND_FLAG] == sum(m.sum() for _, m, _ in references)
         per_round = {kind: summary["messages"][kind] / summary["rounds"][kind] for kind in kinds}
         assert per_round[KIND_SHARED] == scheduler.plan.n_edges
         assert per_round[KIND_FLAG] < per_round[KIND_SHARED]

@@ -13,6 +13,7 @@ from scipy.sparse.csgraph import shortest_path
 from dipm.config import SolverConfig
 from dipm.direction import DirectionWorkspace, compute_direction
 from dipm.errors import DisconnectedNetworkError, StructureError
+from dipm.generator import random_qp
 from dipm.network import (
     KIND_FLAG,
     KIND_MIN,
@@ -64,6 +65,8 @@ class TestExchange:
         contributions = np.array([5.0, -3.0])
         out = exchange_shared_components(sched, contributions)
         assert sched.total_sent == 0
+        # no edge, nothing to send: no round either, as in a flood
+        assert sched.round_index == 0 and sched.rounds_by_kind == {}
         np.testing.assert_array_equal(out[0], contributions[0])
         np.testing.assert_array_equal(out[1], contributions[1])
 
@@ -171,6 +174,7 @@ class TestConsensus:
         c = coupling_for([(0, 1, 2)], 3)
         sched = RoundScheduler(c)
         assert all_agree(sched, [True]) is True
+        assert all_agree(sched, [False]) is False
         assert sched.round_index == 0
         assert sched.total_sent == 0
 
@@ -236,6 +240,37 @@ def news_flood(c, state, combine, identity):
     return state[0], broadcasts
 
 
+def deciding_flood(c, flags):
+    """Reference early-deciding AND over a masked transport, simulated round
+    by round from each agent's knowledge: an agent that holds False sends it
+    once, in the round after the one in which it first holds it (round 1 if
+    it starts False), on each edge whose receiver has not sent it False, and
+    never after round ``diameter``; a silent edge carries True. Returns the
+    result, each agent's messages and the rounds: up to the last one in
+    which an agent sent, or ``diameter`` if none did."""
+    sched = RoundScheduler(c)
+    plan = sched.plan
+    edges = list(zip(plan.edge_src.tolist(), plan.edge_dst.tolist()))
+    reverse = np.array([edges.index((d, s)) for s, d in edges], dtype=int)
+    holds = np.array(flags, dtype=bool)
+    # the round after which an agent first holds False: 0 if it starts
+    # False, -1 while it holds True
+    level = np.where(holds, -1, 0)
+    told = np.zeros(plan.n_edges, dtype=bool)  # edge e has carried False
+    messages = np.zeros(c.n_agents, dtype=int)
+    last = 0
+    for r in range(1, sched.diameter + 1):
+        send = (level[plan.edge_src] == r - 1) & ~told[reverse]
+        messages += np.bincount(plan.edge_src[send], minlength=c.n_agents)
+        last = r if send.any() else last
+        told |= send
+        heard = np.logical_and.reduceat(~send, plan.recv_start)
+        level = np.where(holds & ~heard, r, level)
+        holds &= heard
+    assert (holds == holds[0]).all()
+    return holds[0], messages, last or sched.diameter
+
+
 FLOOD_COUPLINGS = {
     "chain": lambda: chain_coupling(6),
     "star": lambda: coupling_from_graph(6, [(0, i) for i in range(1, 6)]),
@@ -244,8 +279,9 @@ FLOOD_COUPLINGS = {
 
 
 class TestUniformFlood:
-    # a uniform state is a fixed point, so the flood stops recombining once
-    # every agent holds the same bits, but still delivers diameter rounds
+    # a uniform state is a fixed point, so a MIN flood stops recombining once
+    # every agent holds the same bits, but still delivers diameter rounds; an
+    # AND flood delivers the rounds of the early-deciding reference
     @pytest.mark.parametrize("shape", sorted(FLOOD_COUPLINGS))
     def test_rounds_and_results_match_a_recomputing_flood(self, shape):
         c = FLOOD_COUPLINGS[shape]()
@@ -258,18 +294,21 @@ class TestUniformFlood:
                         rng.standard_normal(n), rng.integers(0, 2, n)]
         sched = CountingScheduler(c)
         assert sched.diameter > 1
+        rounds = 0
         for flags in flag_starts:
             before = sched.calls
             want = recomputing_flood(c, np.array(flags, dtype=bool), np.logical_and)
             assert all_agree(sched, flags) is bool(want)
-            assert sched.calls - before == sched.diameter
+            flag_rounds = deciding_flood(c, flags)[2]
+            assert sched.calls - before == flag_rounds
+            rounds += flag_rounds
         for values in value_starts:
             before = sched.calls
             want = recomputing_flood(c, np.array(values, dtype=float), np.minimum)
             got = min_consensus(sched, values)
             assert np.float64(got).tobytes() == want.tobytes()
             assert sched.calls - before == sched.diameter
-        rounds = sched.diameter * (len(flag_starts) + len(value_starts))
+        rounds += sched.diameter * len(value_starts)
         assert sched.calls == sched.round_index == rounds
 
 
@@ -376,16 +415,17 @@ class TestShapes:
         flags = per_agent(data, c, st.booleans())
         values = per_agent(data, c, FINITE)
         assert all_agree(sched, flags) == all(flags)
-        assert sched.round_index == sched.diameter
+        flag_rounds = deciding_flood(c, flags)[2]
+        assert sched.round_index == flag_rounds
         assert min_consensus(sched, values) == min(values)
-        assert sched.round_index == 2 * sched.diameter
+        assert sched.round_index == flag_rounds + sched.diameter
 
     @PROPERTY
     @given(c=shaped_coupling(), data=st.data())
     def test_per_agent_messages_are_rounds_times_degree(self, c, data):
         # a mixed sequence of rounds, with mixed or uniform consensus starts:
         # a shared-component round costs every agent its degree, a consensus
-        # round at most that, exactly what the masked reference sends
+        # round at most that, exactly what the masked references send
         sched = RoundScheduler(c)
         degree = np.array([len(ne) for ne in c.neighbors])
         rounds = dict.fromkeys((KIND_SHARED, KIND_FLAG, KIND_MIN), 0)
@@ -400,6 +440,11 @@ class TestShapes:
             values = st.booleans() if kind == KIND_FLAG else st.sampled_from([0.0, 1.0, -2.5])
             start = per_agent(data, c, values)
             run(sched, start)
+            if kind == KIND_FLAG:
+                _, messages, flag_rounds = deciding_flood(c, start)
+                rounds[kind] += flag_rounds
+                expected[kind] += messages
+                continue
             rounds[kind] += sched.diameter
             _, broadcasts = news_flood(c, np.array(start, dtype=dtype), combine, identity)
             expected[kind] += broadcasts * degree
@@ -443,11 +488,15 @@ class TestNewsFlood:
         assert not sched.sent_by_kind[KIND_FLAG].any()
 
     def test_all_false_and_sends_one_message_per_directed_edge(self):
+        # every agent knows the outcome at once and tells every neighbour in
+        # round 1, so the flood ends there
         c = grid(6, None)
         sched = RoundScheduler(c)
         assert all_agree(sched, [False] * c.n_agents) is False
-        assert sched.round_index == sched.diameter > 1
-        np.testing.assert_array_equal(sched.sent_by_kind[KIND_FLAG], sched.plan.out_degree)
+        _, messages, rounds = deciding_flood(c, [False] * c.n_agents)
+        assert sched.round_index == rounds == 1 < sched.diameter
+        np.testing.assert_array_equal(sched.sent_by_kind[KIND_FLAG], messages)
+        np.testing.assert_array_equal(messages, sched.plan.out_degree)
         assert sched.total_sent == sched.plan.n_edges
 
     def test_min_from_one_end_of_a_chain(self):
@@ -482,13 +531,85 @@ class TestNewsFlood:
         got = np.array(run(sched, start.tolist()), dtype=dtype)
         want = recomputing_flood(c, start, combine)
         assert got.tobytes() == want.tobytes()
-        reference, broadcasts = news_flood(c, start, combine, identity)
+        if kind == KIND_FLAG:
+            reference, messages, rounds = deciding_flood(c, start)
+        else:
+            reference, broadcasts = news_flood(c, start, combine, identity)
+            messages = broadcasts * np.array([len(ne) for ne in c.neighbors])
+            rounds = sched.diameter
         # the masked network reaches the same value; only a zero's sign may differ
         assert reference == want
-        degree = np.array([len(ne) for ne in c.neighbors])
-        np.testing.assert_array_equal(sched.sent_by_kind[kind], broadcasts * degree)
-        assert sched.total_sent == (broadcasts * degree).sum()
-        assert sched.round_index == sched.diameter
+        np.testing.assert_array_equal(sched.sent_by_kind[kind], messages)
+        assert sched.total_sent == messages.sum()
+        assert sched.round_index == rounds
+
+
+CHAIN_EDGES = [(i, i + 1) for i in range(5)]
+
+
+class TestDecidingFlood:
+    """An AND flood ends once every agent holds the outcome."""
+
+    @pytest.mark.parametrize("n, edges, flags, messages, rounds", [
+        # a chain: agent i first holds False after round i and tells agent
+        # i + 1 in round i + 1; agent 5 would speak in round 6, after the diameter
+        (6, CHAIN_EDGES, [False] + [True] * 5, [1, 1, 1, 1, 1, 0], 5),
+        # the two fronts meet at agents 2 and 3, which turn False in the same
+        # round and tell each other in round 3
+        (6, CHAIN_EDGES, [False, True, True, True, True, False], [1] * 6, 3),
+        (6, CHAIN_EDGES, [True] * 6, [0] * 6, 5),
+        # on odd cycles two neighbours turn False after round diameter and
+        # stay silent
+        (3, [(0, 1), (1, 2), (0, 2)], [False, True, True], [2, 0, 0], 1),
+        (5, [(i, (i + 1) % 5) for i in range(5)], [False] + [True] * 4, [2, 1, 0, 0, 1], 2),
+    ], ids=["chain-one-end", "chain-both-ends", "chain-all-true", "triangle", "five-cycle"])
+    def test_by_hand(self, n, edges, flags, messages, rounds):
+        c = coupling_from_graph(n, edges)
+        sched = RoundScheduler(c)
+        assert all_agree(sched, flags) is all(flags)
+        np.testing.assert_array_equal(sched.sent_by_kind[KIND_FLAG], messages)
+        assert sched.round_index == rounds
+        result, want_messages, want_rounds = deciding_flood(c, flags)
+        assert result == all(flags) and want_rounds == rounds
+        np.testing.assert_array_equal(want_messages, messages)
+
+    @PROPERTY
+    @given(c=st.one_of(shaped_coupling(), st.integers(2, 9).map(chain_coupling)),
+           data=st.data())
+    def test_bits_messages_and_rounds_of_the_masked_reference(self, c, data):
+        flags = np.array(data.draw(flood_starts(KIND_FLAG, c.n_agents)), dtype=bool)
+        sched = RoundScheduler(c)
+        got = np.array(all_agree(sched, flags.tolist()))
+        want = recomputing_flood(c, flags, np.logical_and)
+        assert got.tobytes() == want.tobytes()
+        result, messages, rounds = deciding_flood(c, flags)
+        assert result == want
+        np.testing.assert_array_equal(sched.sent_by_kind[KIND_FLAG], messages)
+        assert sched.messages_of_kind(KIND_FLAG) == sched.total_sent == messages.sum()
+        assert sched.round_index == sched.rounds_by_kind[KIND_FLAG] == rounds <= sched.diameter
+        # never more than a flood that relays each agent's news on every edge
+        _, broadcasts = news_flood(c, flags, np.logical_and, True)
+        assert (messages <= broadcasts * sched.plan.out_degree).all()
+
+
+# n_agents -> (rounds by kind, messages, outer iterations, inner iterations)
+# of ``random_qp(0, n_agents, 3, overlap=1, n_eq=1)``: no golden trace
+# records rounds, so a change of protocol would otherwise move them unseen
+PINNED_CHAINS = {
+    5: ({KIND_SHARED: 51, KIND_FLAG: 72, KIND_MIN: 4}, 791, 2, 51),
+    16: ({KIND_SHARED: 89, KIND_FLAG: 585, KIND_MIN: 135}, 5441, 10, 89),
+    50: ({KIND_SHARED: 961, KIND_FLAG: 18179, KIND_MIN: 1862}, 167163, 39, 961),
+}
+
+
+@pytest.mark.parametrize("n_agents", sorted(PINNED_CHAINS))
+def test_rounds_and_messages_of_a_chain_solve_are_pinned(n_agents):
+    problem, x0 = random_qp(0, n_agents, 3, overlap=1, n_eq=1)
+    result, sched = solve_newton(problem, x0, SolverConfig())
+    counts = (sched.rounds_by_kind, sched.total_sent, len(result.rows),
+              sum(row.inner_iterations for row in result.rows))
+    assert counts == PINNED_CHAINS[n_agents]
+    assert sched.round_index == sum(sched.rounds_by_kind.values())
 
 
 def spd_problem_on(c, rng):
