@@ -16,7 +16,11 @@ every step size is unchanged, the inner-iteration and message totals,
 old -> new, and every column in which any value changed.
 
 The ``_cold`` fixtures run with ``warm_start=False``, so they pin the
-splitting iteration's cold start as well.
+splitting iteration's cold start as well. The ``mixed_`` fixtures pin what
+the two benchmark workloads do not reach: a coupling graph with cycles,
+local sizes 2 to 4, quadratic and softplus objectives side by side in one
+group of agents, equality rows on some agents, and inequalities in
+differing numbers.
 """
 
 import csv
@@ -24,9 +28,19 @@ import io
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dipm import SolverConfig, random_qp, solve_ipm, solve_newton
+from dipm import (
+    AgentBlock,
+    LooselyCoupledProblem,
+    QuadraticFunction,
+    SoftplusRidge,
+    SolverConfig,
+    random_qp,
+    solve_ipm,
+    solve_newton,
+)
 from dipm.trace import rows_to_csv
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -60,6 +74,64 @@ def _three_owner_ipm(seed, warm_start=True):
     return result.rows
 
 
+# index sets of a coupling graph with cycles; agents 0, 1, 5 have three
+# entries, 2 and 4 two, 3 four
+MIXED_INDEX_SETS = ((0, 1, 2), (2, 3, 4), (0, 5), (1, 4, 6, 7), (5, 8), (3, 7, 8))
+
+
+def _spd(rng, d):
+    X = rng.standard_normal((d, d))
+    return X @ X.T + 0.5 * np.eye(d)
+
+
+def _mixed_newton(seed):
+    """Softplus agents 1, 3, 4 beside quadratic ones; equality rows on agents 0, 1, 3, 5."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(9)
+    blocks = []
+    for i, idx in enumerate(MIXED_INDEX_SETS):
+        d = len(idx)
+        if i in (1, 3, 4):
+            f = SoftplusRidge(d, ridge=0.5, linear=rng.standard_normal(d))
+        else:
+            f = QuadraticFunction(_spd(rng, d), rng.standard_normal(d), 0.1)
+        A = b = None
+        if i in (0, 1, 3, 5):
+            A = rng.standard_normal((1, d))
+            b = A @ x0[list(idx)]
+        blocks.append(AgentBlock(index_set=idx, objective=f, A_eq=A, b_eq=b))
+    result, _ = solve_newton(LooselyCoupledProblem(n=9, blocks=tuple(blocks)), x0,
+                             SolverConfig())
+    return result.rows
+
+
+def _mixed_ipm(seed):
+    """Agent i has i % 3 inequalities (halfspaces, then a ball); agent 4 is softplus."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(9)
+    blocks = []
+    for i, idx in enumerate(MIXED_INDEX_SETS):
+        d, s0 = len(idx), x0[list(idx)]
+        if i == 4:
+            f = SoftplusRidge(d, ridge=1.0, linear=rng.standard_normal(d))
+        else:
+            f = QuadraticFunction(_spd(rng, d), rng.standard_normal(d))
+        ineqs = []
+        for c in range(i % 3):
+            if c == 0:
+                a = rng.standard_normal(d)
+                ineqs.append(QuadraticFunction(np.zeros((d, d)), a,
+                                               -(a @ s0) - rng.uniform(0.2, 1.0)))
+            else:
+                center = s0 + rng.uniform(-0.3, 0.3, size=d)
+                ineqs.append(QuadraticFunction(np.eye(d), -center,
+                                               0.5 * float(center @ center) - 0.5 * 2.0**2))
+        blocks.append(AgentBlock(index_set=idx, objective=f, inequality=tuple(ineqs)))
+    result, _ = solve_ipm(LooselyCoupledProblem(n=9, blocks=tuple(blocks)), x0,
+                          SolverConfig(eps_p=1e-6))
+    return result.rows
+
+
 # fixture name -> (solve returning trace rows, seed)
 RUNS = {
     **{f"chain_long_seed{s}.trace.csv": (_chain_long, s) for s in range(2)},
@@ -69,6 +141,8 @@ RUNS = {
     "chain_long_seed0_cold.trace.csv": (partial(_chain_long, warm_start=False), 0),
     "ipm_family_seed1_cold.trace.csv": (partial(_ipm_family, warm_start=False), 1),
     "three_owner_ipm_seed0_cold.trace.csv": (partial(_three_owner_ipm, warm_start=False), 0),
+    "mixed_newton_seed0.trace.csv": (_mixed_newton, 0),
+    "mixed_ipm_seed0.trace.csv": (_mixed_ipm, 0),
 }
 
 
