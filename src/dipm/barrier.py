@@ -44,7 +44,7 @@ from .config import SolverConfig
 from .errors import BarrierDomainError, StructureError
 from .network import RoundScheduler
 from .newton import Stage, newton_solve
-from .problem import build_coupling, scatter
+from .problem import build_coupling, group_blocks, scatter
 
 # floor for the stage-scaled inner tolerances: squared-norm residuals of
 # double-precision iterates at unit scale bottom out around 1e-31, and the
@@ -53,7 +53,16 @@ EPS_STAGE_FLOOR = 1e-28
 
 
 class BarrierFunction:
-    """Barrier-transformed stage objective of one block at parameter t."""
+    """Barrier-transformed stage objective of one block at parameter t.
+
+    The same class is the stacked form of a group's transforms: its
+    ``objective`` and each of its ``inequality`` pieces are then stacked
+    functions (``problem.stack_functions``), ``agent`` holds the members'
+    indices, and every argument is a stack of points (..., g, d), one per
+    member along its second-to-last axis. The arithmetic per member is that
+    of its own transform, bit for bit, and a point outside the domain names
+    the lowest failing member's agent, then its lowest failing constraint.
+    """
 
     def __init__(self, objective, inequality, t, agent=None):
         if t <= 0:
@@ -63,18 +72,30 @@ class BarrierFunction:
         self.t = float(t)
         self.agent = agent
 
+    def take(self, rows):
+        """The stacked transform of the members ``rows``, in that order."""
+        return BarrierFunction(self.objective.take(rows),
+                               [g.take(rows) for g in self.inequality], self.t,
+                               agent=self.agent[rows])
+
     def _constraint_values(self, s):
-        vals = []
-        for c, g in enumerate(self.inequality):
-            val = g.value(s)
-            if val >= 0.0:
-                raise BarrierDomainError(
-                    f"constraint {c} of agent {self.agent} is not strictly satisfied "
-                    f"(value {val:.6e})",
-                    agent=self.agent,
-                    constraint=c,
-                )
-            vals.append(val)
+        vals = [g.value(s) for g in self.inequality]
+        outside = np.array(vals) >= 0.0
+        if outside.any():
+            # constraint, point, member: the lowest failing member (the last
+            # axis of a stack), then its lowest failing constraint
+            members = 1 if np.ndim(s) == 1 else np.shape(s)[-2]
+            outside = outside.reshape(len(vals), -1, members)
+            k = int(np.argmax(outside.any(axis=(0, 1))))
+            c = int(np.argmax(outside[:, :, k].any(axis=1)))
+            at = np.asarray(vals[c]).reshape(-1, members)[:, k]
+            agent = self.agent if np.ndim(s) == 1 else self.agent[k]
+            raise BarrierDomainError(
+                f"constraint {c} of agent {agent} is not strictly satisfied "
+                f"(value {at[np.argmax(at >= 0.0)]:.6e})",
+                agent=agent,
+                constraint=c,
+            )
         return vals
 
     def value(self, s):
@@ -85,7 +106,7 @@ class BarrierFunction:
         vals = self._constraint_values(s)
         out = self.t * self.objective.gradient(s)
         for g, val in zip(self.inequality, vals):
-            out = out + (-1.0 / val) * g.gradient(s)
+            out = out + (-1.0 / np.asarray(val))[..., None] * g.gradient(s)
         return out
 
     def hessian(self, s):
@@ -93,7 +114,8 @@ class BarrierFunction:
         out = self.t * self.objective.hessian(s)
         for g, val in zip(self.inequality, vals):
             gg = g.gradient(s)
-            out = out + np.outer(gg, gg) / (val * val) - g.hessian(s) / val
+            val = np.asarray(val)[..., None, None]
+            out = out + gg[..., :, None] * gg[..., None, :] / (val * val) - g.hessian(s) / val
         return out
 
 
@@ -104,12 +126,21 @@ def barrier_calculus(block, t, point):
     return fn.value(point), fn.gradient(point), fn.hessian(point)
 
 
-def barrier_stage(problem, t):
-    """The stage minimizing every block's barrier transform at parameter t."""
-    return Stage(problem.blocks, tuple(
-        BarrierFunction(blk.objective, blk.inequality, t, agent=i)
-        for i, blk in enumerate(problem.blocks)
-    ), t)
+def barrier_stage(problem, t, groups=None):
+    """The stage minimizing every block's barrier transform at parameter t.
+
+    ``groups`` are the problem's ``BlockGroup``s (``group_blocks``), built
+    when omitted; each group's transforms are one stacked
+    ``BarrierFunction`` over the group's stacked objectives and constraints.
+    """
+    groups = group_blocks(problem.blocks) if groups is None else groups
+    objectives = tuple(BarrierFunction(blk.objective, blk.inequality, t, agent=i)
+                       for i, blk in enumerate(problem.blocks))
+    stacked = tuple(
+        grp._replace(objective=BarrierFunction(grp.f, grp.inequality, t, agent=grp.members))
+        for grp in groups
+    )
+    return Stage(problem.blocks, objectives, t, stacked)
 
 
 def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
@@ -132,6 +163,7 @@ def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
     """
     result = None
     t = config.t0
+    groups = group_blocks(problem.blocks)
     while True:
         scale = max(1.0, t) * max(1.0, t)
         if scale == np.inf:
@@ -143,7 +175,7 @@ def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
             eps_dual=max(config.eps_dual / scale, EPS_STAGE_FLOOR),
         )
         result = newton_solve(
-            barrier_stage(problem, t),
+            barrier_stage(problem, t, groups),
             s0_slices if result is None else result.s_slices,
             stage_config, coupling, scheduler, rows=rows, earlier=result,
         )

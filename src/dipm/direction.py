@@ -17,12 +17,13 @@ curvature matrix is constant across inner iterations, so each agent
 factors exactly once per direction computation no matter how many
 iterations are needed.
 
-The simulation runs the agents' local work group by group: agents with
-the same local size and the same number of equality rows form an
-``AgentGroup``, factored by one stacked ``linalg`` call and solved by one
-prox call per inner iteration. Each agent's arithmetic in the stack is
-what it would be alone, bit for bit, so the grouping changes no iterate,
-count or trace byte. The iterates and the duals are flat vectors of all
+The simulation runs the agents' local work group by group: the agents of
+one stage group (``Stage.groups``: one local size, one number of equality
+rows, one number of inequalities) form an ``AgentGroup``, whose calculus
+is one stacked call, factored by one stacked ``linalg`` call and solved
+by one prox call per inner iteration. Each agent's arithmetic in the
+stack is what it would be alone, bit for bit, so the grouping changes no
+iterate, count or trace byte. The iterates and the duals are flat vectors of all
 local entries in the coupling's layout (``CouplingStructure.flat_index``,
 agents in ascending order), which the exchange averages as they are.
 
@@ -43,7 +44,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import FactorizationError, NonFiniteError, RankError, StructureError
+from .errors import (
+    BarrierDomainError,
+    FactorizationError,
+    NonFiniteError,
+    RankError,
+    StructureError,
+)
 from .network import all_agree, exchange_shared_components
 # gather_average stays importable from here: perfbench/tracing.py wraps it
 # at this lookup site
@@ -52,19 +59,21 @@ from .problem import gather_average, scatter
 
 @dataclass
 class AgentGroup:
-    """The agents of one local size and one number of equality rows, stacked.
+    """A stage group's agents at one linearization point, stacked.
 
     ``members`` lists their indices in ascending order; row k of every
     stack belongs to agent ``members[k]``. ``pos`` holds the positions of
     each member's entries in the coupling's flat vector of local entries,
-    ``grad`` and ``A_eq`` their gradients and equality matrices (``A_eq``
-    is None for agents without equality rows), and ``factor`` one stacked
-    handle with all their factorizations.
+    ``grad`` and ``hessian`` the gradients and Hessians of their stage
+    objectives, ``A_eq`` their equality matrices (None for agents without
+    equality rows), and ``factor`` one stacked handle with all their
+    factorizations.
     """
 
     members: np.ndarray
     pos: np.ndarray
     grad: np.ndarray
+    hessian: np.ndarray
     factor: object = field(repr=False)
     A_eq: np.ndarray = None
 
@@ -76,66 +85,107 @@ def _blame(exc, agent):
     return exc
 
 
-class DirectionWorkspace:
-    """Per-agent ``grads``, ``hessians`` and cached factorizations at one linearization point.
+def _by_agent(groups):
+    """(agent, group index, row) of every member of ``groups``, agents ascending."""
+    return sorted((int(i), j, k)
+                  for j, grp in enumerate(groups) for k, i in enumerate(grp.members))
 
-    Building the workspace performs the N factorizations with penalty
-    ``config.rho``, one ``linalg.factor_spd`` or ``linalg.factor_kkt``
-    call per ``AgentGroup`` (agents of one local size and one number of
-    equality rows); they stay valid for the lifetime of the workspace,
-    which is tied to the linearization point it was built from. When a
-    group fails to factor, the agents are factored again one at a time, in
-    ascending order, so the error names the lowest-numbered failing agent
-    as a loop over the agents would; a non-finite gradient or Hessian
+
+def _stage_calculus(groups, points):
+    """Gradient and Hessian stacks of the stage objective of every group at the flat ``points``.
+
+    A point outside a stage objective's domain raises for the lowest such
+    agent unless a lower agent's gradient or Hessian is not finite, as a
+    loop over the agents would: the agents are then evaluated one at a
+    time, as stacks of one in ascending order, up to the first non-finite
+    one, and each group's stacks hold its members evaluated so far.
+    """
+    calculus = []
+    try:
+        for grp in groups:
+            x = points[grp.pos]
+            calculus.append((grp.objective.gradient(x), grp.objective.hessian(x)))
+        return calculus
+    except BarrierDomainError:
+        pass
+    rows = [([], []) for _ in groups]
+    for _, j, k in _by_agent(groups):
+        one, x = groups[j].objective.take([k]), points[groups[j].pos[k]][None]
+        g, H = one.gradient(x), one.hessian(x)
+        rows[j][0].append(g)
+        rows[j][1].append(H)
+        if not (np.isfinite(g).all() and np.isfinite(H).all()):
+            break
+    return [(np.concatenate(gs), np.concatenate(Hs)) if gs else None for gs, Hs in rows]
+
+
+def _first_nonfinite(groups, calculus):
+    """A ``NonFiniteError`` for the lowest agent whose gradient or Hessian is not finite."""
+    found = []
+    for grp, c in zip(groups, calculus):
+        if c is None or (np.isfinite(c[0]).all() and np.isfinite(c[1]).all()):
+            continue
+        bad_g = ~np.isfinite(c[0]).all(axis=1)
+        k = int(np.argmax(bad_g | ~np.isfinite(c[1]).all(axis=(1, 2))))
+        found.append(NonFiniteError(int(grp.members[k]), "gradient" if bad_g[k] else "Hessian"))
+    return min(found, key=lambda exc: exc.agent, default=None)
+
+
+class DirectionWorkspace:
+    """Stacked gradients, Hessians and cached factorizations at one linearization point.
+
+    ``groups`` holds one ``AgentGroup`` per group of the stage
+    (``Stage.groups``: agents of one local size, one number of equality
+    rows and one number of inequalities), in the stage's order. Building
+    the workspace evaluates each group's stage objective once, as a stack,
+    at the flat vector ``points`` of all local entries (the coupling's
+    layout), and performs the N factorizations with penalty ``config.rho``,
+    one ``linalg.factor_spd`` or ``linalg.factor_kkt`` call per group; they
+    stay valid for the lifetime of the workspace, which is tied to the
+    linearization point it was built from. When a group fails to factor,
+    the agents are factored again one at a time, in ascending order, so the
+    error names the lowest-numbered failing agent as a loop over the agents
+    would; a non-finite gradient (reported before a non-finite Hessian)
     likewise comes after the failures of the agents before it.
     """
 
     def __init__(self, stage, points, coupling, config):
         self.coupling = coupling
         self.config = config
-        self.grads = []
-        self.hessians = []
-        nonfinite = None
-        for i, (h, s) in enumerate(zip(stage.objectives, points)):
-            g = h.gradient(s)
-            H = h.hessian(s)
-            bad = [q for q, arr in (("gradient", g), ("Hessian", H)) if not np.isfinite(arr).all()]
-            if bad:
-                nonfinite = NonFiniteError(i, bad[0])
-                break
-            self.grads.append(g)
-            self.hessians.append(H)
-
-        members = {}
-        for i, blk in enumerate(stage.blocks[:len(self.grads)]):
-            key = (blk.dim, None if blk.A_eq is None else len(blk.A_eq))
-            members.setdefault(key, []).append(i)
+        if not (isinstance(points, np.ndarray) and points.shape == coupling.flat_index.shape):
+            raise StructureError("points must be one flat vector of the agents' local entries")
+        calculus = _stage_calculus(stage.groups, points)
+        nonfinite = _first_nonfinite(stage.groups, calculus)
+        # only the agents below a non-finite one are factored
+        cut = coupling.n_agents if nonfinite is None else nonfinite.agent
+        parts = [(grp, slice(0, int(np.searchsorted(grp.members, cut))), c)
+                 for grp, c in zip(stage.groups, calculus)]
         try:
-            self.groups = [self._group(group, stage.blocks) for group in members.values()]
+            self.groups = [self._group(grp, rows, c[0][rows], c[1][rows])
+                           for grp, rows, c in parts if rows.stop]
         except (FactorizationError, RankError):
-            for i in range(len(self.grads)):
+            for i, j, k in _by_agent(stage.groups):
+                if i >= cut:
+                    break
+                one, (g, H) = slice(k, k + 1), calculus[j]
                 try:
-                    self._group([i], stage.blocks)
+                    self._group(stage.groups[j], one, g[one], H[one])
                 except (FactorizationError, RankError) as exc:
                     raise _blame(exc, i) from None
             raise
         if nonfinite is not None:
             raise nonfinite
 
-    def _group(self, members, blocks):
-        """The ``AgentGroup`` of ``members``, whose ``blocks`` hold the equality rows."""
-        members = np.array(members)
-        d = blocks[members[0]].dim
-        H = np.stack([self.hessians[i] for i in members])
-        A_eq = blocks[members[0]].A_eq
+    def _group(self, grp, rows, g, H):
+        """The ``AgentGroup`` of the members ``rows`` (a slice) of stage group ``grp``,
+        with gradients ``g`` and Hessians ``H``."""
+        A_eq = None if grp.A_eq is None else grp.A_eq[rows]
         if A_eq is None:
-            fac = linalg.factor_spd(H + self.config.rho * np.eye(d))
+            fac = linalg.factor_spd(H + self.config.rho * np.eye(grp.pos.shape[1]))
         else:
-            A_eq = np.stack([blocks[i].A_eq for i in members])
             fac = linalg.factor_kkt(H, self.config.rho, A_eq)
-        pos = self.coupling.offsets[members][:, None] + np.arange(d)
-        return AgentGroup(members=members, pos=pos, factor=fac, A_eq=A_eq,
-                          grad=np.stack([self.grads[i] for i in members]))
+        return AgentGroup(members=grp.members[rows], pos=grp.pos[rows], grad=g, hessian=H,
+                          factor=fac, A_eq=A_eq)
 
 
 def prox_step_unconstrained(agent, dz_slice, v, rho):

@@ -12,7 +12,8 @@ it is not used here), and the triangular inverses are taken one matrix at
 a time by LAPACK's ``dtrtrs`` on the transposed factor. That is the call
 ``scipy.linalg.solve_triangular`` makes for a C-ordered lower factor, so
 the bits are its own, without the wrapper's input validation on every
-matrix. Finiteness is checked instead once per stack, by ``factor_spd``
+matrix; a stack of 1 x 1 factors is inverted at once by the one division
+``dtrtrs`` makes for each. Finiteness is checked instead once per stack, by ``factor_spd``
 and ``factor_kkt`` (a ``KKTFactorization`` built directly is the caller's
 to keep finite); the direction workspace rejects a non-finite Hessian
 before either is reached.
@@ -202,11 +203,15 @@ def _spd_inverse(M):
     n = L.shape[1]
     if n == 0:
         return np.zeros_like(M)
-    # L^-1 per matrix, as solve_triangular(l, I, lower=True) computes it for
-    # the C-ordered l: dtrtrs on the Fortran-ordered transpose, upper,
-    # transposed. Its info is 0, since every pivot passed its floor
-    eye = np.eye(n)
-    Linv = np.stack([dtrtrs(l.T, eye, lower=0, trans=1)[0] for l in L])
+    if n == 1:
+        # dtrtrs solves a 1 x 1 system by this one division, bit for bit
+        Linv = 1.0 / L
+    else:
+        # L^-1 per matrix, as solve_triangular(l, I, lower=True) computes it
+        # for the C-ordered l: dtrtrs on the Fortran-ordered transpose, upper,
+        # transposed. Its info is 0, since every pivot passed its floor
+        eye = np.eye(n)
+        Linv = np.stack([dtrtrs(l.T, eye, lower=0, trans=1)[0] for l in L])
     return np.matmul(Linv.swapaxes(1, 2), Linv)
 
 

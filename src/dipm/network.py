@@ -172,6 +172,7 @@ class RoundScheduler:
         self._payload_lengths = {KIND_SHARED: len(self.plan.seg_global)}
         # per kind: messages every directed edge carried, then each edge's further ones
         self._tallies = {}
+        self._total = 0
 
     def deliver_round(self, payload, kind):
         """Deliver one synchronous round of ``kind`` laid out by ``self.plan``.
@@ -196,8 +197,10 @@ class RoundScheduler:
             tally = self._tallies[kind] = [0, np.zeros(self._n_edges, dtype=np.intp)]
         if isinstance(used, int):
             tally[0] += used
+            self._total += used * self._n_edges
         else:
             tally[1] += used
+            self._total += int(used.sum())
 
     def _edge_messages(self, kind):
         """Messages of ``kind`` each directed edge carried."""
@@ -219,7 +222,8 @@ class RoundScheduler:
 
     @property
     def total_sent(self):
-        return sum(self.messages_of_kind(kind) for kind in self._tallies)
+        """Messages sent so far, all kinds: a running total, read in O(1)."""
+        return self._total
 
     # the transport is lossless: every message sent is delivered in its round
     total_delivered = total_sent

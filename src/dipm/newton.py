@@ -22,14 +22,17 @@ its centre extrapolated along the central path (``extrapolated_start``).
 Without ``warm_start`` every direction starts from zero and every stage
 from the previous stage's solution.
 
-Per-agent work (prox solves, decrements, backtracking) depends only on
-agent-local state, so the consensus calls are the only barriers. The
-direction layer already runs its share at once for every group of agents
-of one local size and one number of equality rows (stacked factorizations
-and prox solves, each agent's arithmetic bit for bit); decrements and
-backtracking still run agent by agent. The driver itself owns its state
-for the duration of a solve, and all reductions run in ascending agent
-order so repeated runs are bit-identical.
+Per-agent work (calculus, prox solves, decrements, backtracking) depends
+only on agent-local state, so the consensus calls are the only barriers.
+The simulation runs every step of it at once for each group of agents of
+one local size, one number of equality rows and one number of
+inequalities (``Stage.groups``, stacked once per stage): gradients,
+Hessians and factorizations, stage values, decrements and the line
+search's ladder are one stacked call per group, each agent's arithmetic
+bit for bit what it would be alone. The iterates are one flat vector of
+all local entries in the coupling's layout. The driver itself owns its
+state for the duration of a solve, and all reductions run in ascending
+agent order so repeated runs are bit-identical.
 
 A run's record is a ``SolveResult``: one trace row per outer iteration,
 which holds every count, plus what the rows do not hold. The barrier
@@ -44,6 +47,7 @@ import numpy as np
 from .config import SolverConfig
 from .direction import DirectionWorkspace, compute_direction
 from .errors import (
+    BarrierDomainError,
     DecrementError,
     DirectionConvergenceError,
     InfeasibleStartError,
@@ -52,8 +56,27 @@ from .errors import (
     StructureError,
 )
 from .network import RoundScheduler, all_agree, min_consensus
-from .problem import build_coupling, check_start, consistency_error, merge_slices, scatter
+from .problem import (
+    build_coupling,
+    check_start,
+    consistency_error,
+    flatten_slices,
+    group_blocks,
+    merge_slices,
+    scatter,
+    stack_functions,
+)
 from .trace import TraceRow
+
+
+def stage_groups(blocks, objectives):
+    """The ``BlockGroup``s of agent ``blocks`` (``group_blocks``) minimizing ``objectives``."""
+    groups = []
+    for grp in group_blocks(blocks):
+        hs = [objectives[i] for i in grp.members]
+        own = all(h is blocks[i].objective for h, i in zip(hs, grp.members))
+        groups.append(grp if own else grp._replace(objective=stack_functions(hs)))
+    return tuple(groups)
 
 
 @dataclass(frozen=True)
@@ -65,12 +88,20 @@ class Stage:
     search must preserve, and the equality systems. ``objectives[i]`` is
     agent i's stage objective (its block objective for plain Newton, the
     barrier transform during interior-point stages), and ``t`` is the
-    stage parameter.
+    stage parameter. ``groups`` are the blocks' ``problem.BlockGroup``s
+    with the stage objectives stacked, which the outer path evaluates one
+    call per group; they are ``stage_groups(blocks, objectives)`` when
+    omitted.
     """
 
     blocks: tuple
     objectives: tuple
     t: float = 1.0
+    groups: tuple = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.groups is None:
+            object.__setattr__(self, "groups", stage_groups(self.blocks, self.objectives))
 
 
 def plain_stage(problem):
@@ -95,95 +126,125 @@ STAGE_EQ_DRIFT = 1e-5
 # overflows, so bare strict feasibility is not a usable acceptance rule
 BOUNDARY_FRACTION = 0.01
 
+_EPS = float(np.finfo(float).eps)
+
 
 def local_decrement(hess, ds, index=None):
-    """Curvature form ds' H ds of one agent, H = ``hess``; its local decrement squared.
+    """Curvature forms ds' H ds, H = ``hess``: the local decrements squared.
 
-    Tiny negative values (inexact directions meeting a semidefinite
-    Hessian) are clamped to zero; anything below -1e-12 signals corrupted
-    data and raises, naming the agent by its ``index``.
+    ``hess`` (g, d, d) and ``ds`` (g, d) are stacks, one row per agent,
+    and ``index`` names the agents; a single ``hess`` (d, d) and ``ds``
+    (d,) are a stack of one, whose form is returned as a float. Tiny
+    negative values (inexact directions meeting a semidefinite Hessian)
+    are clamped to zero; anything below -1e-12 signals corrupted data and
+    raises, naming the lowest such agent.
     """
-    val = float(ds @ hess @ ds)
-    if val < -1e-12:
-        raise DecrementError(f"agent {index}: local decrement {val:.3e} is significantly "
-                             "negative", agent=index)
-    return max(val, 0.0)
+    single = np.ndim(ds) == 1
+    H, D = (hess[None], ds[None]) if single else (hess, ds)
+    vals = np.matmul(np.matmul(D[:, None, :], H), D[:, :, None])[:, 0, 0]
+    low = np.flatnonzero(vals < -1e-12)
+    if low.size:
+        k = low[0]
+        agent = index if single or index is None else int(index[k])
+        raise DecrementError(f"agent {agent}: local decrement {vals[k]:.3e} is significantly "
+                             "negative", agent=agent)
+    vals = np.maximum(vals, 0.0)
+    return float(vals[0]) if single else vals
 
 
-def feasible_steps(inequality, s, ds, config):
-    """The steps on the ladder 1, b, b^2, ... that keep ``s + alpha ds`` inside the boundary.
+def ladder_steps(group, S, D, config, h0=None, grad_dot=None):
+    """Each member's first step on the ladder 1, b, b^2, ... that qualifies, NaN where none does.
 
-    A step qualifies when it keeps every ``inequality`` value at or below
-    ``BOUNDARY_FRACTION`` times its value at ``s``. ``config`` supplies the
-    shrink factor b and the ladder length ``max_backtracks + 1``. Yields
-    each qualifying step with its point, largest first.
+    Member k of ``group`` (a ``problem.BlockGroup``) moves from row k of
+    ``S`` along row k of ``D``. A step qualifies when it keeps every
+    inequality value at or below ``BOUNDARY_FRACTION`` times its value at
+    the start and, with the stage values ``h0`` and slopes ``grad_dot``
+    given, passes the Armijo test on the stage objective, which is
+    undefined outside the inequality region. A direction that improves the
+    sum may ascend along an individual agent's slice (grad_dot >= 0); such
+    an agent cannot satisfy any local decrease test, so only feasibility
+    binds it and the descending agents govern the step through the later
+    min reduction. ``config`` supplies the Armijo constant, the shrink
+    factor b and the ladder length ``max_backtracks + 1``.
+
+    The ladder is tried in chunks of 1, 4, 16, ... steps at once, each
+    chunk for every member (a stack of points with one row per step); each
+    member's points and values are the bits of trying its steps one by
+    one. The first chunk, the full step, is all most line searches take.
     """
-    gap_floor = [BOUNDARY_FRACTION * g.value(s) for g in inequality]
-    alpha = 1.0
-    for _ in range(config.max_backtracks + 1):
-        cand = s + alpha * ds
-        if all(g.value(cand) <= floor for g, floor in zip(inequality, gap_floor)):
-            yield alpha, cand
-        alpha *= config.shrink_b
+    floors = [BOUNDARY_FRACTION * g.value(S) for g in group.inequality]
+    if h0 is not None:
+        descending = grad_dot < 0.0
+        # resolution of the objective value itself; the acceptable decrease near
+        # a stiff stage center can be smaller than one rounding step of h0
+        noise = 8.0 * _EPS * (1.0 + np.abs(h0))
+    steps = np.full(len(S), np.nan)
+    pending = np.ones(len(S), dtype=bool)
+    alpha, left, size = 1.0, config.max_backtracks + 1, 1
+    while left and pending.any():
+        chunk = []
+        for _ in range(min(size, left)):
+            chunk.append(alpha)
+            alpha *= config.shrink_b
+        left -= len(chunk)
+        size *= 4
+        # one row of points per step, one point per member
+        A = np.array(chunk)[:, None]
+        X = S + A[..., None] * D
+        ok = pending & np.ones(A.shape, dtype=bool)
+        for g, floor in zip(group.inequality, floors):
+            ok &= g.value(X) <= floor
+        if h0 is not None:
+            test = ok & descending
+            if test.any():
+                # a step that left the region is valued at its start instead
+                values = group.objective.value(np.where(ok[..., None], X, S))
+                ok &= ~test | (values <= h0 + config.armijo_a * A * grad_dot + noise)
+        hit = ok.any(axis=0)
+        steps[hit] = A[ok.argmax(axis=0)[hit], 0]
+        pending &= ~hit
+    return steps
 
 
-def agent_step_size(h, inequality, s, h0, ds, grad_dot, config):
-    """Backtrack on one agent's own stage objective ``h``, whose value at ``s`` is ``h0``.
+def distributed_line_search(stage, points, h_values, workspace, ds, config, scheduler):
+    """Backtracking of every agent from its stage value ``h_values[i]``, then min-consensus.
 
-    Only the feasible steps of the ladder are tried (the stage objective
-    is undefined outside the ``inequality`` region), and the first that
-    passes the Armijo test on the stage objective is accepted. A direction
-    that improves the sum may ascend along an individual agent's slice
-    (grad_dot >= 0); such an agent cannot satisfy any local decrease test,
-    so only feasibility binds it and the descending agents govern the step
-    through the later min reduction. ``config`` supplies the Armijo
-    constant, the shrink factor and the backtracking budget. Returns the
-    accepted step, or None once the budget is spent.
+    ``points`` and ``ds`` are flat vectors of all local entries (the
+    coupling's layout); each group's slopes come from the ``workspace``
+    gradients. An agent that spends its budget raises ``LineSearchError``,
+    naming the lowest such agent.
     """
-    descending = grad_dot < 0.0
-    # resolution of the objective value itself; the acceptable decrease near
-    # a stiff stage center can be smaller than one rounding step of h0
-    noise = 8.0 * np.finfo(float).eps * (1.0 + abs(h0))
-    for alpha, cand in feasible_steps(inequality, s, ds, config):
-        if not descending:
-            return alpha
-        if h.value(cand) <= h0 + config.armijo_a * alpha * grad_dot + noise:
-            return alpha
-    return None
-
-
-def distributed_line_search(stage, points, h_values, workspace, ds_slices, config, scheduler):
-    """Per-agent backtracking from stage values ``h_values`` at ``points``, then min-consensus."""
-    alphas = []
-    for i, (h, blk) in enumerate(zip(stage.objectives, stage.blocks)):
-        grad_dot = float(workspace.grads[i] @ ds_slices[i])
-        alpha = agent_step_size(h, blk.inequality, points[i], h_values[i], ds_slices[i],
-                                grad_dot, config)
-        if alpha is None:
-            raise LineSearchError(
-                f"agent {i} exhausted {config.max_backtracks} backtracks", agent=i
-            )
-        alphas.append(alpha)
+    alphas = np.empty(len(stage.blocks))
+    for grp, at in zip(stage.groups, workspace.groups):
+        D = ds[grp.pos]
+        grad_dot = np.matmul(at.grad[:, None, :], D[:, :, None])[:, 0, 0]
+        alphas[grp.members] = ladder_steps(grp, points[grp.pos], D, config,
+                                           h_values[grp.members], grad_dot)
+    failed = np.flatnonzero(np.isnan(alphas))
+    if failed.size:
+        i = int(failed[0])
+        raise LineSearchError(f"agent {i} exhausted {config.max_backtracks} backtracks", agent=i)
     return min_consensus(scheduler, alphas)
 
 
 def extrapolated_start(stage, s_last, s_before, config, scheduler):
     """Start of a barrier stage, extrapolated along the central path.
 
-    ``s_last`` and ``s_before`` are each agent's last two stage solutions.
-    On the central path ``x*(t) - x*`` shrinks like 1/t, so the next
-    centre lies near ``s_last + (s_last - s_before) / mu``. Every agent
-    takes the largest step beta of the feasibility ladder along that
-    displacement (0 when none qualifies), and the agents move by the
-    min-consensus of their steps. Shared entries see the same arithmetic on
-    equal inputs, so a consistent pair of solutions gives a consistent
-    start, to the bit.
+    ``s_last`` and ``s_before`` are the last two stage solutions, each one
+    flat vector of all local entries (the coupling's layout). On the
+    central path ``x*(t) - x*`` shrinks like 1/t, so the next centre lies
+    near ``s_last + (s_last - s_before) / mu``. Every agent takes the
+    largest step beta of the feasibility ladder along that displacement (0
+    when none qualifies), and the agents move by the min-consensus of their
+    steps. Shared entries see the same arithmetic on equal inputs, so a
+    consistent pair of solutions gives a consistent start, to the bit.
     """
-    steps = [(s - p) / config.mu for s, p in zip(s_last, s_before)]
-    betas = [next(feasible_steps(blk.inequality, s, d, config), (0.0,))[0]
-             for blk, s, d in zip(stage.blocks, s_last, steps)]
-    beta = min_consensus(scheduler, betas)
-    return [s + beta * d for s, d in zip(s_last, steps)]
+    steps = (s_last - s_before) / config.mu
+    betas = np.empty(len(stage.blocks))
+    for grp in stage.groups:
+        betas[grp.members] = ladder_steps(grp, s_last[grp.pos], steps[grp.pos], config)
+    beta = min_consensus(scheduler, np.nan_to_num(betas, nan=0.0))
+    return s_last + beta * steps
 
 
 @dataclass
@@ -216,9 +277,39 @@ class SolveResult:
 
 
 def _stage_objectives(stage, points):
-    """Per-agent stage objective values, and the sum of the true objectives."""
-    return ([h.value(s) for h, s in zip(stage.objectives, points)],
-            sum(blk.objective.value(s) for blk, s in zip(stage.blocks, points)))
+    """Every agent's stage objective value at the flat ``points``, and the sum of the true ones.
+
+    A point outside a barrier domain raises for the lowest such agent.
+    """
+    h = np.empty(len(stage.blocks))
+    outside = []
+    for grp in stage.groups:
+        try:
+            h[grp.members] = grp.objective.value(points[grp.pos])
+        except BarrierDomainError as exc:
+            outside.append(exc)
+    if outside:
+        raise min(outside, key=lambda exc: exc.agent)
+    f = h.copy()
+    for grp in stage.groups:
+        if grp.objective is not grp.f:
+            f[grp.members] = grp.f.value(points[grp.pos])
+    # summed in ascending agent order, one term at a time
+    return h, sum(f.tolist())
+
+
+def _decrements(workspace, ds):
+    """Every agent's local decrement squared; the lowest agent with a negative one raises."""
+    decs = np.empty(workspace.coupling.n_agents)
+    failures = []
+    for grp in workspace.groups:
+        try:
+            decs[grp.members] = local_decrement(grp.hessian, ds[grp.pos], grp.members)
+        except DecrementError as exc:
+            failures.append(exc)
+    if failures:
+        raise min(failures, key=lambda exc: exc.agent)
+    return decs
 
 
 def newton_solve(stage, s0_slices, config, coupling, scheduler,
@@ -239,13 +330,17 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
     the previous stage's final duals, and from the third stage on
     ``s0_slices`` (the last stage's solution) is moved to the
     ``extrapolated_start``; the stage's first trace row counts that
-    consensus.
+    consensus. The iterates are one flat vector of all local entries in
+    the coupling's layout, and every sum over agents runs in ascending
+    agent order.
     """
-    points = [np.array(s, dtype=float) for s in s0_slices]
+    points = flatten_slices(s0_slices, coupling)
+    split = coupling.offsets[1:-1]
     sent_before = scheduler.total_sent
     warm = (np.zeros(coupling.n), None if earlier is None else earlier.v)
     if config.warm_start and earlier is not None and earlier.s_before is not None:
-        points = extrapolated_start(stage, points, earlier.s_before, config, scheduler)
+        points = extrapolated_start(stage, points, flatten_slices(earlier.s_before, coupling),
+                                    config, scheduler)
     cons = consistency_error(points, coupling)
     if cons > 1e-12:
         raise InfeasibleStartError(
@@ -253,14 +348,15 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
         )
 
     if earlier is None:
-        check_start(stage.blocks, points)
+        check_start(stage.blocks, np.split(points, split))
         result, stage_index = SolveResult(rows=[] if rows is None else rows), 0
     else:
-        check_start(stage.blocks, points, STAGE_EQ_DRIFT)
+        check_start(stage.blocks, np.split(points, split), STAGE_EQ_DRIFT)
         result, stage_index = earlier, earlier.rows[-1].stage + 1
     result.t_final = stage.t
     result.max_consistency_error = max(result.max_consistency_error, cons)
     h_values, obj_f = _stage_objectives(stage, points)
+    h_sum = sum(h_values.tolist())
 
     for outer in range(config.newton_max_iter):
         workspace = DirectionWorkspace(stage, points, coupling, config)
@@ -275,40 +371,42 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
                 dual_residual=res.dual_residual,
             )
 
-        decs = [local_decrement(H, d, i)
-                for i, (H, d) in enumerate(zip(workspace.hessians, res.ds_slices))]
-        flags = [d / 2.0 <= config.eps_nt / coupling.n_agents for d in decs]
-        done = all_agree(scheduler, flags)
+        ds = res.dx[coupling.flat_index]
+        decs = _decrements(workspace, ds)
+        done = all_agree(scheduler, decs / 2.0 <= config.eps_nt / coupling.n_agents)
 
         alpha = 0.0
         if not done:
             alpha = distributed_line_search(
-                stage, points, h_values, workspace, res.ds_slices, config, scheduler
+                stage, points, h_values, workspace, ds, config, scheduler
             )
-            points = [s + alpha * d for s, d in zip(points, res.ds_slices)]
+            points = points + alpha * ds
             result.e_c += alpha * alpha * config.eps_pri
             warm = ((1.0 - alpha) * res.dx, res.v)
             result.max_consistency_error = max(result.max_consistency_error,
                                                consistency_error(points, coupling))
             next_values, next_f = _stage_objectives(stage, points)
-            if sum(next_values) > sum(h_values):
+            next_sum = sum(next_values.tolist())
+            if next_sum > h_sum:
                 result.descent_violations += 1
 
+        sent = scheduler.total_sent
         result.rows.append(TraceRow(
             stage=stage_index, t=stage.t, outer=outer,
-            inner_iterations=res.iterations, decrement_half=sum(decs) / 2.0,
+            inner_iterations=res.iterations, decrement_half=sum(decs.tolist()) / 2.0,
             alpha=alpha, max_primal_residual=res.primal_residual,
-            max_dual_residual=res.dual_residual, objective_h=sum(h_values),
-            objective_f=obj_f, messages=scheduler.total_sent - sent_before,
+            max_dual_residual=res.dual_residual, objective_h=h_sum,
+            objective_f=obj_f, messages=sent - sent_before,
             e_c_bound=result.e_c,
         ))
-        sent_before = scheduler.total_sent
+        sent_before = sent
         if done:
-            result.s_before, result.s_slices, result.v = result.s_slices, points, res.v
-            result.x = merge_slices(points, coupling)
-            result.decrement_half_max_agent = max(decs) / 2.0
+            slices = np.split(points, split)
+            result.s_before, result.s_slices, result.v = result.s_slices, slices, res.v
+            result.x = merge_slices(slices, coupling)
+            result.decrement_half_max_agent = float(decs.max()) / 2.0
             return result
-        h_values, obj_f = next_values, next_f
+        h_values, obj_f, h_sum = next_values, next_f, next_sum
 
     raise IterationCapError(
         f"Newton iteration cap {config.newton_max_iter} reached"

@@ -13,9 +13,19 @@ judges starting points.
 
 All types are immutable after construction; the operations here are pure
 functions, so they are safe to evaluate concurrently.
+
+The solver evaluates the functions of a group of agents together, through
+``stack_functions``: a stack of points has one point per member along its
+second-to-last axis, and every result has the member at the same place.
+``QuadraticFunction`` has a stacked form, ``QuadraticStack``, whose
+``np.matmul`` calls give each member the bits of its own
+``QuadraticFunction`` (``np.matmul`` acts on each matrix of a stack as on
+the matrix alone). Functions without a stacked form run member by member
+behind the same interface (``MemberStack``).
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +83,74 @@ class QuadraticFunction:
 
     def hessian(self, s):
         return self.P
+
+
+class QuadraticStack:
+    """Stacked ``QuadraticFunction``: 1/2 s'P_k s + q_k's + r_k for row k of a stack.
+
+    ``P`` (g, d, d), ``q`` (g, d) and ``r`` (g,) hold the members' data.
+    A stack of points has shape (..., g, d): any leading axes hold further
+    points of every member. Each member's value, gradient and Hessian are
+    the bits its own ``QuadraticFunction`` computes.
+    """
+
+    def __init__(self, P, q, r):
+        self.P, self.q, self.r = P, q, r
+
+    def take(self, rows):
+        """The stack of the members ``rows``, in that order."""
+        return QuadraticStack(self.P[rows], self.q[rows], self.r[rows])
+
+    def value(self, S):
+        quad = np.matmul(np.matmul(S[..., None, :], self.P), S[..., :, None])[..., 0, 0]
+        return 0.5 * quad + np.matmul(self.q[:, None, :], S[..., :, None])[..., 0, 0] + self.r
+
+    def gradient(self, S):
+        return np.matmul(self.P, S[..., :, None])[..., 0] + self.q
+
+    def hessian(self, S):
+        # one Hessian per member, whatever the point; it broadcasts over leading axes
+        return self.P
+
+
+class MemberStack:
+    """Functions without a stacked form, behind the stacked interface: one call per point."""
+
+    def __init__(self, fns):
+        self.fns = tuple(fns)
+
+    def take(self, rows):
+        """The stack of the members ``rows``, in that order."""
+        return MemberStack([self.fns[k] for k in rows])
+
+    def _each(self, method, S, shape):
+        g, d = S.shape[-2:]
+        out = [getattr(self.fns[k % g], method)(s) for k, s in enumerate(S.reshape(-1, d))]
+        return np.array(out, dtype=float).reshape(S.shape[:-1] + shape)
+
+    def value(self, S):
+        return self._each("value", S, ())
+
+    def gradient(self, S):
+        return self._each("gradient", S, S.shape[-1:])
+
+    def hessian(self, S):
+        return self._each("hessian", S, S.shape[-1:] * 2)
+
+
+def stack_functions(fns):
+    """One stacked calculus object for functions of one dimension, row k for ``fns[k]``.
+
+    Quadratic functions stack as a ``QuadraticStack``; any other mix runs
+    member by member.
+    """
+    if all(type(f) is QuadraticFunction for f in fns):
+        data = [np.array([f.P for f in fns]), np.array([f.q for f in fns]),
+                np.array([f.r for f in fns])]
+        for a in data:
+            a.setflags(write=False)
+        return QuadraticStack(*data)
+    return MemberStack(fns)
 
 
 def _sigmoid(s):
@@ -251,6 +329,53 @@ class CouplingStructure:
         return int(self.degrees.max())
 
 
+# a NamedTuple: a frozen dataclass would add about 1 ms to every import of
+# the package, which dominates its set-up time
+class BlockGroup(NamedTuple):
+    """The agents of one local size, number of equality rows and number of inequalities.
+
+    ``members`` lists their indices in ascending order; row k of every
+    stack belongs to agent ``members[k]``. ``pos`` holds the positions of
+    each member's entries in the flat vector of all local entries, agents
+    ascending (``CouplingStructure.flat_index`` order). ``f`` stacks their
+    block objectives, ``inequality`` their constraints (one stack per
+    constraint index) and ``A_eq`` their equality matrices (None without
+    equality rows); the stacks are ``stack_functions``. ``objective`` is
+    the stacked objective the group minimizes: ``f`` itself unless a stage
+    replaces it (``_replace``).
+    """
+
+    members: np.ndarray
+    pos: np.ndarray
+    f: object
+    inequality: tuple
+    A_eq: np.ndarray
+    objective: object
+
+
+def group_blocks(blocks):
+    """The ``BlockGroup``s of agent ``blocks``, in the order of their first members."""
+    members = {}
+    for i, blk in enumerate(blocks):
+        key = (blk.dim, None if blk.A_eq is None else len(blk.A_eq), blk.n_ineq)
+        members.setdefault(key, []).append(i)
+    offsets = np.cumsum([0] + [blk.dim for blk in blocks])
+    groups = []
+    for rows in members.values():
+        blks = [blocks[i] for i in rows]
+        f = stack_functions([blk.objective for blk in blks])
+        groups.append(BlockGroup(
+            members=np.array(rows),
+            pos=offsets[rows][:, None] + np.arange(blks[0].dim),
+            f=f,
+            inequality=tuple(stack_functions([blk.inequality[c] for blk in blks])
+                             for c in range(blks[0].n_ineq)),
+            A_eq=None if blks[0].A_eq is None else np.array([blk.A_eq for blk in blks]),
+            objective=f,
+        ))
+    return tuple(groups)
+
+
 def build_coupling(problem):
     """Derive the CouplingStructure of a problem.
 
@@ -324,16 +449,31 @@ def merge_slices(slices, coupling):
     return x
 
 
-def consistency_error(slices, coupling):
-    """Largest half-spread (max - min) / 2 of any variable's copies over its owners.
+def flatten_slices(slices, coupling):
+    """The agents' local slices as one flat vector in the coupling's layout (a copy).
 
-    Bit-equal copies read exactly 0; two owners' copies read their distance
-    from their average. NaN copies are left out: ``check_start`` rejects them.
+    Raises ``StructureError`` naming the first slice of the wrong length.
     """
     for i, (s, idx) in enumerate(zip(slices, coupling.index_arrays)):
         if np.shape(s) != idx.shape:
             raise StructureError(f"slice {i} has wrong length")
-    copies = np.concatenate(slices, dtype=float)
+    return np.concatenate(slices, dtype=float)
+
+
+def consistency_error(slices, coupling):
+    """Largest half-spread (max - min) / 2 of any variable's copies over its owners.
+
+    ``slices`` are the agents' local slices, or one flat vector of them in
+    the coupling's layout. Bit-equal copies read exactly 0; two owners'
+    copies read their distance from their average. NaN copies are left out:
+    ``check_start`` rejects them.
+    """
+    if isinstance(slices, np.ndarray) and slices.ndim == 1:
+        if slices.shape != coupling.flat_index.shape:
+            raise StructureError(f"expected {coupling.flat_index.size} local entries")
+        copies = slices
+    else:
+        copies = flatten_slices(slices, coupling)
     hi = np.full(coupling.n, -np.inf)
     lo = np.full(coupling.n, np.inf)
     np.fmax.at(hi, coupling.flat_index, copies)

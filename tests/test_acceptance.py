@@ -65,7 +65,7 @@ def test_criterion_1_direction_oracle_equivalence():
         scheduler = RoundScheduler(coupling)
         config = SolverConfig(rho=1.0, eps_pri=1e-12, eps_dual=1e-12)
         s0 = scatter(x0, coupling)
-        workspace = DirectionWorkspace(plain_stage(prob), s0, coupling, config)
+        workspace = DirectionWorkspace(plain_stage(prob), np.concatenate(s0), coupling, config)
         result = compute_direction(workspace, scheduler)
         assert result.converged
         _, dx_ref = direct_direction(prob, s0, coupling)
@@ -186,7 +186,7 @@ def test_criterion_5_precached_factorizations():
     scheduler = RoundScheduler(coupling)
     config = SolverConfig(eps_pri=1e-16, eps_dual=1e-16)
     before = factorization_count()
-    workspace = DirectionWorkspace(plain_stage(prob), scatter(x0, coupling),
+    workspace = DirectionWorkspace(plain_stage(prob), x0[coupling.flat_index],
                                    coupling, config)
     result = compute_direction(workspace, scheduler)
     used = factorization_count() - before

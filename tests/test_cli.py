@@ -488,7 +488,9 @@ class TestMainExitCodes:
         class Corrupted(dipm.newton.DirectionWorkspace):
             def __init__(self, *args):
                 super().__init__(*args)
-                self.hessians[1] = -self.hessians[1]
+                for grp in self.groups:
+                    grp.hessian = np.where((grp.members == 1)[:, None, None], -grp.hessian,
+                                           grp.hessian)
 
         monkeypatch.setattr(dipm.newton, "DirectionWorkspace", Corrupted)
         path = write_doc(tmp_path / "p.json", chain_doc())
@@ -500,7 +502,7 @@ class TestMainExitCodes:
                                                                   capsys):
         # the line search keeps every step inside the domain; accept the full
         # Newton step instead, which from 5 overshoots the bound s >= 1 to -7
-        monkeypatch.setattr(dipm.newton, "agent_step_size", lambda *args: 1.0)
+        monkeypatch.setattr(dipm.newton, "distributed_line_search", lambda *args: 1.0)
         path = write_doc(tmp_path / "p.json", {
             "n": 1,
             "agents": [{"index_set": [0],

@@ -117,7 +117,7 @@ class TestComputeDirection:
         )
         coupling, sched, cfg = setup_instance(prob)
         s0 = scatter(np.zeros(3), coupling)
-        ws = DirectionWorkspace(plain_stage(prob), s0, coupling, cfg)
+        ws = DirectionWorkspace(plain_stage(prob), np.concatenate(s0), coupling, cfg)
         res = compute_direction(ws, sched)
         assert res.converged
         np.testing.assert_allclose(res.dx, np.linalg.solve(P, -q), atol=1e-6)
@@ -136,7 +136,7 @@ class TestComputeDirection:
                 (blk.objective.hessian(s) @ dx_star[idx] + blk.objective.gradient(s)) / cfg.rho
             )
         assert np.abs(gather_average(v_star, coupling)).max() <= 1e-12
-        ws = DirectionWorkspace(plain_stage(prob), s0, coupling, cfg)
+        ws = DirectionWorkspace(plain_stage(prob), np.concatenate(s0), coupling, cfg)
         res = compute_direction(ws, sched, dz0=dx_star, v0=np.concatenate(v_star))
         assert res.converged
         assert res.iterations <= 2
@@ -147,7 +147,7 @@ class TestComputeDirection:
         # is a valid start only while their owner-average is zero
         prob, x0 = random_qp(0, n_agents=6, block_size=3, overlap=2, n_eq=1)
         coupling, sched, cfg = setup_instance(prob)
-        ws = DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
+        ws = DirectionWorkspace(plain_stage(prob), x0[coupling.flat_index], coupling, cfg)
         res = compute_direction(ws, sched)
         assert res.converged
         v = np.split(res.v, coupling.offsets[1:-1])
@@ -160,7 +160,7 @@ class TestComputeDirection:
         # descending agent order changes the value in some
         prob, x0 = random_qp(1, n_agents=6, block_size=3, overlap=2)
         coupling, sched, cfg = setup_instance(prob, SolverConfig(admm_max_iter=1))
-        ws = DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
+        ws = DirectionWorkspace(plain_stage(prob), x0[coupling.flat_index], coupling, cfg)
         for seed in range(20):
             rng = np.random.default_rng(seed)
             v0 = np.concatenate([rng.standard_normal(len(idx)) for idx in coupling.index_arrays])
@@ -174,7 +174,7 @@ class TestComputeDirection:
         prob = chain_qp()
         coupling, sched, cfg = setup_instance(prob)
         s0 = scatter(np.zeros(3), coupling)
-        ws = DirectionWorkspace(plain_stage(prob), s0, coupling, cfg)
+        ws = DirectionWorkspace(plain_stage(prob), np.concatenate(s0), coupling, cfg)
         res = compute_direction(ws, sched)
         np.testing.assert_allclose(res.dx, [0.0, 0.5, 1.0], atol=1e-5)
         _, dx_star = direct_direction(prob, s0, coupling)
@@ -185,7 +185,7 @@ class TestComputeDirection:
             prob, x0 = random_qp(seed, n_agents=4 + seed % 4, block_size=3, overlap=1)
             coupling, sched, cfg = setup_instance(prob)
             s0 = scatter(x0, coupling)
-            ws = DirectionWorkspace(plain_stage(prob), s0, coupling, cfg)
+            ws = DirectionWorkspace(plain_stage(prob), np.concatenate(s0), coupling, cfg)
             res = compute_direction(ws, sched)
             assert res.converged
             _, dx_star = direct_direction(prob, s0, coupling)
@@ -194,7 +194,8 @@ class TestComputeDirection:
     def test_slices_are_views_of_one_vector(self):
         prob = chain_qp()
         coupling, sched, cfg = setup_instance(prob)
-        ws = DirectionWorkspace(plain_stage(prob), scatter(np.zeros(3), coupling), coupling, cfg)
+        ws = DirectionWorkspace(plain_stage(prob), np.zeros(coupling.flat_index.size),
+                                coupling, cfg)
         res = compute_direction(ws, sched)
         for i, idx in enumerate(coupling.index_arrays):
             np.testing.assert_array_equal(res.ds_slices[i], res.dx[idx])
@@ -202,14 +203,14 @@ class TestComputeDirection:
     def test_dual_average_stays_null(self):
         prob, x0 = random_qp(11, n_agents=6, block_size=3, overlap=2)
         coupling, sched, cfg = setup_instance(prob)
-        ws = DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
+        ws = DirectionWorkspace(plain_stage(prob), x0[coupling.flat_index], coupling, cfg)
         res = compute_direction(ws, sched)
         assert res.max_dual_average <= 1e-10
 
     def test_equality_blocks_stay_in_nullspace(self):
         prob, x0 = random_qp(5, n_agents=4, block_size=4, overlap=1, n_eq=1)
         coupling, sched, cfg = setup_instance(prob)
-        ws = DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
+        ws = DirectionWorkspace(plain_stage(prob), x0[coupling.flat_index], coupling, cfg)
         res = compute_direction(ws, sched)
         assert res.converged
         # every inner prox output lies in the null space; the returned
@@ -224,7 +225,7 @@ class TestComputeDirection:
         prob, x0 = random_qp(3, n_agents=5, block_size=3, overlap=1)
         coupling, sched, cfg = setup_instance(prob)
         before = factorization_count()
-        ws = DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
+        ws = DirectionWorkspace(plain_stage(prob), x0[coupling.flat_index], coupling, cfg)
         res = compute_direction(ws, sched)
         assert factorization_count() - before == prob.n_agents
         assert res.iterations > 1
@@ -235,7 +236,8 @@ class TestComputeDirection:
             AgentBlock(index_set=(1,), objective=QuadraticFunction(np.eye(1), np.ones(1))),
         ))
         coupling, sched, cfg = setup_instance(prob)
-        ws = DirectionWorkspace(plain_stage(prob), scatter(np.zeros(2), coupling), coupling, cfg)
+        ws = DirectionWorkspace(plain_stage(prob), np.zeros(coupling.flat_index.size),
+                                coupling, cfg)
         with pytest.raises(DisconnectedNetworkError):
             compute_direction(ws, sched)
 
@@ -249,7 +251,8 @@ class TestComputeDirection:
     def test_warm_start_of_the_wrong_form_is_refused(self, start, message):
         prob = chain_qp()
         coupling, sched, cfg = setup_instance(prob)
-        ws = DirectionWorkspace(plain_stage(prob), scatter(np.zeros(3), coupling), coupling, cfg)
+        ws = DirectionWorkspace(plain_stage(prob), np.zeros(coupling.flat_index.size),
+                                coupling, cfg)
         with pytest.raises(StructureError, match=message):
             compute_direction(ws, sched, **start)
         assert sched.round_index == 0
@@ -258,7 +261,8 @@ class TestComputeDirection:
         prob = chain_qp()
         cfg = SolverConfig(admm_max_iter=3)
         coupling, sched, _ = setup_instance(prob)
-        ws = DirectionWorkspace(plain_stage(prob), scatter(np.zeros(3), coupling), coupling, cfg)
+        ws = DirectionWorkspace(plain_stage(prob), np.zeros(coupling.flat_index.size),
+                                coupling, cfg)
         res = compute_direction(ws, sched)
         assert not res.converged
         assert res.iterations == 3
@@ -283,7 +287,8 @@ class TestNonFinite:
     def test_nan_residual_stops_in_first_iteration(self):
         prob = chain_qp()
         coupling, sched, cfg = setup_instance(prob)
-        ws = DirectionWorkspace(plain_stage(prob), scatter(np.zeros(3), coupling), coupling, cfg)
+        ws = DirectionWorkspace(plain_stage(prob), np.zeros(coupling.flat_index.size),
+                                coupling, cfg)
         v0 = np.array([0.0, 0.0, np.nan, 0.0])
         with pytest.raises(NonFiniteError) as info:
             compute_direction(ws, sched, v0=v0)
@@ -304,7 +309,8 @@ class TestFactorizationFailure:
         ))
         coupling, _, cfg = setup_instance(prob)
         with pytest.raises(FactorizationError, match="^agent 1: pivot 0 fell") as info:
-            DirectionWorkspace(plain_stage(prob), scatter(np.zeros(3), coupling), coupling, cfg)
+            DirectionWorkspace(plain_stage(prob), np.zeros(coupling.flat_index.size),
+                               coupling, cfg)
         assert (info.value.agent, info.value.pivot_index) == (1, 0)
 
     def test_failed_prox_solve_names_agent(self, mismatched_inverses):
@@ -313,7 +319,8 @@ class TestFactorizationFailure:
         # refinement cannot fix, while agent 0's row still solves cleanly
         prob = chain_qp()
         coupling, sched, cfg = setup_instance(prob)
-        ws = DirectionWorkspace(plain_stage(prob), scatter(np.zeros(3), coupling), coupling, cfg)
+        ws = DirectionWorkspace(plain_stage(prob), np.zeros(coupling.flat_index.size),
+                                coupling, cfg)
         [group] = ws.groups
         assert group.members.tolist() == [0, 1]
         group.factor = mismatched_inverses(group.factor, [1])
@@ -370,7 +377,7 @@ class TestGroups:
         cfg = SolverConfig(eps_pri=1e-24, eps_dual=1e-24, admm_max_iter=20000)
         coupling, sched, cfg = setup_instance(prob, cfg)
         before = factorization_count()
-        ws = DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
+        ws = DirectionWorkspace(plain_stage(prob), x0[coupling.flat_index], coupling, cfg)
         assert factorization_count() - before == len(MIXED)
         assert [g.members.tolist() for g in ws.groups] == [[0, 4], [1, 6], [2], [3], [5]]
         for g in ws.groups:
@@ -388,7 +395,7 @@ class TestGroups:
         coupling, _, cfg = setup_instance(prob)
         with pytest.raises(FactorizationError, match="^agent 6: leading block is indefinite") \
                 as info:
-            DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
+            DirectionWorkspace(plain_stage(prob), x0[coupling.flat_index], coupling, cfg)
         assert info.value.agent == 6
 
     def test_lowest_failing_agent_is_named_across_groups(self):
@@ -396,7 +403,7 @@ class TestGroups:
         prob, x0, _ = mixed_chain(indefinite=(3, 4))
         coupling, _, cfg = setup_instance(prob)
         with pytest.raises(FactorizationError, match="^agent 3: pivot 0 fell") as info:
-            DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
+            DirectionWorkspace(plain_stage(prob), x0[coupling.flat_index], coupling, cfg)
         assert info.value.agent == 3
 
     def test_lowest_failing_solve_is_named_across_groups(self, mismatched_inverses):
@@ -405,7 +412,7 @@ class TestGroups:
         # solved, agent 3 row 0 of a later one
         prob, x0, _ = mixed_chain()
         coupling, sched, cfg = setup_instance(prob)
-        ws = DirectionWorkspace(plain_stage(prob), scatter(x0, coupling), coupling, cfg)
+        ws = DirectionWorkspace(plain_stage(prob), x0[coupling.flat_index], coupling, cfg)
         for g, k, agent in ((0, 1, 4), (3, 0, 3)):
             assert ws.groups[g].members[k] == agent
             ws.groups[g].factor = mismatched_inverses(ws.groups[g].factor, [k])
@@ -427,6 +434,6 @@ class TestGroups:
                 AgentBlock(index_set=(i, i + 1), objective=f) for i, f in enumerate(objectives)))
             coupling, _, cfg = setup_instance(prob)
             with pytest.raises(error) as info:
-                DirectionWorkspace(plain_stage(prob), scatter(np.zeros(4), coupling), coupling,
+                DirectionWorkspace(plain_stage(prob), np.zeros(coupling.flat_index.size), coupling,
                                    cfg)
             assert info.value.agent == agent

@@ -282,6 +282,21 @@ class TestStacks:
                 np.testing.assert_array_equal(ds[k], ds_k)
                 np.testing.assert_array_equal(u[k], u_k)
 
+    def test_one_by_one_inverse_is_the_triangular_solve(self):
+        # a 1 x 1 factor is inverted by one division; dtrtrs, which the
+        # larger factors go through, divides the same way, bit for bit
+        rng = np.random.default_rng(11)
+        pivots = rng.uniform(1.0, 2.0, 100_000) * 2.0 ** rng.integers(-1000, 1000, 100_000)
+        one = np.ones((1, 1))
+        by_lapack = np.array([linalg.dtrtrs(np.full((1, 1), p), one, lower=0, trans=1)[0][0, 0]
+                              for p in pivots])
+        assert (by_lapack == 1.0 / pivots).all()
+        assert by_lapack.tobytes() == (1.0 / pivots).tobytes()
+        # the stacked inverse L^-T L^-1 of 1 x 1 matrices, squares in range
+        M = rng.uniform(1.0, 2.0, (2000, 1, 1)) * 2.0 ** rng.integers(-400, 400, (2000, 1, 1))
+        Linv = np.array([linalg.dtrtrs(np.sqrt(m), one, lower=0, trans=1)[0] for m in M])
+        assert linalg._spd_inverse(M).tobytes() == np.matmul(Linv, Linv).tobytes()
+
     def test_single_right_hand_side_needs_a_stack_of_one(self):
         f = factor_spd(np.stack([np.eye(2), 2.0 * np.eye(2)]))
         for r in (np.ones(2), np.ones(4), np.ones((1, 2)), np.ones((2, 2, 1))):

@@ -462,6 +462,28 @@ class TestShapes:
         assert sched.total_sent == sched.total_delivered == total.sum()
 
 
+    @PROPERTY
+    @given(c=st.one_of(shaped_coupling(), st.integers(1, 9).map(chain_coupling)),
+           data=st.data())
+    def test_running_total_is_the_sum_of_every_tally(self, c, data):
+        # total_sent is kept as a running sum, not rebuilt from the tallies
+        sched = RoundScheduler(c)
+        kinds = (KIND_SHARED, KIND_FLAG, KIND_MIN)
+        for kind in data.draw(st.lists(st.sampled_from(kinds), max_size=8)):
+            if kind == KIND_SHARED:
+                size = int(c.offsets[-1])
+                exchange_shared_components(sched, np.array(
+                    data.draw(st.lists(FINITE, min_size=size, max_size=size))))
+            elif kind == KIND_FLAG:
+                all_agree(sched, per_agent(data, c, st.booleans()))
+            else:
+                min_consensus(sched, per_agent(data, c, st.sampled_from([0.0, -0.0, 1.0])
+                                               | FINITE))
+            assert sched.total_sent == sum(sched.messages_of_kind(k) for k in kinds)
+            assert sched.total_sent == sum(int(a.sum()) for a in sched.sent_by_kind.values())
+            assert sched.total_sent == int(sched.sent.sum()) == sched.total_delivered
+
+
 # kind -> (operation, combine, identity, dtype of the agents' values)
 FLOODS = {KIND_FLAG: (all_agree, np.logical_and, True, bool),
           KIND_MIN: (min_consensus, np.minimum, np.inf, float)}
@@ -638,7 +660,7 @@ class TestShapedSolves:
         for shape, prob, x0 in shaped_instances(10):
             c = build_coupling(prob)
             s0 = scatter(x0, c)
-            ws = DirectionWorkspace(plain_stage(prob), s0, c, SolverConfig())
+            ws = DirectionWorkspace(plain_stage(prob), np.concatenate(s0), c, SolverConfig())
             res = compute_direction(ws, RoundScheduler(c))
             assert res.converged
             _, dx_ref = direct_direction(prob, s0, c)

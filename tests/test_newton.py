@@ -2,23 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dipm.newton
-from dipm.barrier import BarrierFunction, solve_ipm
+from dipm.barrier import BarrierFunction, barrier_stage, solve_ipm
 from dipm.config import SolverConfig
 from dipm.direction import DirectionWorkspace, compute_direction
 from dipm.errors import (
+    BarrierDomainError,
     DecrementError,
     DirectionConvergenceError,
     DisconnectedNetworkError,
     InfeasibleStartError,
     IterationCapError,
     LineSearchError,
+    NonFiniteError,
 )
 from dipm.generator import random_qp
 from dipm.network import RoundScheduler
 from dipm.newton import (
-    agent_step_size,
+    BOUNDARY_FRACTION,
+    distributed_line_search,
+    ladder_steps,
     local_decrement,
     newton_solve,
     plain_stage,
@@ -27,12 +33,14 @@ from dipm.newton import (
 from dipm.oracle import assemble_dense, centralized_newton
 from dipm.problem import (
     AgentBlock,
+    BlockGroup,
     CustomFunction,
     LooselyCoupledProblem,
     QuadraticFunction,
     SoftplusRidge,
     build_coupling,
     scatter,
+    stack_functions,
 )
 
 
@@ -82,6 +90,15 @@ class TestLocalDecrement:
                 as err:
             local_decrement(np.array([[-1.0]]), np.array([1.0]), 3)
         assert err.value.agent == 3
+
+
+def agent_step_size(h, inequality, s, h0, ds, grad_dot, config):
+    """One agent's accepted step (None when none is) on the group ladder, as a stack of one."""
+    group = BlockGroup(members=np.array([0]), pos=np.arange(len(s))[None], f=None,
+                       inequality=tuple(stack_functions([g]) for g in inequality), A_eq=None,
+                       objective=stack_functions([h]))
+    step = ladder_steps(group, s[None], ds[None], config, np.array([h0]), np.array([grad_dot]))
+    return None if np.isnan(step[0]) else float(step[0])
 
 
 class TestAgentStepSize:
@@ -145,12 +162,12 @@ class TestDistributedLineSearch:
         stage = barrier_stage(prob, 1.0)
         points = scatter(np.array([2.0, 1.0]), coupling)
         cfg = SolverConfig()
-        ws = DirectionWorkspace(stage, points, coupling, cfg)
+        ws = DirectionWorkspace(stage, np.concatenate(points), coupling, cfg)
         dx = np.array([-2.0, 0.3])
-        ds = scatter(dx, coupling)
         params = SolverConfig()
-        h_values = [h.value(s) for h, s in zip(stage.objectives, points)]
-        alpha = distributed_line_search(stage, points, h_values, ws, ds, params, scheduler)
+        h_values = np.array([h.value(s) for h, s in zip(stage.objectives, points)])
+        alpha = distributed_line_search(stage, np.concatenate(points), h_values, ws,
+                                        dx[coupling.flat_index], params, scheduler)
         assert alpha == 0.5
 
     def test_exhaustion_identifies_agent(self):
@@ -167,13 +184,203 @@ class TestDistributedLineSearch:
         stage = barrier_stage(prob, 1.0)
         points = scatter(np.array([0.0, 0.0]), coupling)
         cfg = SolverConfig()
-        ws = DirectionWorkspace(stage, points, coupling, cfg)
-        ds = scatter(np.array([50.0, 0.0]), coupling)
+        ws = DirectionWorkspace(stage, np.concatenate(points), coupling, cfg)
+        ds = np.array([50.0, 0.0])[coupling.flat_index]
         params = SolverConfig(max_backtracks=0)
-        h_values = [h.value(s) for h, s in zip(stage.objectives, points)]
+        h_values = np.array([h.value(s) for h, s in zip(stage.objectives, points)])
         with pytest.raises(LineSearchError) as err:
-            distributed_line_search(stage, points, h_values, ws, ds, params, scheduler)
+            distributed_line_search(stage, np.concatenate(points), h_values, ws, ds, params,
+                                    scheduler)
         assert err.value.agent == 0
+
+
+def reference_step(h, inequality, s, h0, ds, grad_dot, config, armijo=True):
+    """The per-agent backtracking that the group ladder replaced, one step at a time."""
+    gap_floor = [BOUNDARY_FRACTION * g.value(s) for g in inequality]
+    noise = 8.0 * np.finfo(float).eps * (1.0 + abs(h0))
+    alpha = 1.0
+    for _ in range(config.max_backtracks + 1):
+        cand = s + alpha * ds
+        if all(g.value(cand) <= floor for g, floor in zip(inequality, gap_floor)):
+            if not armijo or not grad_dot < 0.0:
+                return alpha
+            if h.value(cand) <= h0 + config.armijo_a * alpha * grad_dot + noise:
+                return alpha
+        alpha *= config.shrink_b
+    return None
+
+
+def one_group_problem(rng, d, g, m, kind):
+    """g agents of local size d with m inequalities each, strictly inside at the rows of S."""
+    S = rng.standard_normal((g, d))
+    blocks = []
+    for k in range(g):
+        if kind == "quadratic":
+            X = rng.standard_normal((d, d))
+            f = QuadraticFunction(X @ X.T + 0.1 * np.eye(d), rng.standard_normal(d),
+                                  rng.standard_normal())
+        else:
+            f = SoftplusRidge(d, ridge=rng.uniform(0.1, 2.0), linear=rng.standard_normal(d))
+        ineqs = []
+        for c in range(m):
+            margin = rng.uniform(0.05, 1.0)
+            if c % 2 == 0:
+                a = rng.standard_normal(d)
+                ineqs.append(QuadraticFunction(np.zeros((d, d)), a, -(a @ S[k]) - margin))
+            else:
+                center = S[k] + rng.uniform(-0.5, 0.5, d)
+                radius2 = float((S[k] - center) @ (S[k] - center)) + 2.0 * margin
+                ineqs.append(QuadraticFunction(np.eye(d), -center,
+                                               0.5 * float(center @ center) - 0.5 * radius2))
+        blocks.append(AgentBlock(index_set=tuple(range(k * d, (k + 1) * d)), objective=f,
+                                 inequality=tuple(ineqs)))
+    return LooselyCoupledProblem(n=g * d, blocks=tuple(blocks)), S
+
+
+class TestStackedBits:
+    """One stacked call per group gives every member the bits of its own evaluation."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(d=st.integers(1, 6), g=st.integers(1, 20), m=st.integers(0, 3),
+           kind=st.sampled_from(["quadratic", "softplus"]), barrier=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_calculus_decrements_and_steps_equal_the_per_agent_ones(
+            self, d, g, m, kind, barrier, seed):
+        rng = np.random.default_rng(seed)
+        problem, S = one_group_problem(rng, d, g, m, kind)
+        if m or barrier:
+            stage = barrier_stage(problem, float(rng.uniform(0.1, 1e3)))
+        else:
+            stage = plain_stage(problem)
+        [grp] = stage.groups
+        hs = stage.objectives
+
+        def bits(stacked, per_agent):
+            return stacked.tobytes() == np.array(per_agent).tobytes()
+
+        assert bits(grp.objective.value(S), [h.value(s) for h, s in zip(hs, S)])
+        G = grp.objective.gradient(S)
+        H = grp.objective.hessian(S)
+        assert bits(G, [h.gradient(s) for h, s in zip(hs, S)])
+        assert bits(H, [h.hessian(s) for h, s in zip(hs, S)])
+        assert bits(grp.f.value(S), [blk.objective.value(s) for blk, s in zip(problem.blocks, S)])
+
+        # Newton steps of mixed lengths: some reversed, some far out, some
+        # within the rounding of the stage value
+        scale = rng.choice([-1.0, 1e-16, 0.1, 1.0, 3.0, 30.0], size=(g, 1))
+        D = np.array([np.linalg.solve(Hk, -gk) for Hk, gk in zip(H, G)])
+        D = scale * (D + 0.1 * rng.standard_normal((g, d)))
+        decs = local_decrement(H, D, grp.members)
+        assert bits(decs, [local_decrement(Hk, Dk) for Hk, Dk in zip(H, D)])
+        assert bits(decs, [max(float(Dk @ Hk @ Dk), 0.0) for Hk, Dk in zip(H, D)])
+
+        config = SolverConfig(max_backtracks=int(rng.integers(0, 12)),
+                              shrink_b=float(rng.uniform(0.1, 0.9)),
+                              armijo_a=float(rng.uniform(0.01, 0.49)))
+        h0 = grp.objective.value(S)
+        grad_dot = np.matmul(G[:, None, :], D[:, :, None])[:, 0, 0]
+        assert bits(grad_dot, [float(gk @ Dk) for gk, Dk in zip(G, D)])
+        for armijo in (True, False):
+            args = (h0, grad_dot) if armijo else ()
+            steps = ladder_steps(grp, S, D, config, *args)
+            expected = [reference_step(h, blk.inequality, s, h0k, Dk, gd, config, armijo)
+                        for h, blk, s, h0k, Dk, gd in zip(hs, problem.blocks, S, h0, D, grad_dot)]
+            assert bits(steps, [np.nan if a is None else a for a in expected])
+
+
+class TestLowestAgentIsNamed:
+    """When two agents of one group fail, the error names the lower one."""
+
+    def test_non_finite_gradient_and_hessian(self):
+        # agent 1's Hessian and agent 2's gradient are NaN; alone, agent 2's
+        # gradient, and agent 1 with both comes with its gradient
+        def custom(nan_grad, nan_hess):
+            return CustomFunction(2, lambda s: 0.5 * float(s @ s),
+                                  lambda s: np.full(2, np.nan) if nan_grad else s,
+                                  lambda s: np.full((2, 2), np.nan) if nan_hess else np.eye(2))
+
+        for flags, agent, quantity in ((((0, 1), (1, 0)), 1, "Hessian"),
+                                       (((1, 1), (1, 0)), 1, "gradient"),
+                                       (((0, 0), (1, 0)), 2, "gradient")):
+            objectives = [custom(0, 0), custom(*flags[0]), custom(*flags[1]), custom(0, 0)]
+            prob = LooselyCoupledProblem(n=5, blocks=tuple(
+                AgentBlock(index_set=(i, i + 1), objective=f) for i, f in enumerate(objectives)))
+            coupling = build_coupling(prob)
+            [grp] = plain_stage(prob).groups
+            assert grp.members.tolist() == [0, 1, 2, 3]
+            with pytest.raises(NonFiniteError) as err:
+                DirectionWorkspace(plain_stage(prob), np.zeros(coupling.flat_index.size),
+                                   coupling, SolverConfig())
+            assert (err.value.agent, err.value.quantity) == (agent, quantity)
+
+    def test_non_finite_point_in_a_quadratic_stack(self):
+        problem, x0 = random_qp(0, n_agents=5, block_size=3, overlap=1)
+        coupling = build_coupling(problem)
+        points = x0[coupling.flat_index]
+        points[coupling.offsets[3]] = points[coupling.offsets[1]] = np.inf
+        with pytest.raises(NonFiniteError) as err:
+            DirectionWorkspace(plain_stage(problem), points, coupling, SolverConfig())
+        assert (err.value.agent, err.value.quantity) == (1, "gradient")
+
+    def outside(self):
+        """A barrier stage whose agent 2 breaks constraint 1, agent 3 constraint 0."""
+        problem, x0 = random_qp(3, n_agents=5, block_size=3, overlap=1, n_ineq=2)
+        coupling = build_coupling(problem)
+        stage = barrier_stage(problem, 10.0)
+        points = x0[coupling.flat_index]
+        for agent, c in ((2, 1), (3, 0)):
+            g = problem.blocks[agent].inequality[c]
+            s = points[coupling.offsets[agent]:coupling.offsets[agent + 1]]
+            # move along the gradient until the constraint holds no more
+            step = g.gradient(s)
+            while g.value(s) < 0.0:
+                s += step
+            assert all(h.value(s) < 0.0 for h in problem.blocks[agent].inequality[:c])
+        return problem, coupling, stage, points
+
+    @pytest.mark.parametrize("method", ["value", "gradient", "hessian"])
+    def test_barrier_domain_names_agent_then_constraint(self, method):
+        problem, coupling, stage, points = self.outside()
+        [grp] = stage.groups
+        with pytest.raises(BarrierDomainError, match="^constraint 1 of agent 2 ") as err:
+            getattr(grp.objective, method)(points[grp.pos])
+        assert (err.value.agent, err.value.constraint) == (2, 1)
+        with pytest.raises(BarrierDomainError) as err:
+            DirectionWorkspace(stage, points, coupling, SolverConfig())
+        assert (err.value.agent, err.value.constraint) == (2, 1)
+
+    def test_lower_non_finite_agent_comes_before_a_point_outside_the_domain(self):
+        problem, coupling, stage, points = self.outside()
+        points[coupling.offsets[1]] = np.nan
+        with pytest.raises(NonFiniteError) as err:
+            DirectionWorkspace(stage, points, coupling, SolverConfig())
+        assert (err.value.agent, err.value.quantity) == (1, "gradient")
+
+    def test_line_search(self):
+        # every agent s <= 1 from 0 on a chain; agents 1 and 3 jump past it
+        bound = QuadraticFunction(np.zeros((2, 2)), np.array([1.0, 0.0]), -1.0)
+        quad = QuadraticFunction(np.eye(2), np.zeros(2))
+        prob = LooselyCoupledProblem(n=5, blocks=tuple(
+            AgentBlock(index_set=(i, i + 1), objective=quad, inequality=(bound,))
+            for i in range(4)))
+        coupling = build_coupling(prob)
+        stage = barrier_stage(prob, 1.0)
+        points = np.zeros(coupling.flat_index.size)
+        ws = DirectionWorkspace(stage, points, coupling, SolverConfig())
+        ds = np.zeros_like(points)
+        ds[coupling.offsets[[1, 3]]] = 50.0
+        h_values = stage.groups[0].objective.value(points[stage.groups[0].pos])
+        with pytest.raises(LineSearchError, match="^agent 1 exhausted 0 backtracks") as err:
+            distributed_line_search(stage, points, h_values, ws, ds,
+                                    SolverConfig(max_backtracks=0), RoundScheduler(coupling))
+        assert err.value.agent == 1
+
+    def test_decrement(self):
+        H = np.stack([np.eye(2), -np.eye(2), np.eye(2), -2.0 * np.eye(2)])
+        with pytest.raises(DecrementError, match=r"^agent 5: local decrement -1\.000e\+00") \
+                as err:
+            local_decrement(H, np.ones((4, 2)) / np.sqrt(2.0), np.array([2, 5, 6, 9]))
+        assert err.value.agent == 5
 
 
 class TestNewtonSolve:
@@ -189,9 +396,10 @@ class TestNewtonSolve:
         assert result.rows[-1].outer == 0
 
     def test_stage_value_evaluated_once_per_iterate(self):
-        # one agent and one full step: the stage and the true objective at
-        # each of the two iterates, plus the Armijo candidate; the line
-        # search reuses the stage value at the current iterate
+        # one agent and one full step: the stage value at each of the two
+        # iterates, which is the true objective's too, plus the Armijo
+        # candidate; the line search reuses the stage value at the current
+        # iterate
         calls = []
 
         def value(s):
@@ -202,7 +410,7 @@ class TestNewtonSolve:
         prob = LooselyCoupledProblem(n=2, blocks=(AgentBlock(index_set=(0, 1), objective=f),))
         result, _ = solve_newton(prob, np.zeros(2), SolverConfig())
         assert [row.alpha for row in result.rows] == [1.0, 0.0]
-        assert len(calls) == 5
+        assert len(calls) == 3
 
     def test_softplus_blocks_match_centralized(self):
         rng = np.random.default_rng(0)
