@@ -4,8 +4,8 @@ The direction subproblem at a linearization point is a separable quadratic
 model coupled only through the requirement that all local directions be
 slices of one global direction. Splitting that requirement off as a
 consensus projection yields an iteration in which every agent alternates a
-local prox solve against its cached curvature factorization, a one-round
-exchange of shared components, and a running dual update:
+local prox solve against its cached curvature factorization, an exchange
+of shared components, and a running dual update:
 
     ds_i   <- (H_i + rho I)^{-1} (rho (dz_{J_i} + v_i) - grad_i)
     dz_j   <- mean of ds_q[j] over the owners q of variable j
@@ -30,7 +30,15 @@ agents in ascending order), which the exchange averages as they are.
 Per-agent convergence is declared when the squared slice change and the
 squared disagreement both fall below their tolerances split evenly across
 agents; one flooded AND per iteration turns the local declarations into a
-global stop.
+global stop. A failed vote costs no round of its own for the agents that
+hold False: its round 1 rides the next iteration's exchange
+(``network.all_agree`` with ``carry``), in which they send their new data
+marked with their False bit; the agents that held True send theirs in a
+completion round once the flood has told them. An agent thus computes
+its next prox only once it knows the vote failed, each agent sends each
+neighbour its data once per iteration, and the iterates are those of a
+vote flooded on its own, bit for bit. The last permitted iteration's vote
+has no exchange to ride and is flooded on its own.
 
 Any start whose duals have a zero owner-average is valid, and the dual
 update keeps that average at zero. A start at the fixed point
@@ -54,7 +62,7 @@ from .errors import (
 from .network import all_agree, exchange_shared_components
 # gather_average stays importable from here: perfbench/tracing.py wraps it
 # at this lookup site
-from .problem import gather_average, scatter
+from .problem import gather_average
 
 
 @dataclass
@@ -210,21 +218,18 @@ def prox_step_equality(agent, dz_slice, v, rho):
 class DirectionResult:
     """Outcome of one distributed direction computation.
 
-    ``dx`` is the global direction; ``ds_slices`` are its per-agent slices,
-    read from the one vector so they are consistent by construction.
-    Residuals are the final per-agent maxima of the squared norms the
-    termination test uses. ``v`` holds the final duals, one flat vector in
-    the coupling's layout, which the Newton driver carries into the next
-    direction. ``max_dual_average`` tracks how far the averaged dual
-    variables drifted from zero; ``max_eq_violation`` tracks the worst
-    violation of the local equality null-space condition over all inner
-    iterates.
+    ``dx`` is the global direction. Residuals are the final per-agent
+    maxima of the squared norms the termination test uses. ``v`` holds
+    the final duals, one flat vector in the coupling's layout, which the
+    Newton driver carries into the next direction. ``max_dual_average``
+    tracks how far the averaged dual variables drifted from zero;
+    ``max_eq_violation`` tracks the worst violation of the local equality
+    null-space condition over all inner iterates.
     """
 
     converged: bool
     iterations: int
     dx: np.ndarray
-    ds_slices: list
     primal_residual: float
     dual_residual: float
     max_dual_average: float
@@ -253,9 +258,12 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     iterations, a diagnostic summed in ascending agent order as
     ``gather_average`` sums, so its value is the same to the bit.
 
-    A non-converged result (iteration cap) is returned rather than raised;
-    ``newton_solve`` rejects it. A disconnected graph raises
-    ``DisconnectedNetworkError`` from the first flooded AND.
+    Each iteration's convergence vote, unless it passes or is the last,
+    is finished in the next iteration's exchange (``vote``), after that
+    iteration's prox calls. A non-converged result (iteration cap) is
+    returned rather than raised; ``newton_solve`` rejects it. A
+    disconnected graph raises ``DisconnectedNetworkError`` from the first
+    vote, after the first exchange.
     """
     coupling = workspace.coupling
     groups = workspace.groups
@@ -276,13 +284,14 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     eps_dual_i = config.eps_dual / n_agents
     max_dual_avg = 0.0
     max_eq_viol = 0.0
-    pri = dua = np.inf
     ds = np.empty(dz.size)
-    e_pri = np.empty(n_agents)
-    e_dual = np.empty(n_agents)
+    # each agent's squared primal change (row 0) and dual change (row 1)
+    E = np.full((2, n_agents), np.inf)
+    e_pri, e_dual = E
 
     converged = False
     iterations = config.admm_max_iter
+    vote = None  # the flags of an AND that rides this iteration's exchange
     for k in range(config.admm_max_iter):
         failures = []
         for grp in groups:
@@ -300,41 +309,42 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
         if failures:
             raise min(failures, key=lambda exc: exc.agent)
 
-        dz_new = exchange_shared_components(scheduler, ds)
+        dz_new = exchange_shared_components(scheduler, ds, vote)
 
-        v += dz_new - ds
-        sq_dual = (dz_new - dz) ** 2
-        sq_pri = (ds - dz_new) ** 2
+        pri_change = ds - dz_new
+        v -= pri_change
+        dual_change = dz_new - dz
+        pri_change *= pri_change
+        dual_change *= dual_change
         for grp in groups:
-            e_dual[grp.members] = sq_dual[grp.pos].sum(axis=1)
-            e_pri[grp.members] = sq_pri[grp.pos].sum(axis=1)
-        # max() below would drop a NaN and let the iteration run to its cap
-        finite_pri = np.isfinite(e_pri)
-        finite = finite_pri & np.isfinite(e_dual)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise NonFiniteError(i, "dual residual" if finite_pri[i] else "primal residual")
+            e_pri[grp.members] = pri_change[grp.pos].sum(axis=1)
+            e_dual[grp.members] = dual_change[grp.pos].sum(axis=1)
+        # a NaN fails every flag, so the iteration would run to its cap
+        if not np.isfinite(E).all():
+            i = int(np.argmin(np.isfinite(E).all(axis=0)))
+            quantity = "dual residual" if np.isfinite(e_pri[i]) else "primal residual"
+            raise NonFiniteError(i, quantity)
         flags = (e_dual <= eps_dual_i) & (e_pri <= eps_pri_i)
-        pri = float(e_pri.max())
-        dua = float(e_dual.max())
 
         avg_v = np.bincount(coupling.flat_index, weights=v,
                             minlength=coupling.n) / coupling.degrees
         max_dual_avg = max(max_dual_avg, float(np.abs(avg_v).max(initial=0.0)))
 
         dz = dz_new
-        converged = all_agree(scheduler, flags)
+        # a failed vote finishes in the next iteration's exchange
+        converged = all_agree(scheduler, flags, carry=k + 1 < config.admm_max_iter)
         if converged:
             iterations = k + 1
             break
+        vote = flags
 
     dx = np.zeros(coupling.n)
     dx[coupling.flat_index] = dz
+    pri, dua = E.max(axis=1).tolist()
     return DirectionResult(
         converged=converged,
         iterations=iterations,
         dx=dx,
-        ds_slices=scatter(dx, coupling),
         primal_residual=pri,
         dual_residual=dua,
         max_dual_average=max_dual_avg,

@@ -13,8 +13,9 @@ carries one scalar per edge; a shared-component round carries, edge by
 edge, the sender's values of the variables both parties own, read from
 the coupling's flat vector of local entries. A message to a non-neighbour
 therefore cannot be expressed. Messages are credited to the directed edges
-that carry them; in a shared-component round every edge does, and a
-coupling without edges has nothing to exchange, so it takes no round.
+that carry them; in a shared-component exchange every edge carries one,
+in one round or split over two (below), and a coupling without edges has
+nothing to exchange, so it takes no round.
 
 Consensus primitives (boolean AND, minimum) are realized by flooding over a
 connected graph. A MIN flood takes diameter rounds, after which it is exact,
@@ -39,6 +40,17 @@ outcome. The flood ends after the last round in which an agent sends, so it
 takes at most diameter rounds, and exactly diameter silent ones when every
 agent starts True. Its result is the AND of the start flags, that of a flood
 run for diameter rounds.
+
+The splitting iteration's convergence AND may carry its round 1 on the next
+shared-component round (``all_agree`` with ``carry``, then
+``exchange_shared_components`` with the flags as ``vote``): an agent that
+holds False knows the vote failed, so it sends its next data in that round,
+each segment marked with its False bit, while an agent that holds True stays
+silent. An all-False vote then costs no flag round at all; a mixed one goes
+on from round 2 in flag rounds, as above, and one completion round after the
+flood carries the data of the agents that held True, so every agent still
+sends each neighbour one data message per exchange. An all-True vote sends
+no data and takes its diameter silent flag rounds as before.
 
 On a disconnected graph with more than one agent the floods raise, since
 values cannot propagate between components, so a solver meets a
@@ -91,8 +103,9 @@ class RoundPlan:
     Edge e runs from ``edge_src[e]`` to ``edge_dst[e]``, sorted by receiver
     then sender; ``recv_start[i]`` is agent i's first incoming edge (the
     ``reduceat`` offsets). In a shared-component payload edge e owns entries
-    ``seg_start[e]:seg_start[e + 1]``; entry k is global variable
-    ``seg_global[k]``, read at ``send_pos[k]`` of the coupling's flat vector
+    ``seg_start[e]:seg_start[e + 1]``, never none; entry k is sent by agent
+    ``seg_src[k]``, is global variable ``seg_global[k]`` and is read at
+    ``send_pos[k]`` of the coupling's flat vector
     of local entries. Averaging sums own and received entries, permuted by
     ``acc_order`` into ascending sender order, into slots ``acc_slot`` of
     that vector, and divides entry k by ``local_degrees[k]``.
@@ -103,6 +116,7 @@ class RoundPlan:
     recv_start: np.ndarray
     out_degree: np.ndarray
     seg_start: np.ndarray
+    seg_src: np.ndarray
     seg_global: np.ndarray
     send_pos: np.ndarray
     acc_order: np.ndarray
@@ -146,8 +160,9 @@ def _build_round_plan(coupling):
             a, b = seg_start[edge[s, d]], seg_start[edge[s, d] + 1]
             acc_order += range(offsets[-1] + a, offsets[-1] + b)
             acc_slot += recv_slot[a:b]
-    arrays = (src, dst, recv_start, [len(ne) for ne in neighbors], seg_start, seg_global,
-              send_pos, acc_order, acc_slot)
+    seg_src = np.repeat(np.array(src, dtype=np.intp), np.diff(seg_start))
+    arrays = (src, dst, recv_start, [len(ne) for ne in neighbors], seg_start, seg_src,
+              seg_global, send_pos, acc_order, acc_slot)
     return RoundPlan(*(np.array(a, dtype=np.intp) for a in arrays),
                      local_degrees=coupling.degrees[coupling.flat_index])
 
@@ -232,8 +247,14 @@ class RoundScheduler:
         return int(self._edge_messages(kind).sum())
 
 
-def exchange_shared_components(scheduler, flat):
-    """One data round: average each shared variable over its owners.
+# a shared-component entry of a round that carries a vote's round 1: the
+# sender's value, and whether it holds True (then it is silent, and the
+# value is not taken)
+_CARRIER = np.dtype([("value", float), ("holds", bool)])
+
+
+def exchange_shared_components(scheduler, flat, vote=None):
+    """One data exchange: average each shared variable over its owners.
 
     Every agent sends one message per neighbor, carrying exactly the
     components both parties own. Each agent then averages, per variable,
@@ -242,6 +263,14 @@ def exchange_shared_components(scheduler, flat):
     ``flat`` is the agents' contributions as one flat array in the
     coupling's layout (``CouplingStructure.flat_index``); the averaged
     flat array is returned, and anything else raises ``StructureError``.
+
+    ``vote`` is the per-agent flags of an AND that ``all_agree`` left to
+    this exchange (``carry``; not all True). Its round 1 is this exchange's
+    first round, in which only the agents that hold False send, their data
+    marked with their False bit; the AND then goes on from round 2, and one
+    completion round carries the data of the agents that held True, unless
+    none did. Each agent averages the segments of the round in which their
+    sender spoke.
     """
     plan = scheduler.plan
     if not isinstance(flat, np.ndarray) or flat.shape != plan.local_degrees.shape:
@@ -249,12 +278,39 @@ def exchange_shared_components(scheduler, flat):
     if not plan.n_edges:
         # no variable has two owners: there is nothing to send, so no round
         return flat.copy()
-    received = scheduler.deliver_round(flat[plan.send_pos], KIND_SHARED)
+    if vote is None:
+        received = scheduler.deliver_round(flat[plan.send_pos], KIND_SHARED)
+    else:
+        received = _carry_vote(scheduler, np.asarray(vote, dtype=bool), flat[plan.send_pos])
     scheduler.count_messages(KIND_SHARED, 1)
     terms = np.concatenate((flat, received))[plan.acc_order]
     averaged = np.bincount(plan.acc_slot, weights=terms, minlength=flat.size)
     averaged /= plan.local_degrees
     return averaged
+
+
+def _carry_vote(scheduler, flags, data):
+    """The rounds of an exchange of ``data`` (a payload) that carries the
+    AND of ``flags``; returns the segments each receiver takes.
+
+    As in a flood, the transport delivers every entry of a round; a
+    receiver takes a segment from round 1 if it came marked False, else
+    from the completion round.
+    """
+    _require_connected(scheduler)
+    plan = scheduler.plan
+    first = np.zeros(data.size, _CARRIER)
+    first["value"] = data
+    if 1 not in flags.tobytes():
+        # every agent holds False and sends its data, which tells each
+        # neighbour the outcome: the vote ends with round 1
+        return scheduler.deliver_round(first, KIND_SHARED)["value"]
+    first["holds"] = flags[plan.seg_src]
+    received = scheduler.deliver_round(first, KIND_SHARED)
+    heard = received["holds"]
+    _deciding_flood(scheduler, flags, heard[plan.seg_start[:-1]], carried=True)
+    rest = scheduler.deliver_round(data, KIND_SHARED)
+    return np.where(heard, rest, received["value"])
 
 
 def _require_connected(scheduler):
@@ -263,7 +319,7 @@ def _require_connected(scheduler):
                                        "and solve the pieces")
 
 
-def all_agree(scheduler, flags):
+def all_agree(scheduler, flags, carry=False):
     """Logical AND of per-agent flags, by an early-deciding flood.
 
     False absorbs under AND, so an agent that holds False knows the outcome:
@@ -273,25 +329,40 @@ def all_agree(scheduler, flags):
     the last round in which an agent sends, so a False outcome takes at most
     ``diameter`` rounds and an all-True start exactly ``diameter`` silent
     ones. Every agent holds the returned decision when the flood ends.
+
+    With ``carry``, a vote that is not all True returns False at once and
+    takes no round here: its flood runs in the next
+    ``exchange_shared_components``, given ``flags`` as ``vote``, whose
+    first round is the flood's round 1. The agents that hold False know the
+    outcome and send there; the others learn it before they need it.
     """
     state = np.asarray(flags, dtype=bool)
     _require_connected(scheduler)
     plan = scheduler.plan
-    held = state.tobytes()  # one byte per agent, 1 where it holds True
-    if 0 not in held or not scheduler.diameter:
+    if 0 not in state.tobytes() or not scheduler.diameter:
         # no agent holds False, or there is no other agent: a True agent
         # waits out diameter silent rounds
         payload = state[plan.edge_src]
         for _ in range(scheduler.diameter):
             scheduler.deliver_round(payload, KIND_FLAG)
         return bool(state[0])
-    if 1 not in held:
-        # every agent holds False and tells every neighbour in round 1
-        scheduler.deliver_round(state[plan.edge_src], KIND_FLAG)
-        scheduler.count_messages(KIND_FLAG, 1)
-        return False
+    if not carry:
+        _deciding_flood(scheduler, state, scheduler.deliver_round(state[plan.edge_src], KIND_FLAG))
+    return False
+
+
+def _deciding_flood(scheduler, state, received, carried=False):
+    """Rounds 2 on of the early-deciding AND of ``state``, which holds a
+    False; ``received`` is round 1's delivered flags, one per edge. Credits
+    the flag messages of every round, round 1's only unless it was
+    ``carried`` by a shared-component round."""
+    plan = scheduler.plan
+    if 1 not in state.tobytes():
+        # every agent holds False and told every neighbour in round 1
+        if not carried:
+            scheduler.count_messages(KIND_FLAG, 1)
+        return
     starts = [state]  # the agents' flags at the start of each round
-    received = scheduler.deliver_round(state[plan.edge_src], KIND_FLAG)
     while len(starts) < scheduler.diameter:
         before = state
         state = before & np.logical_and.reduceat(received, plan.recv_start)
@@ -313,8 +384,10 @@ def all_agree(scheduler, flags):
     used = src_level <= level[plan.edge_dst]
     if rounds == scheduler.diameter:
         used &= src_level < rounds
+    if carried:
+        # round 1's messages carried data
+        used &= src_level > 0
     scheduler.count_messages(KIND_FLAG, used)
-    return False
 
 
 def min_consensus(scheduler, values):

@@ -288,9 +288,9 @@ class TestRun:
         # the same solve again, with every AND's flags noted for the reference
         agreements = []
 
-        def noting(scheduler, flags):
-            agreements.append(list(flags))
-            return all_agree(scheduler, flags)
+        def noting(scheduler, flags, carry=False):
+            agreements.append((list(flags), carry))
+            return all_agree(scheduler, flags, carry)
 
         for module in (dipm.direction, dipm.newton):
             monkeypatch.setattr(module, "all_agree", noting)
@@ -301,17 +301,24 @@ class TestRun:
         assert set(summary["messages"]) == kinds
         assert summary["messages_total"] == sum(summary["messages"].values())
         with open(tmp_path / "out" / "trace.csv", newline="") as fh:
-            assert summary["messages_total"] == sum(int(r["messages"]) for r in csv.DictReader(fh))
+            rows = list(csv.DictReader(fh))
+        assert summary["messages_total"] == sum(int(r["messages"]) for r in rows)
         # a MIN takes diameter rounds; an AND ends once every agent holds the
         # outcome, and sends only False, each agent once to the neighbours
-        # that have not told it, while a shared-component round uses every
-        # directed edge
+        # that have not told it. A splitting iteration's failed vote has its
+        # round 1 ride the next exchange, in which the agents that hold False
+        # send their data, and a completion round carries the others' data
+        # if there are any; every exchange uses each directed edge once
         assert summary["rounds"][KIND_MIN] % scheduler.diameter == 0
-        references = [deciding_flood(scheduler.coupling, flags) for flags in agreements]
+        references = [deciding_flood(scheduler.coupling, flags, carried=carry)
+                      for flags, carry in agreements]
         assert summary["rounds"][KIND_FLAG] == sum(rounds for _, _, rounds in references)
         assert summary["messages"][KIND_FLAG] == sum(m.sum() for _, m, _ in references)
+        inner = sum(int(r["inner_iterations"]) for r in rows)
+        carried = [flags for flags, carry in agreements if carry and not all(flags)]
+        assert summary["rounds"][KIND_SHARED] == inner + sum(any(f) for f in carried)
+        assert summary["messages"][KIND_SHARED] == inner * scheduler.plan.n_edges
         per_round = {kind: summary["messages"][kind] / summary["rounds"][kind] for kind in kinds}
-        assert per_round[KIND_SHARED] == scheduler.plan.n_edges
         assert per_round[KIND_FLAG] < per_round[KIND_SHARED]
 
     def test_oracle_modes(self, tmp_path):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import dipm.direction
 from dipm.barrier import BarrierFunction
 from dipm.config import SolverConfig
 from dipm.direction import (
@@ -21,7 +22,7 @@ from dipm.errors import (
 )
 from dipm.generator import random_qp
 from dipm.linalg import factor_kkt, factor_spd, factorization_count
-from dipm.network import RoundScheduler
+from dipm.network import KIND_SHARED, RoundScheduler, all_agree, exchange_shared_components
 from dipm.newton import plain_stage, solve_newton
 from dipm.oracle import direct_direction
 from dipm.problem import (
@@ -33,6 +34,7 @@ from dipm.problem import (
     gather_average,
     scatter,
 )
+from test_network import SilencingScheduler
 
 
 def chain_qp():
@@ -191,15 +193,6 @@ class TestComputeDirection:
             _, dx_star = direct_direction(prob, s0, coupling)
             assert np.abs(res.dx - dx_star).max() <= 1e-5
 
-    def test_slices_are_views_of_one_vector(self):
-        prob = chain_qp()
-        coupling, sched, cfg = setup_instance(prob)
-        ws = DirectionWorkspace(plain_stage(prob), np.zeros(coupling.flat_index.size),
-                                coupling, cfg)
-        res = compute_direction(ws, sched)
-        for i, idx in enumerate(coupling.index_arrays):
-            np.testing.assert_array_equal(res.ds_slices[i], res.dx[idx])
-
     def test_dual_average_stays_null(self):
         prob, x0 = random_qp(11, n_agents=6, block_size=3, overlap=2)
         coupling, sched, cfg = setup_instance(prob)
@@ -217,7 +210,7 @@ class TestComputeDirection:
         # averaged slices satisfy the constraint only to the primal tolerance
         assert res.max_eq_violation <= 1e-9
         slack = np.sqrt(cfg.eps_pri / prob.n_agents)
-        for blk, ds in zip(prob.blocks, res.ds_slices):
+        for blk, ds in zip(prob.blocks, scatter(res.dx, coupling)):
             norm_A = np.abs(blk.A_eq).sum(axis=1).max()
             assert np.abs(blk.A_eq @ ds).max() <= norm_A * slack
 
@@ -437,3 +430,174 @@ class TestGroups:
                 DirectionWorkspace(plain_stage(prob), np.zeros(coupling.flat_index.size), coupling,
                                    cfg)
             assert info.value.agent == agent
+
+
+@pytest.fixture
+def flooded_votes(monkeypatch):
+    """``compute_direction`` with every convergence AND a flood of its own,
+    round 1 included, and every exchange one plain data round: the protocol
+    before a failed vote rode the next exchange."""
+    def agree(scheduler, flags, carry=False):
+        return all_agree(scheduler, flags)
+
+    def exchange(scheduler, flat, vote=None):
+        return exchange_shared_components(scheduler, flat)
+
+    def run(workspace, scheduler):
+        with monkeypatch.context() as patch:
+            patch.setattr(dipm.direction, "all_agree", agree)
+            patch.setattr(dipm.direction, "exchange_shared_components", exchange)
+            return compute_direction(workspace, scheduler)
+
+    return run
+
+
+class FailingSolve:
+    """A stacked factor handle that solves as ``factor`` does, except that
+    its ``at``-th solve fails for the stack rows ``rows``: with NaN in them,
+    or, if ``raises``, with a ``FactorizationError`` naming the first."""
+
+    def __init__(self, factor, at, rows, raises):
+        self.factor, self.at, self.rows, self.raises = factor, at, rows, raises
+        self.calls = 0
+
+    def solve(self, rhs):
+        self.calls += 1
+        out = self.factor.solve(rhs)
+        if self.calls == self.at:
+            if self.raises:
+                raise FactorizationError("solve residuals too large", row=self.rows[0])
+            out[self.rows] = np.nan
+        return out
+
+
+class TestCarriedVote:
+    """A failed vote rides the next exchange; iterates and failures stay those
+    of a vote flooded on its own."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_qp(0, n_agents=5, block_size=3, overlap=1),
+        lambda: random_qp(1, n_agents=6, block_size=3, overlap=2, n_eq=1),
+        lambda: mixed_chain()[:2],
+    ], ids=["chain", "three-owner-equality", "mixed-groups"])
+    def test_iterates_match_votes_flooded_on_their_own_bitwise(self, make, flooded_votes):
+        prob, x0 = make()
+        results = []
+        for carried in (True, False):
+            coupling, sched, cfg = setup_instance(prob)
+            ws = DirectionWorkspace(plain_stage(prob), x0[coupling.flat_index], coupling, cfg)
+            if carried:
+                # a transport that drops the entries no sender sent
+                sched = SilencingScheduler(coupling)
+            res = (compute_direction if carried else flooded_votes)(ws, sched)
+            results.append((res, sched))
+        (res, carried), (ref, flooded) = results
+        assert res.converged and res.iterations == ref.iterations > 1
+        for name in ("dx", "v"):
+            assert getattr(res, name).tobytes() == getattr(ref, name).tobytes()
+        assert (res.primal_residual, res.dual_residual) == (ref.primal_residual,
+                                                             ref.dual_residual)
+        # every agent sends each neighbour one data message per iteration
+        np.testing.assert_array_equal(carried.sent_by_kind[KIND_SHARED],
+                                      flooded.sent_by_kind[KIND_SHARED])
+        assert carried.round_index < flooded.round_index
+        assert carried.total_sent < flooded.total_sent
+
+    @pytest.mark.parametrize("raises, error, agent, quantity", [
+        (True, FactorizationError, 2, None),
+        # agent 2's NaN reaches agent 1 through their shared variable
+        (False, NonFiniteError, 1, "primal residual"),
+    ], ids=["factorization", "non-finite"])
+    def test_a_failure_after_carried_votes_names_the_same_agent(
+            self, raises, error, agent, quantity, flooded_votes):
+        # the fourth prox solve fails for agents 2 and 4, after the votes of
+        # iterations 1-3 failed
+        prob, x0 = random_qp(0, n_agents=5, block_size=3, overlap=1)
+        found = []
+        for carried in (True, False):
+            coupling, sched, cfg = setup_instance(prob)
+            ws = DirectionWorkspace(plain_stage(prob), x0[coupling.flat_index], coupling, cfg)
+            [group] = ws.groups
+            group.factor = FailingSolve(group.factor, 4, [2, 4], raises)
+            with pytest.raises(error) as info:
+                (compute_direction if carried else flooded_votes)(ws, sched)
+            assert group.factor.calls == 4
+            found.append((info.value.agent, getattr(info.value, "quantity", None),
+                          sched.round_index))
+        (got, got_quantity, carried_rounds), (want, want_quantity, flooded_rounds) = found
+        assert (got, got_quantity) == (want, want_quantity) == (agent, quantity)
+        assert carried_rounds < flooded_rounds
+
+    def test_disconnected_graph_raises_at_the_first_vote(self):
+        # two chains of two agents: the first exchange runs, its vote raises
+        quad = QuadraticFunction(np.eye(2), np.ones(2))
+        prob = LooselyCoupledProblem(n=6, blocks=tuple(
+            AgentBlock(index_set=idx, objective=quad) for idx in ((0, 1), (1, 2), (3, 4), (4, 5))))
+        coupling, sched, cfg = setup_instance(prob)
+        ws = DirectionWorkspace(plain_stage(prob), np.zeros(coupling.flat_index.size),
+                                coupling, cfg)
+        with pytest.raises(DisconnectedNetworkError):
+            compute_direction(ws, sched)
+        assert sched.rounds_by_kind == {KIND_SHARED: 1}
+
+
+class TestResidualBits:
+    """Every iteration's flags and residuals are those of each agent's own
+    sum of squared changes. From 8 entries on, numpy sums a contiguous row
+    pairwise, but a sum over a fancy-indexed (2, members, size) stack, whose
+    rows are not contiguous, in another order."""
+
+    def test_flags_and_residuals_of_long_slices(self, monkeypatch):
+        # agents 0-2 own 9 entries each (one group), agent 3 owns 10 (a group of one)
+        rng = np.random.default_rng(3)
+        blocks = []
+        for start, size in ((0, 9), (8, 9), (16, 9), (24, 10)):
+            X = rng.standard_normal((size, size))
+            blocks.append(AgentBlock(index_set=tuple(range(start, start + size)),
+                                     objective=QuadraticFunction(X @ X.T + np.eye(size),
+                                                                 rng.standard_normal(size))))
+        prob = LooselyCoupledProblem(n=34, blocks=tuple(blocks))
+        coupling = build_coupling(prob)
+        points = rng.standard_normal(coupling.flat_index.size)
+        exchanges, votes = [], []
+
+        def exchange(scheduler, flat, vote=None):
+            out = exchange_shared_components(scheduler, flat, vote)
+            exchanges.append((flat.copy(), out))
+            return out
+
+        def agree(scheduler, flags, carry=False):
+            votes.append(np.array(flags))
+            return all_agree(scheduler, flags, carry)
+
+        def solve(cap=None):
+            cfg = SolverConfig() if cap is None else SolverConfig(admm_max_iter=cap)
+            ws = DirectionWorkspace(plain_stage(prob), points, coupling, cfg)
+            return ws, compute_direction(ws, RoundScheduler(coupling))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dipm.direction, "exchange_shared_components", exchange)
+            patch.setattr(dipm.direction, "all_agree", agree)
+            ws, res = solve()
+        assert [g.members.tolist() for g in ws.groups] == [[0, 1, 2], [3]]
+        assert res.converged and res.iterations == len(votes) > 30
+        cfg, dz = ws.config, np.zeros(coupling.flat_index.size)
+        e_pri, e_dual = np.empty(4), np.empty(4)
+
+        def assert_reports_the_residuals(result):
+            assert np.float64(result.primal_residual).tobytes() == e_pri.max().tobytes()
+            assert np.float64(result.dual_residual).tobytes() == e_dual.max().tobytes()
+
+        for k, ((ds, dz_new), flags) in enumerate(zip(exchanges, votes), start=1):
+            for grp in ws.groups:
+                e_pri[grp.members] = ((ds - dz_new) ** 2)[grp.pos].sum(axis=1)
+                e_dual[grp.members] = ((dz_new - dz) ** 2)[grp.pos].sum(axis=1)
+            np.testing.assert_array_equal(
+                flags, (e_dual <= cfg.eps_dual / 4) & (e_pri <= cfg.eps_pri / 4))
+            dz = dz_new
+            if k <= 30:
+                # a run capped at iteration k reports that iteration's residuals
+                _, capped = solve(cap=k)
+                assert capped.iterations == k
+                assert_reports_the_residuals(capped)
+        assert_reports_the_residuals(res)

@@ -240,19 +240,24 @@ def news_flood(c, state, combine, identity):
     return state[0], broadcasts
 
 
-def deciding_flood(c, flags):
+def deciding_flood(c, flags, carried=False):
     """Reference early-deciding AND over a masked transport, simulated round
     by round from each agent's knowledge: an agent that holds False sends it
     once, in the round after the one in which it first holds it (round 1 if
     it starts False), on each edge whose receiver has not sent it False, and
     never after round ``diameter``; a silent edge carries True. Returns the
     result, each agent's messages and the rounds: up to the last one in
-    which an agent sent, or ``diameter`` if none did."""
+    which an agent sent, or ``diameter`` if none did.
+
+    With ``carried``, a vote that holds a False has its round 1 ride a data
+    round, so neither that round nor its messages are counted; an all-True
+    vote sends no data and keeps its rounds."""
     sched = RoundScheduler(c)
     plan = sched.plan
     edges = list(zip(plan.edge_src.tolist(), plan.edge_dst.tolist()))
     reverse = np.array([edges.index((d, s)) for s, d in edges], dtype=int)
     holds = np.array(flags, dtype=bool)
+    carried = carried and not holds.all()
     # the round after which an agent first holds False: 0 if it starts
     # False, -1 while it holds True
     level = np.where(holds, -1, 0)
@@ -261,14 +266,15 @@ def deciding_flood(c, flags):
     last = 0
     for r in range(1, sched.diameter + 1):
         send = (level[plan.edge_src] == r - 1) & ~told[reverse]
-        messages += np.bincount(plan.edge_src[send], minlength=c.n_agents)
+        if not (carried and r == 1):
+            messages += np.bincount(plan.edge_src[send], minlength=c.n_agents)
         last = r if send.any() else last
         told |= send
         heard = np.logical_and.reduceat(~send, plan.recv_start)
         level = np.where(holds & ~heard, r, level)
         holds &= heard
     assert (holds == holds[0]).all()
-    return holds[0], messages, last or sched.diameter
+    return holds[0], messages, (last or sched.diameter) - carried
 
 
 FLOOD_COUPLINGS = {
@@ -614,13 +620,118 @@ class TestDecidingFlood:
         assert (messages <= broadcasts * sched.plan.out_degree).all()
 
 
+class SilencingScheduler(RoundScheduler):
+    """``RoundScheduler`` whose transport puts NaN in each shared-component
+    entry that its sender did not send: in round 1 of a carried vote those
+    of the agents that hold True, in its completion round the others'."""
+
+    completion = None  # the entries the next shared round sends
+
+    def deliver_round(self, payload, kind):
+        if kind == KIND_SHARED:
+            payload = payload.copy()
+            if payload.dtype.names:
+                payload["value"][payload["holds"]] = np.nan
+                self.completion = payload["holds"] if payload["holds"].any() else None
+            elif self.completion is not None:
+                payload[~self.completion] = np.nan
+                self.completion = None
+        return super().deliver_round(payload, kind)
+
+
+class TestCarriedVote:
+    """A convergence AND whose round 1 rides the next shared-component round;
+    each receiver averages the segments of the round in which their sender
+    spoke, so a transport that drops the others changes no bit."""
+
+    @pytest.mark.parametrize("n, edges, flags, flag_messages, flag_rounds, shared_rounds", [
+        # agent 0 sends its data with its False bit in round 1; agents 1-4
+        # pass the False on in flag rounds 2-5, then 1-5 send their data
+        (6, CHAIN_EDGES, [False] + [True] * 5, [0, 1, 1, 1, 1, 0], 4, 2),
+        # the fronts meet at agents 2 and 3, which tell each other in round 3
+        (6, CHAIN_EDGES, [False, True, True, True, True, False], [0, 1, 1, 1, 1, 0], 2, 2),
+        # every agent holds False: its data carries the whole vote
+        (6, CHAIN_EDGES, [False] * 6, [0] * 6, 0, 1),
+        # the centre's False reaches every leaf in round 1, and no two
+        # leaves are neighbours
+        (4, [(0, 1), (0, 2), (0, 3)], [False, True, True, True], [0] * 4, 0, 2),
+    ], ids=["chain-one-end", "chain-both-ends", "all-false", "star-centre"])
+    def test_by_hand(self, n, edges, flags, flag_messages, flag_rounds, shared_rounds):
+        c = coupling_from_graph(n, edges)
+        sched = SilencingScheduler(c)
+        flat = np.arange(float(c.offsets[-1]))
+        assert all_agree(sched, flags, carry=True) is False
+        assert sched.round_index == 0
+        out = exchange_shared_components(sched, flat, vote=flags)
+        assert out.tobytes() == exchange_shared_components(RoundScheduler(c), flat).tobytes()
+        assert sched.rounds_by_kind.get(KIND_FLAG, 0) == flag_rounds
+        assert sched.rounds_by_kind[KIND_SHARED] == shared_rounds
+        np.testing.assert_array_equal(sched.sent_by_kind.get(KIND_FLAG, np.zeros(n)),
+                                      flag_messages)
+        np.testing.assert_array_equal(sched.sent_by_kind[KIND_SHARED], sched.plan.out_degree)
+        _, messages, rounds = deciding_flood(c, flags, carried=True)
+        assert rounds == flag_rounds
+        np.testing.assert_array_equal(messages, flag_messages)
+
+    def test_an_all_true_vote_is_flooded_at_once(self):
+        c = grid(6, None)
+        sched = RoundScheduler(c)
+        assert all_agree(sched, [True] * c.n_agents, carry=True) is True
+        assert sched.rounds_by_kind == {KIND_FLAG: sched.diameter} and sched.total_sent == 0
+
+    def test_a_single_agent_votes_and_exchanges_without_rounds(self):
+        sched = RoundScheduler(coupling_for([(0, 1, 2)], 3))
+        assert all_agree(sched, [False], carry=True) is False
+        out = exchange_shared_components(sched, np.array([1.0, 2.0, 3.0]), vote=[False])
+        assert out.tolist() == [1.0, 2.0, 3.0]
+        assert sched.round_index == 0 and sched.total_sent == 0
+
+    def test_disconnected_graph_raises_at_the_vote(self):
+        sched = RoundScheduler(coupling_for([(0, 1), (1, 2), (3, 4), (4, 5)], 6))
+        with pytest.raises(DisconnectedNetworkError):
+            all_agree(sched, [False, True, True, True], carry=True)
+        with pytest.raises(DisconnectedNetworkError):
+            exchange_shared_components(sched, np.zeros(8), vote=[False, True, True, True])
+        assert sched.round_index == 0
+
+    @PROPERTY
+    @given(c=st.one_of(shaped_coupling(), st.integers(2, 9).map(chain_coupling)),
+           data=st.data())
+    def test_counts_of_the_reference_whose_round_1_rides_the_data_round(self, c, data):
+        flags = np.array(data.draw(flood_starts(KIND_FLAG, c.n_agents)), dtype=bool)
+        size = int(c.offsets[-1])
+        flat = np.array(data.draw(st.lists(FINITE, min_size=size, max_size=size)))
+        sched = SilencingScheduler(c)
+        degree = sched.plan.out_degree
+        outcome = all_agree(sched, flags.tolist(), carry=True)
+        result, messages, rounds = deciding_flood(c, flags, carried=True)
+        assert outcome is bool(result) is all(flags)
+        if outcome:
+            # an all-True vote sends no data: nothing follows it
+            assert sched.rounds_by_kind == {KIND_FLAG: rounds}
+            assert sched.total_sent == 0
+            return
+        assert sched.round_index == 0
+        got = exchange_shared_components(sched, flat, vote=flags)
+        want = exchange_shared_components(RoundScheduler(c), flat)
+        assert got.tobytes() == want.tobytes()
+        assert sched.rounds_by_kind.get(KIND_FLAG, 0) == rounds
+        np.testing.assert_array_equal(sched.sent_by_kind.get(KIND_FLAG, 0 * degree), messages)
+        assert sched.messages_of_kind(KIND_FLAG) == messages.sum()
+        # every agent sends each neighbour its data once: in round 1 if it
+        # holds False, else in one completion round
+        np.testing.assert_array_equal(sched.sent_by_kind[KIND_SHARED], degree)
+        assert sched.rounds_by_kind[KIND_SHARED] == 1 + bool(flags.any())
+        assert sched.total_sent == sched.messages_of_kind(KIND_SHARED) + messages.sum()
+
+
 # n_agents -> (rounds by kind, messages, outer iterations, inner iterations)
 # of ``random_qp(0, n_agents, 3, overlap=1, n_eq=1)``: no golden trace
 # records rounds, so a change of protocol would otherwise move them unseen
 PINNED_CHAINS = {
-    5: ({KIND_SHARED: 51, KIND_FLAG: 72, KIND_MIN: 4}, 791, 2, 51),
-    16: ({KIND_SHARED: 89, KIND_FLAG: 585, KIND_MIN: 135}, 5441, 10, 89),
-    50: ({KIND_SHARED: 961, KIND_FLAG: 18179, KIND_MIN: 1862}, 167163, 39, 961),
+    5: ({KIND_SHARED: 64, KIND_FLAG: 23, KIND_MIN: 4}, 434, 2, 51),
+    16: ({KIND_SHARED: 139, KIND_FLAG: 506, KIND_MIN: 135}, 3883, 10, 89),
+    50: ({KIND_SHARED: 1840, KIND_FLAG: 17257, KIND_MIN: 1862}, 137024, 39, 961),
 }
 
 
