@@ -54,5 +54,7 @@ class SolverConfig:
             raise ValueError("shrink_b must lie in (0, 1)")
         if self.max_backtracks < 0:
             raise ValueError("max_backtracks must be nonnegative")
-        if self.admm_max_iter < 1 or self.newton_max_iter < 0:
-            raise ValueError("iteration caps must be positive")
+        if self.admm_max_iter < 1:
+            raise ValueError("admm_max_iter must be at least 1")
+        if self.newton_max_iter < 0:
+            raise ValueError("newton_max_iter must be nonnegative")

@@ -30,15 +30,14 @@ agents in ascending order), which the exchange averages as they are.
 Per-agent convergence is declared when the squared slice change and the
 squared disagreement both fall below their tolerances split evenly across
 agents; one flooded AND per iteration turns the local declarations into a
-global stop. A failed vote costs no round of its own for the agents that
-hold False: its round 1 rides the next iteration's exchange
-(``network.all_agree`` with ``carry``), in which they send their new data
-marked with their False bit; the agents that held True send theirs in a
-completion round once the flood has told them. An agent thus computes
-its next prox only once it knows the vote failed, each agent sends each
-neighbour its data once per iteration, and the iterates are those of a
-vote flooded on its own, bit for bit. The last permitted iteration's vote
-has no exchange to ride and is flooded on its own.
+global stop. A failed vote costs no round or message of its own: the
+next iteration's data relay it (``network.all_agree`` with ``carry``),
+each agent sending its new data, marked False, in the round after it
+learns that the vote failed, round 1 if it holds False. An agent thus
+computes its next prox only once it knows the vote failed, each agent
+sends each neighbour its data once per iteration, and the iterates are
+those of a vote flooded on its own, bit for bit. The last permitted
+iteration's vote has no exchange to ride and is flooded on its own.
 
 Any start whose duals have a zero owner-average is valid, and the dual
 update keeps that average at zero. A start at the fixed point
@@ -259,7 +258,7 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     ``gather_average`` sums, so its value is the same to the bit.
 
     Each iteration's convergence vote, unless it passes or is the last,
-    is finished in the next iteration's exchange (``vote``), after that
+    is relayed by the next iteration's exchange (``vote``), after that
     iteration's prox calls. A non-converged result (iteration cap) is
     returned rather than raised; ``newton_solve`` rejects it. A
     disconnected graph raises ``DisconnectedNetworkError`` from the first
@@ -331,7 +330,7 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
         max_dual_avg = max(max_dual_avg, float(np.abs(avg_v).max(initial=0.0)))
 
         dz = dz_new
-        # a failed vote finishes in the next iteration's exchange
+        # a failed vote is relayed by the next iteration's exchange
         converged = all_agree(scheduler, flags, carry=k + 1 < config.admm_max_iter)
         if converged:
             iterations = k + 1

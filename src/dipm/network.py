@@ -14,43 +14,47 @@ edge, the sender's values of the variables both parties own, read from
 the coupling's flat vector of local entries. A message to a non-neighbour
 therefore cannot be expressed. Messages are credited to the directed edges
 that carry them; in a shared-component exchange every edge carries one,
-in one round or split over two (below), and a coupling without edges has
-nothing to exchange, so it takes no round.
+in the exchange's one round or, when it relays a failed vote (below), in
+the round its sender speaks in, and a coupling without edges has nothing
+to exchange, so it takes no round.
 
 Consensus primitives (boolean AND, minimum) are realized by flooding over a
-connected graph. A MIN flood takes diameter rounds, after which it is exact,
-and relays only news: an agent speaks, on all its edges, only when its value
-differs from the last one it sent (before round 1, +inf), so a uniform start
-costs one message per directed edge. Values are compared as numbers:
-``np.minimum`` returns its second argument on a tie, so a zero may change
-sign without news. The minimum is idempotent, so a silent edge's value,
-already combined by its receiver, cannot change the receiver's value; the
-transport delivers every value anyway, so results are bit for bit those of
-a flood recombining every value each round (masking silent edges could
-change only a zero's sign). Once every agent holds the same bits, the
-remaining rounds are delivered, one ``deliver_round`` each, but nothing is
-recombined.
+connected graph, and an agent sends its value on an edge only when it is
+news there: below everything that edge has carried in either direction,
+which is when it is below the values both ends held a round before (before
+round 1, the identity: +inf, True). A uniform start thus costs one message
+per directed edge, and no value goes back over the edge it came by. Values
+are compared as numbers: ``np.minimum`` returns its second argument on a
+tie, so a zero may change sign without news.
+
+A MIN flood takes diameter rounds, after which it is exact. The minimum is
+idempotent and a withheld value is never below its receiver's, so it cannot
+change the receiver's value; the transport delivers every value anyway, so
+results are bit for bit those of a flood recombining every value each round
+(a transport that drops withheld values could change only a zero's sign).
+Once every agent holds the same bits, the remaining rounds are delivered,
+one ``deliver_round`` each, but nothing is recombined.
 
 An AND flood decides early (Dolev, Reischuk & Strong, J. ACM 1990): False
-absorbs, so an agent that holds False knows the outcome. It sends False
-once, in the round after it first holds it, on each edge to a neighbour
-that has not already sent it False; an agent that holds True stays silent,
-and no agent sends after round diameter, by which every agent holds the
-outcome. The flood ends after the last round in which an agent sends, so it
-takes at most diameter rounds, and exactly diameter silent ones when every
-agent starts True. Its result is the AND of the start flags, that of a flood
-run for diameter rounds.
+absorbs, so an agent that holds False knows the outcome. By the rule above
+it sends False once, in the round after it first holds it, on each edge to
+a neighbour that has not already sent it False; an agent that holds True
+stays silent, and no agent sends after round diameter, by which every agent
+holds the outcome. The flood ends after the last round in which an agent
+sends, so it takes at most diameter rounds, and exactly diameter silent
+ones when every agent starts True. Its result is the AND of the start
+flags, that of a flood run for diameter rounds.
 
-The splitting iteration's convergence AND may carry its round 1 on the next
-shared-component round (``all_agree`` with ``carry``, then
-``exchange_shared_components`` with the flags as ``vote``): an agent that
-holds False knows the vote failed, so it sends its next data in that round,
-each segment marked with its False bit, while an agent that holds True stays
-silent. An all-False vote then costs no flag round at all; a mixed one goes
-on from round 2 in flag rounds, as above, and one completion round after the
-flood carries the data of the agents that held True, so every agent still
-sends each neighbour one data message per exchange. An all-True vote sends
-no data and takes its diameter silent flag rounds as before.
+A failed convergence AND of the splitting iteration is relayed by the data
+of the next exchange (``all_agree`` with ``carry``, then
+``exchange_shared_components`` with the flags as ``vote``) and sends no
+flag of its own: an agent sends its next data, marked False, in the round
+after it learns that the vote failed, round 1 if it holds False, and an
+agent learns it from the first data it receives. The exchange takes 1 + the
+largest distance from an agent that holds False rounds, no more than an
+AND flood and a data round after it, and each agent still sends each
+neighbour one data message. An all-True vote sends no data and takes its
+diameter silent flag rounds.
 
 On a disconnected graph with more than one agent the floods raise, since
 values cannot propagate between components, so a solver meets a
@@ -188,6 +192,8 @@ class RoundScheduler:
         # per kind: messages every directed edge carried, then each edge's further ones
         self._tallies = {}
         self._total = 0
+        # the payload of every round that relays a failed vote
+        self._carrier = np.zeros(len(self.plan.seg_global), _CARRIER)
 
     def deliver_round(self, payload, kind):
         """Deliver one synchronous round of ``kind`` laid out by ``self.plan``.
@@ -247,10 +253,9 @@ class RoundScheduler:
         return int(self._edge_messages(kind).sum())
 
 
-# a shared-component entry of a round that carries a vote's round 1: the
-# sender's value, and whether it holds True (then it is silent, and the
-# value is not taken)
-_CARRIER = np.dtype([("value", float), ("holds", bool)])
+# a shared-component entry of a round that relays a failed vote: the
+# sender's value, and whether the sender speaks in this round
+_CARRIER = np.dtype([("value", float), ("speaks", bool)])
 
 
 def exchange_shared_components(scheduler, flat, vote=None):
@@ -264,12 +269,12 @@ def exchange_shared_components(scheduler, flat, vote=None):
     coupling's layout (``CouplingStructure.flat_index``); the averaged
     flat array is returned, and anything else raises ``StructureError``.
 
-    ``vote`` is the per-agent flags of an AND that ``all_agree`` left to
-    this exchange (``carry``; not all True). Its round 1 is this exchange's
-    first round, in which only the agents that hold False send, their data
-    marked with their False bit; the AND then goes on from round 2, and one
-    completion round carries the data of the agents that held True, unless
-    none did. Each agent averages the segments of the round in which their
+    ``vote`` is the per-agent flags of a failed AND that ``all_agree`` left
+    to this exchange (``carry``; not all True), whose data messages relay
+    it: an agent sends its data, marked False, in the round after it
+    learns that the vote failed, round 1 if it holds False. The exchange
+    takes 1 + the largest distance from an agent that holds False rounds,
+    and each agent averages the segments of the round in which their
     sender spoke.
     """
     plan = scheduler.plan
@@ -281,7 +286,7 @@ def exchange_shared_components(scheduler, flat, vote=None):
     if vote is None:
         received = scheduler.deliver_round(flat[plan.send_pos], KIND_SHARED)
     else:
-        received = _carry_vote(scheduler, np.asarray(vote, dtype=bool), flat[plan.send_pos])
+        received = _relay_vote(scheduler, np.asarray(vote, dtype=bool), flat[plan.send_pos])
     scheduler.count_messages(KIND_SHARED, 1)
     terms = np.concatenate((flat, received))[plan.acc_order]
     averaged = np.bincount(plan.acc_slot, weights=terms, minlength=flat.size)
@@ -289,28 +294,37 @@ def exchange_shared_components(scheduler, flat, vote=None):
     return averaged
 
 
-def _carry_vote(scheduler, flags, data):
-    """The rounds of an exchange of ``data`` (a payload) that carries the
-    AND of ``flags``; returns the segments each receiver takes.
+def _relay_vote(scheduler, waits, data):
+    """The rounds of an exchange of ``data`` (a payload) that relays a
+    failed vote; returns the segments each receiver takes. ``waits`` holds
+    the agents' flags: an agent that holds True waits for a neighbour's
+    data to learn the outcome.
 
-    As in a flood, the transport delivers every entry of a round; a
-    receiver takes a segment from round 1 if it came marked False, else
-    from the completion round.
+    As in a flood, the transport delivers every entry of a round, each
+    marked with whether its sender speaks in it, and a receiver takes the
+    marked ones. Every round's payload is the scheduler's one carrier.
     """
     _require_connected(scheduler)
     plan = scheduler.plan
-    first = np.zeros(data.size, _CARRIER)
-    first["value"] = data
-    if 1 not in flags.tobytes():
-        # every agent holds False and sends its data, which tells each
-        # neighbour the outcome: the vote ends with round 1
-        return scheduler.deliver_round(first, KIND_SHARED)["value"]
-    first["holds"] = flags[plan.seg_src]
-    received = scheduler.deliver_round(first, KIND_SHARED)
-    heard = received["holds"]
-    _deciding_flood(scheduler, flags, heard[plan.seg_start[:-1]], carried=True)
-    rest = scheduler.deliver_round(data, KIND_SHARED)
-    return np.where(heard, rest, received["value"])
+    carrier = scheduler._carrier
+    carrier["value"] = data
+    if 1 not in waits.tobytes():
+        # every agent holds False: round 1 carries all the data
+        carrier["speaks"] = True
+        return scheduler.deliver_round(carrier, KIND_SHARED)["value"]
+    taken = np.empty_like(data)
+    by_receiver = plan.seg_start[plan.recv_start]  # each receiver's first entry
+    speaks = ~waits
+    while True:
+        carrier["speaks"] = speaks[plan.seg_src]
+        received = scheduler.deliver_round(carrier, KIND_SHARED)
+        marks = received["speaks"]
+        np.copyto(taken, received["value"], where=marks)
+        if 1 not in waits.tobytes():
+            return taken
+        heard = np.logical_or.reduceat(marks, by_receiver)
+        speaks = waits & heard
+        waits = waits > heard
 
 
 def _require_connected(scheduler):
@@ -331,10 +345,8 @@ def all_agree(scheduler, flags, carry=False):
     ones. Every agent holds the returned decision when the flood ends.
 
     With ``carry``, a vote that is not all True returns False at once and
-    takes no round here: its flood runs in the next
-    ``exchange_shared_components``, given ``flags`` as ``vote``, whose
-    first round is the flood's round 1. The agents that hold False know the
-    outcome and send there; the others learn it before they need it.
+    takes no round or message here: the data messages of the next
+    ``exchange_shared_components``, given ``flags`` as ``vote``, relay it.
     """
     state = np.asarray(flags, dtype=bool)
     _require_connected(scheduler)
@@ -346,52 +358,34 @@ def all_agree(scheduler, flags, carry=False):
         for _ in range(scheduler.diameter):
             scheduler.deliver_round(payload, KIND_FLAG)
         return bool(state[0])
-    if not carry:
-        _deciding_flood(scheduler, state, scheduler.deliver_round(state[plan.edge_src], KIND_FLAG))
-    return False
-
-
-def _deciding_flood(scheduler, state, received, carried=False):
-    """Rounds 2 on of the early-deciding AND of ``state``, which holds a
-    False; ``received`` is round 1's delivered flags, one per edge. Credits
-    the flag messages of every round, round 1's only unless it was
-    ``carried`` by a shared-component round."""
-    plan = scheduler.plan
+    if carry:
+        return False
+    received = scheduler.deliver_round(state[plan.edge_src], KIND_FLAG)
     if 1 not in state.tobytes():
-        # every agent holds False and told every neighbour in round 1
-        if not carried:
-            scheduler.count_messages(KIND_FLAG, 1)
-        return
+        # every agent holds False and tells every neighbour in round 1
+        scheduler.count_messages(KIND_FLAG, 1)
+        return False
     starts = [state]  # the agents' flags at the start of each round
     while len(starts) < scheduler.diameter:
         before = state
         state = before & np.logical_and.reduceat(received, plan.recv_start)
+        # once every agent holds False, only neighbours that both turned
+        # False in the last round still tell each other
         if 1 not in state.tobytes():
-            # every agent holds False; those that turned False in the last
-            # round still tell those of them that are neighbours
             if 1 in (received & before[plan.edge_dst]).tobytes():
                 starts.append(state)
                 scheduler.deliver_round(state[plan.edge_src], KIND_FLAG)
             break
         starts.append(state)
         received = scheduler.deliver_round(state[plan.edge_src], KIND_FLAG)
-    # an agent's level is the number of round starts at which it held True;
-    # it sends in round level + 1, if that is a round of the flood, on each
-    # edge to an agent of no lower level
-    rounds = len(starts)
-    level = np.add.reduce(np.array(starts))
-    src_level = level[plan.edge_src]
-    used = src_level <= level[plan.edge_dst]
-    if rounds == scheduler.diameter:
-        used &= src_level < rounds
-    if carried:
-        # round 1's messages carried data
-        used &= src_level > 0
-    scheduler.count_messages(KIND_FLAG, used)
+    _count_news(scheduler, KIND_FLAG, starts, True)
+    return False
 
 
 def min_consensus(scheduler, values):
-    """Minimum of per-agent scalars, flooded over the coupling graph."""
+    """Minimum of per-agent scalars, by a flood of diameter rounds in which
+    an agent sends its value on an edge only when it is below everything
+    that edge has carried in either direction."""
     state = np.array(values, dtype=float)
     if not np.isfinite(state).all():
         raise StructureError("consensus values must be finite")
@@ -408,16 +402,22 @@ def min_consensus(scheduler, values):
         received = scheduler.deliver_round(payload, KIND_MIN)
         if not settled:
             state = np.minimum(state, np.minimum.reduceat(received, plan.recv_start))
-    if starts:
-        news = _news(starts, settled)
-        scheduler.count_messages(KIND_MIN, news if isinstance(news, int) else news[plan.edge_src])
+    if settled and len(starts) == 1:
+        # a uniform start: every agent tells every neighbour in round 1
+        scheduler.count_messages(KIND_MIN, 1)
+    elif starts:
+        _count_news(scheduler, KIND_MIN, starts, np.inf)
     return float(state[0])
 
 
-def _news(starts, settled):
-    """Each agent's broadcasts: the rounds at whose start its value differs
-    from the one at the round start before (before round 1, +inf)."""
-    if settled and len(starts) == 1:
-        return int(starts[0].item(0) != np.inf)
-    values = np.array(starts)
-    return (values[0] != np.inf) + (values[1:] != values[:-1]).sum(axis=0)
+def _count_news(scheduler, kind, starts, top):
+    """Credit the messages of a flood whose agents held ``starts`` at the
+    start of its rounds (``top`` before round 1): an agent sends its value
+    on an edge only when it is below everything that edge has carried in
+    either direction, which is when it is below the values both ends of
+    the edge held a round before."""
+    plan = scheduler.plan
+    held = np.array([np.full_like(starts[0], top), *starts])
+    src = held.take(plan.edge_src, axis=1)
+    sent = src[1:] < np.minimum(src[:-1], held[:-1].take(plan.edge_dst, axis=1))
+    scheduler.count_messages(kind, sent.sum(axis=0))

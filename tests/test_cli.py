@@ -50,7 +50,7 @@ from dipm.problem import (
     build_coupling,
     scatter,
 )
-from test_network import deciding_flood
+from test_network import deciding_flood, relay_rounds
 
 
 def write_doc(path, doc):
@@ -305,18 +305,20 @@ class TestRun:
         assert summary["messages_total"] == sum(int(r["messages"]) for r in rows)
         # a MIN takes diameter rounds; an AND ends once every agent holds the
         # outcome, and sends only False, each agent once to the neighbours
-        # that have not told it. A splitting iteration's failed vote has its
-        # round 1 ride the next exchange, in which the agents that hold False
-        # send their data, and a completion round carries the others' data
-        # if there are any; every exchange uses each directed edge once
+        # that have not told it. A splitting iteration's failed vote sends
+        # no flag: the next exchange's data relay it, in 1 + the largest
+        # distance from an agent that holds False rounds, and every exchange
+        # uses each directed edge once
         assert summary["rounds"][KIND_MIN] % scheduler.diameter == 0
-        references = [deciding_flood(scheduler.coupling, flags, carried=carry)
-                      for flags, carry in agreements]
+        flooded = [flags for flags, carry in agreements if not carry or all(flags)]
+        relayed = [np.array(flags) for flags, carry in agreements if carry and not all(flags)]
+        references = [deciding_flood(scheduler.coupling, flags) for flags in flooded]
         assert summary["rounds"][KIND_FLAG] == sum(rounds for _, _, rounds in references)
         assert summary["messages"][KIND_FLAG] == sum(m.sum() for _, m, _ in references)
         inner = sum(int(r["inner_iterations"]) for r in rows)
-        carried = [flags for flags, carry in agreements if carry and not all(flags)]
-        assert summary["rounds"][KIND_SHARED] == inner + sum(any(f) for f in carried)
+        assert summary["rounds"][KIND_SHARED] == inner + sum(
+            relay_rounds(scheduler.coupling, flags) - 1 for flags in relayed)
+        assert relayed and summary["rounds"][KIND_SHARED] > inner
         assert summary["messages"][KIND_SHARED] == inner * scheduler.plan.n_edges
         per_round = {kind: summary["messages"][kind] / summary["rounds"][kind] for kind in kinds}
         assert per_round[KIND_FLAG] < per_round[KIND_SHARED]

@@ -20,6 +20,41 @@ def test_non_finite_float_rejected(name, value):
         SolverConfig(**{name: value})
 
 
+# every range check of __post_init__: a value just outside the bound, the
+# message naming the field and its bound, and the value on the bound's
+# other side, which passes
+RANGES = [
+    ("rho", 0.0, "rho must be positive", 1e-12),
+    ("eps_pri", 0.0, "eps_pri must be positive", 1e-300),
+    ("eps_dual", -1.0, "eps_dual must be positive", 1e-300),
+    ("eps_nt", 0.0, "eps_nt must be positive", 1e-300),
+    ("eps_p", 0.0, "eps_p must be positive", 1e-300),
+    ("t0", 0.0, "t0 must be positive", 1e-300),
+    ("mu", 1.0, "mu must exceed 1", 1.0 + 2**-52),
+    ("armijo_a", 0.0, r"armijo_a must lie in \(0, 0.5\)", 1e-300),
+    ("armijo_a", 0.5, r"armijo_a must lie in \(0, 0.5\)", 0.5 - 2**-53),
+    ("shrink_b", 0.0, r"shrink_b must lie in \(0, 1\)", 1e-300),
+    ("shrink_b", 1.0, r"shrink_b must lie in \(0, 1\)", 1.0 - 2**-53),
+    ("max_backtracks", -1, "max_backtracks must be nonnegative", 0),
+    ("admm_max_iter", 0, "admm_max_iter must be at least 1", 1),
+    ("newton_max_iter", -1, "newton_max_iter must be nonnegative", 0),
+]
+
+
+@pytest.mark.parametrize("name, bad, message, good", RANGES,
+                         ids=[f"{name}={bad}" for name, bad, *_ in RANGES])
+def test_out_of_range_setting_is_named_with_its_bound(name, bad, message, good):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SolverConfig(**{name: bad})
+    assert getattr(SolverConfig(**{name: good}), name) == good
+
+
+def test_every_range_check_is_exercised():
+    # a new numeric setting needs a row above
+    numeric = {f.name for f in fields(SolverConfig) if f.type is not bool}
+    assert {name for name, *_ in RANGES} == numeric
+
+
 @pytest.mark.parametrize("name, value", [
     ("admm_max_iter", 2.5),
     ("newton_max_iter", 3.0),

@@ -472,8 +472,8 @@ class FailingSolve:
 
 
 class TestCarriedVote:
-    """A failed vote rides the next exchange; iterates and failures stay those
-    of a vote flooded on its own."""
+    """A failed vote is relayed by the next exchange's data; iterates and
+    failures stay those of a vote flooded on its own."""
 
     @pytest.mark.parametrize("make", [
         lambda: random_qp(0, n_agents=5, block_size=3, overlap=1),
@@ -497,9 +497,11 @@ class TestCarriedVote:
             assert getattr(res, name).tobytes() == getattr(ref, name).tobytes()
         assert (res.primal_residual, res.dual_residual) == (ref.primal_residual,
                                                              ref.dual_residual)
-        # every agent sends each neighbour one data message per iteration
+        # every agent sends each neighbour one data message per iteration,
+        # in the relay round of every iteration after the first
         np.testing.assert_array_equal(carried.sent_by_kind[KIND_SHARED],
                                       flooded.sent_by_kind[KIND_SHARED])
+        assert (carried.spoke == res.iterations - 1).all()
         assert carried.round_index < flooded.round_index
         assert carried.total_sent < flooded.total_sent
 

@@ -222,42 +222,62 @@ def recomputing_flood(c, state, combine):
     return state[0]
 
 
+def reverse_edges(plan):
+    """Index of the reverse of each directed edge of ``plan``."""
+    edges = list(zip(plan.edge_src.tolist(), plan.edge_dst.tolist()))
+    return np.array([edges.index((d, s)) for s, d in edges], dtype=int)
+
+
 def news_flood(c, state, combine, identity):
-    """Reference flood over a masked transport: an agent puts its value on
-    its edges only when it differs from the last one it sent (the identity
+    """Reference flood over a masked transport, simulated for diameter
+    rounds: an agent puts its value on an edge only when it is below
+    everything that edge has carried in either direction (the identity
     before round 1), and a silent edge carries the identity. Returns agent
-    0's value and each agent's broadcasts."""
+    0's value, each agent's messages and the last round in which an agent
+    sent (0 if none did)."""
     sched = RoundScheduler(c)
     plan = sched.plan
-    last = np.full_like(state, identity)
+    reverse = reverse_edges(plan)
+    carried = np.full(plan.n_edges, identity, dtype=state.dtype)
+    messages = np.zeros(c.n_agents, dtype=int)
+    last = 0
+    for r in range(1, sched.diameter + 1):
+        send = state[plan.edge_src] < carried
+        messages += np.bincount(plan.edge_src[send], minlength=c.n_agents)
+        last = r if send.any() else last
+        payload = np.where(send, state[plan.edge_src], identity)
+        carried = combine(carried, combine(payload, payload[reverse]))
+        state = combine(state, combine.reduceat(payload, plan.recv_start))
+    return state[0], messages, last
+
+
+def agent_news(c, state, combine, identity):
+    """Messages of a flood in which an agent sends on all its edges whenever
+    its value differs from the one it held a round before (the identity
+    before round 1): the count an agent's own news bounds."""
+    sched = RoundScheduler(c)
+    plan = sched.plan
+    before = np.full_like(state, identity)
     broadcasts = np.zeros(c.n_agents, dtype=int)
     for _ in range(sched.diameter):
-        news = state != last
-        broadcasts += news
-        last = np.where(news, state, last)
-        payload = np.where(news, state, identity)[plan.edge_src]
-        state = combine(state, combine.reduceat(payload, plan.recv_start))
-    return state[0], broadcasts
+        broadcasts += state != before
+        before = state
+        state = combine(state, combine.reduceat(state[plan.edge_src], plan.recv_start))
+    return broadcasts * plan.out_degree
 
 
-def deciding_flood(c, flags, carried=False):
+def deciding_flood(c, flags):
     """Reference early-deciding AND over a masked transport, simulated round
     by round from each agent's knowledge: an agent that holds False sends it
     once, in the round after the one in which it first holds it (round 1 if
     it starts False), on each edge whose receiver has not sent it False, and
     never after round ``diameter``; a silent edge carries True. Returns the
     result, each agent's messages and the rounds: up to the last one in
-    which an agent sent, or ``diameter`` if none did.
-
-    With ``carried``, a vote that holds a False has its round 1 ride a data
-    round, so neither that round nor its messages are counted; an all-True
-    vote sends no data and keeps its rounds."""
+    which an agent sent, or ``diameter`` if none did."""
     sched = RoundScheduler(c)
     plan = sched.plan
-    edges = list(zip(plan.edge_src.tolist(), plan.edge_dst.tolist()))
-    reverse = np.array([edges.index((d, s)) for s, d in edges], dtype=int)
+    reverse = reverse_edges(plan)
     holds = np.array(flags, dtype=bool)
-    carried = carried and not holds.all()
     # the round after which an agent first holds False: 0 if it starts
     # False, -1 while it holds True
     level = np.where(holds, -1, 0)
@@ -266,15 +286,24 @@ def deciding_flood(c, flags, carried=False):
     last = 0
     for r in range(1, sched.diameter + 1):
         send = (level[plan.edge_src] == r - 1) & ~told[reverse]
-        if not (carried and r == 1):
-            messages += np.bincount(plan.edge_src[send], minlength=c.n_agents)
+        messages += np.bincount(plan.edge_src[send], minlength=c.n_agents)
         last = r if send.any() else last
         told |= send
         heard = np.logical_and.reduceat(~send, plan.recv_start)
         level = np.where(holds & ~heard, r, level)
         holds &= heard
     assert (holds == holds[0]).all()
-    return holds[0], messages, (last or sched.diameter) - carried
+    return holds[0], messages, last or sched.diameter
+
+
+def relay_rounds(c, flags):
+    """Rounds of an exchange that relays the failed vote ``flags``: one
+    more than the largest distance from an agent that holds False."""
+    adjacency = np.zeros((c.n_agents, c.n_agents))
+    for i, ne in enumerate(c.neighbors):
+        adjacency[i, list(ne)] = 1.0
+    distance = shortest_path(adjacency, unweighted=True, indices=np.flatnonzero(~flags))
+    return 1 + int(distance.min(axis=0).max())
 
 
 FLOOD_COUPLINGS = {
@@ -452,8 +481,7 @@ class TestShapes:
                 expected[kind] += messages
                 continue
             rounds[kind] += sched.diameter
-            _, broadcasts = news_flood(c, np.array(start, dtype=dtype), combine, identity)
-            expected[kind] += broadcasts * degree
+            expected[kind] += news_flood(c, np.array(start, dtype=dtype), combine, identity)[1]
         for kind, r in rounds.items():
             assert (expected[kind] <= r * degree).all()
             if r:
@@ -529,15 +557,17 @@ class TestNewsFlood:
 
     def test_min_from_one_end_of_a_chain(self):
         # agents 0..5 hold 0..5, so in each round every agent i > 0 whose
-        # value is not yet 0 takes i's left neighbour's: agent i speaks in
-        # round 1 and again in rounds 2..min(i + 1, 5), each time to its
-        # 1 or 2 neighbours
+        # value is not yet 0 takes its left neighbour's: after telling both
+        # neighbours in round 1, agent i passes each new value on to agent
+        # i + 1 alone, in rounds 2..min(i + 1, 5), and agent 5 has no one to
+        # pass it to
         sched = RoundScheduler(chain_coupling(6))
         assert min_consensus(sched, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]) == 0.0
         assert sched.round_index == sched.diameter == 5
-        np.testing.assert_array_equal(sched.sent_by_kind[KIND_MIN], [1, 4, 6, 8, 10, 5])
-        # a flood of every value in every round sends 5 rounds x 10 edges
-        assert sched.total_sent == 34
+        np.testing.assert_array_equal(sched.sent_by_kind[KIND_MIN], [1, 3, 4, 5, 6, 1])
+        # relaying each agent's news on all its edges would send 34, and
+        # resending every value in every round 5 rounds x 10 edges
+        assert sched.total_sent == 20
 
     def test_a_zero_changing_sign_is_not_news(self):
         # np.minimum returns its second argument on a tie, so these zeros
@@ -559,17 +589,47 @@ class TestNewsFlood:
         got = np.array(run(sched, start.tolist()), dtype=dtype)
         want = recomputing_flood(c, start, combine)
         assert got.tobytes() == want.tobytes()
-        if kind == KIND_FLAG:
-            reference, messages, rounds = deciding_flood(c, start)
-        else:
-            reference, broadcasts = news_flood(c, start, combine, identity)
-            messages = broadcasts * np.array([len(ne) for ne in c.neighbors])
-            rounds = sched.diameter
+        reference, messages, last = news_flood(c, start, combine, identity)
         # the masked network reaches the same value; only a zero's sign may differ
         assert reference == want
         np.testing.assert_array_equal(sched.sent_by_kind[kind], messages)
         assert sched.total_sent == messages.sum()
-        assert sched.round_index == rounds
+        if kind == KIND_FLAG:
+            assert sched.round_index == (last or sched.diameter)
+            np.testing.assert_array_equal(messages, deciding_flood(c, start)[1])
+        else:
+            assert sched.round_index == sched.diameter
+        # a transport that drops every withheld entry changes no bit but a
+        # zero's sign, and sees exactly the messages credited
+        dropping = DroppingScheduler(c, identity)
+        dropped = np.array(run(dropping, start.tolist()), dtype=dtype)
+        assert dropped == want and (dropped.tobytes() == want.tobytes() or want == 0)
+        np.testing.assert_array_equal(dropping.sent_by_kind[kind], messages)
+        np.testing.assert_array_equal(dropping.delivered, sched._edge_messages(kind))
+        # never more than relaying each agent's news on all its edges
+        assert (messages <= agent_news(c, start, combine, identity)).all()
+
+
+class DroppingScheduler(RoundScheduler):
+    """``RoundScheduler`` whose transport delivers the identity for each
+    consensus entry that is not below everything its edge has carried in
+    either direction, and counts, per edge, the entries it lets through."""
+
+    def __init__(self, coupling, identity):
+        super().__init__(coupling)
+        self.identity = identity
+        self.reverse = reverse_edges(self.plan)
+        self.carried = self.delivered = None
+
+    def deliver_round(self, payload, kind):
+        if self.carried is None:
+            self.carried = np.full_like(payload, self.identity)
+            self.delivered = np.zeros(self.plan.n_edges, dtype=int)
+        sent = payload < self.carried
+        self.delivered += sent
+        payload = np.where(sent, payload, self.identity)
+        self.carried = np.minimum(self.carried, np.minimum(payload, payload[self.reverse]))
+        return super().deliver_round(payload, kind)
 
 
 CHAIN_EDGES = [(i, i + 1) for i in range(5)]
@@ -615,48 +675,48 @@ class TestDecidingFlood:
         np.testing.assert_array_equal(sched.sent_by_kind[KIND_FLAG], messages)
         assert sched.messages_of_kind(KIND_FLAG) == sched.total_sent == messages.sum()
         assert sched.round_index == sched.rounds_by_kind[KIND_FLAG] == rounds <= sched.diameter
-        # never more than a flood that relays each agent's news on every edge
-        _, broadcasts = news_flood(c, flags, np.logical_and, True)
-        assert (messages <= broadcasts * sched.plan.out_degree).all()
+        # the same messages as the per-edge rule of a MIN flood
+        np.testing.assert_array_equal(news_flood(c, flags, np.logical_and, True)[1], messages)
 
 
 class SilencingScheduler(RoundScheduler):
     """``RoundScheduler`` whose transport puts NaN in each shared-component
-    entry that its sender did not send: in round 1 of a carried vote those
-    of the agents that hold True, in its completion round the others'."""
+    entry of a relay round whose sender does not speak in it, and counts,
+    per entry, the relay rounds in which its sender spoke."""
 
-    completion = None  # the entries the next shared round sends
+    spoke = 0
 
     def deliver_round(self, payload, kind):
-        if kind == KIND_SHARED:
+        if kind == KIND_SHARED and payload.dtype.names:
+            self.spoke = self.spoke + payload["speaks"]
             payload = payload.copy()
-            if payload.dtype.names:
-                payload["value"][payload["holds"]] = np.nan
-                self.completion = payload["holds"] if payload["holds"].any() else None
-            elif self.completion is not None:
-                payload[~self.completion] = np.nan
-                self.completion = None
+            payload["value"][~payload["speaks"]] = np.nan
         return super().deliver_round(payload, kind)
 
 
+STAR_EDGES = [(0, 1), (0, 2), (0, 3)]
+
+
 class TestCarriedVote:
-    """A convergence AND whose round 1 rides the next shared-component round;
-    each receiver averages the segments of the round in which their sender
+    """A failed convergence AND is relayed by the next exchange's data: an
+    agent sends its data in the round after it learns the outcome, and each
+    receiver averages the segments of the round in which their sender
     spoke, so a transport that drops the others changes no bit."""
 
-    @pytest.mark.parametrize("n, edges, flags, flag_messages, flag_rounds, shared_rounds", [
-        # agent 0 sends its data with its False bit in round 1; agents 1-4
-        # pass the False on in flag rounds 2-5, then 1-5 send their data
-        (6, CHAIN_EDGES, [False] + [True] * 5, [0, 1, 1, 1, 1, 0], 4, 2),
-        # the fronts meet at agents 2 and 3, which tell each other in round 3
-        (6, CHAIN_EDGES, [False, True, True, True, True, False], [0, 1, 1, 1, 1, 0], 2, 2),
-        # every agent holds False: its data carries the whole vote
-        (6, CHAIN_EDGES, [False] * 6, [0] * 6, 0, 1),
-        # the centre's False reaches every leaf in round 1, and no two
-        # leaves are neighbours
-        (4, [(0, 1), (0, 2), (0, 3)], [False, True, True, True], [0] * 4, 0, 2),
-    ], ids=["chain-one-end", "chain-both-ends", "all-false", "star-centre"])
-    def test_by_hand(self, n, edges, flags, flag_messages, flag_rounds, shared_rounds):
+    @pytest.mark.parametrize("n, edges, flags, rounds", [
+        # agent i learns from agent i - 1's data in round i and sends its
+        # own in round i + 1
+        (16, [(i, i + 1) for i in range(15)], [False] + [True] * 15, 16),
+        # the fronts meet at agents 2 and 3, which send in round 3
+        (6, CHAIN_EDGES, [False, True, True, True, True, False], 3),
+        # every agent holds False: round 1 carries all the data
+        (6, CHAIN_EDGES, [False] * 6, 1),
+        # the centre's data reaches every leaf in round 1
+        (4, STAR_EDGES, [False, True, True, True], 2),
+        # a leaf's reaches the centre in round 1, the other leaves in round 2
+        (4, STAR_EDGES, [True, False, True, True], 3),
+    ], ids=["chain-one-end", "chain-both-ends", "all-false", "star-centre", "star-leaf"])
+    def test_by_hand(self, n, edges, flags, rounds):
         c = coupling_from_graph(n, edges)
         sched = SilencingScheduler(c)
         flat = np.arange(float(c.offsets[-1]))
@@ -664,14 +724,13 @@ class TestCarriedVote:
         assert sched.round_index == 0
         out = exchange_shared_components(sched, flat, vote=flags)
         assert out.tobytes() == exchange_shared_components(RoundScheduler(c), flat).tobytes()
-        assert sched.rounds_by_kind.get(KIND_FLAG, 0) == flag_rounds
-        assert sched.rounds_by_kind[KIND_SHARED] == shared_rounds
-        np.testing.assert_array_equal(sched.sent_by_kind.get(KIND_FLAG, np.zeros(n)),
-                                      flag_messages)
+        assert sched.rounds_by_kind == {KIND_SHARED: rounds} == {KIND_SHARED: relay_rounds(
+            c, np.array(flags))}
+        # each directed edge carries one data message, and no flag
+        assert (sched.spoke == 1).all()
+        assert sched.sent_by_kind.keys() == {KIND_SHARED}
         np.testing.assert_array_equal(sched.sent_by_kind[KIND_SHARED], sched.plan.out_degree)
-        _, messages, rounds = deciding_flood(c, flags, carried=True)
-        assert rounds == flag_rounds
-        np.testing.assert_array_equal(messages, flag_messages)
+        assert sched.total_sent == sched.plan.n_edges == 2 * len(edges)
 
     def test_an_all_true_vote_is_flooded_at_once(self):
         c = grid(6, None)
@@ -697,41 +756,37 @@ class TestCarriedVote:
     @PROPERTY
     @given(c=st.one_of(shaped_coupling(), st.integers(2, 9).map(chain_coupling)),
            data=st.data())
-    def test_counts_of_the_reference_whose_round_1_rides_the_data_round(self, c, data):
+    def test_rounds_are_one_more_than_the_distance_from_a_false_agent(self, c, data):
         flags = np.array(data.draw(flood_starts(KIND_FLAG, c.n_agents)), dtype=bool)
         size = int(c.offsets[-1])
         flat = np.array(data.draw(st.lists(FINITE, min_size=size, max_size=size)))
         sched = SilencingScheduler(c)
-        degree = sched.plan.out_degree
         outcome = all_agree(sched, flags.tolist(), carry=True)
-        result, messages, rounds = deciding_flood(c, flags, carried=True)
-        assert outcome is bool(result) is all(flags)
+        assert outcome is all(flags)
         if outcome:
             # an all-True vote sends no data: nothing follows it
-            assert sched.rounds_by_kind == {KIND_FLAG: rounds}
+            assert sched.rounds_by_kind == {KIND_FLAG: sched.diameter}
             assert sched.total_sent == 0
             return
         assert sched.round_index == 0
         got = exchange_shared_components(sched, flat, vote=flags)
         want = exchange_shared_components(RoundScheduler(c), flat)
         assert got.tobytes() == want.tobytes()
-        assert sched.rounds_by_kind.get(KIND_FLAG, 0) == rounds
-        np.testing.assert_array_equal(sched.sent_by_kind.get(KIND_FLAG, 0 * degree), messages)
-        assert sched.messages_of_kind(KIND_FLAG) == messages.sum()
-        # every agent sends each neighbour its data once: in round 1 if it
-        # holds False, else in one completion round
-        np.testing.assert_array_equal(sched.sent_by_kind[KIND_SHARED], degree)
-        assert sched.rounds_by_kind[KIND_SHARED] == 1 + bool(flags.any())
-        assert sched.total_sent == sched.messages_of_kind(KIND_SHARED) + messages.sum()
+        assert sched.rounds_by_kind == {KIND_SHARED: relay_rounds(c, flags)}
+        # never more rounds than the flag flood and a data round after it
+        assert relay_rounds(c, flags) <= deciding_flood(c, flags)[2] + 1
+        assert (sched.spoke == 1).all()
+        np.testing.assert_array_equal(sched.sent_by_kind[KIND_SHARED], sched.plan.out_degree)
+        assert sched.total_sent == sched.messages_of_kind(KIND_SHARED) == sched.plan.n_edges
 
 
 # n_agents -> (rounds by kind, messages, outer iterations, inner iterations)
 # of ``random_qp(0, n_agents, 3, overlap=1, n_eq=1)``: no golden trace
 # records rounds, so a change of protocol would otherwise move them unseen
 PINNED_CHAINS = {
-    5: ({KIND_SHARED: 64, KIND_FLAG: 23, KIND_MIN: 4}, 434, 2, 51),
-    16: ({KIND_SHARED: 139, KIND_FLAG: 506, KIND_MIN: 135}, 3883, 10, 89),
-    50: ({KIND_SHARED: 1840, KIND_FLAG: 17257, KIND_MIN: 1862}, 137024, 39, 961),
+    5: ({KIND_SHARED: 74, KIND_FLAG: 13, KIND_MIN: 4}, 424, 2, 51),
+    16: ({KIND_SHARED: 471, KIND_FLAG: 174, KIND_MIN: 135}, 3354, 10, 89),
+    50: ({KIND_SHARED: 16852, KIND_FLAG: 1998, KIND_MIN: 1862}, 104684, 39, 961),
 }
 
 
