@@ -14,9 +14,7 @@ edge, the sender's values of the variables both parties own, read from
 the coupling's flat vector of local entries. A message to a non-neighbour
 therefore cannot be expressed. Messages are credited to the directed edges
 that carry them; in a shared-component exchange every edge carries one,
-in the exchange's one round or, when it relays a failed vote (below), in
-the round its sender speaks in, and a coupling without edges has nothing
-to exchange, so it takes no round.
+and a coupling without edges has nothing to exchange, so it takes no round.
 
 Consensus primitives (boolean AND, minimum) are realized by flooding over a
 connected graph, and an agent sends its value on an edge only when it is
@@ -36,25 +34,30 @@ Once every agent holds the same bits, the remaining rounds are delivered,
 one ``deliver_round`` each, but nothing is recombined.
 
 An AND flood decides early (Dolev, Reischuk & Strong, J. ACM 1990): False
-absorbs, so an agent that holds False knows the outcome. By the rule above
-it sends False once, in the round after it first holds it, on each edge to
-a neighbour that has not already sent it False; an agent that holds True
-stays silent, and no agent sends after round diameter, by which every agent
-holds the outcome. The flood ends after the last round in which an agent
-sends, so it takes at most diameter rounds, and exactly diameter silent
-ones when every agent starts True. Its result is the AND of the start
-flags, that of a flood run for diameter rounds.
+absorbs, so an agent that holds False knows the outcome. Let d_i be agent
+i's hop distance from the nearest agent that holds False: agent i holds
+False from the start of round d_i + 1, and by the rule above sends it
+once, in that round, on the edge to each neighbour j with d_j >= d_i (one
+that has not already sent it False), unless d_i is the diameter, by which
+every agent holds the outcome. The flood ends after the last round in which
+an agent sends, round 1 + the largest d_i of a sender, so it takes at most
+diameter rounds, and exactly diameter silent ones when every agent starts
+True. Its result is the AND of the start flags, that of a flood run for
+diameter rounds.
 
 A failed convergence AND of the splitting iteration is relayed by the data
 of the next exchange (``all_agree`` with ``carry``, then
 ``exchange_shared_components`` with the flags as ``vote``) and sends no
-flag of its own: an agent sends its next data, marked False, in the round
-after it learns that the vote failed, round 1 if it holds False, and an
-agent learns it from the first data it receives. The exchange takes 1 + the
-largest distance from an agent that holds False rounds, no more than an
-AND flood and a data round after it, and each agent still sends each
-neighbour one data message. An all-True vote sends no data and takes its
-diameter silent flag rounds.
+flag of its own: agent i sends its next data in round d_i + 1, once the
+first data have reached it (round 1 if it holds False). The exchange takes
+1 + max d_i rounds, no more than an AND flood and a data round after it,
+and each agent still sends each neighbour one data message, its data
+unchanged. An all-True vote sends no data and takes its diameter silent
+flag rounds.
+
+Both are read from the scheduler's all-pairs hop distances, and their
+rounds are still delivered one ``deliver_round`` each: an AND round carries
+the flags the agents hold at its start, a relay round the data.
 
 On a disconnected graph with more than one agent the floods raise, since
 values cannot propagate between components, so a solver meets a
@@ -78,10 +81,10 @@ KIND_FLAG = "convergence-flag"
 KIND_MIN = "step-candidate"
 
 
-def _diameter(neighbors):
-    """Exact graph diameter by BFS from every node; None if disconnected."""
+def _hop_distances(neighbors):
+    """All-pairs hop distances by BFS from every node; -1 where no path runs."""
     n = len(neighbors)
-    best = 0
+    distance = np.full((n, n), -1, dtype=np.intp)
     for root in range(n):
         dist = [-1] * n
         dist[root] = 0
@@ -94,10 +97,8 @@ def _diameter(neighbors):
                         dist[w] = dist[u] + 1
                         nxt.append(w)
             frontier = nxt
-        if min(dist) < 0:
-            return None
-        best = max(best, max(dist))
-    return best
+        distance[root] = dist
+    return distance
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,15 +176,18 @@ class RoundScheduler:
     """Round-based transport over the coupling graph.
 
     The transport itself accepts any topology; connectivity only matters to
-    the consensus operations, which check it explicitly.
+    the consensus operations, which check it explicitly. ``distance`` is the
+    agents' all-pairs hop distances (-1 between components); ``diameter`` is
+    None on a disconnected graph.
     """
 
     def __init__(self, coupling):
         self.coupling = coupling
         self.round_index = 0
         self.rounds_by_kind = {}
-        self.diameter = _diameter(coupling.neighbors)
-        self.is_connected = self.diameter is not None
+        self.distance = _hop_distances(coupling.neighbors)
+        self.is_connected = bool((self.distance >= 0).all())
+        self.diameter = int(self.distance.max(initial=0)) if self.is_connected else None
         self.plan = _build_round_plan(coupling)
         # a shared-component round carries the plan's segments, any other
         # round one entry per directed edge
@@ -192,8 +196,6 @@ class RoundScheduler:
         # per kind: messages every directed edge carried, then each edge's further ones
         self._tallies = {}
         self._total = 0
-        # the payload of every round that relays a failed vote
-        self._carrier = np.zeros(len(self.plan.seg_global), _CARRIER)
 
     def deliver_round(self, payload, kind):
         """Deliver one synchronous round of ``kind`` laid out by ``self.plan``.
@@ -253,11 +255,6 @@ class RoundScheduler:
         return int(self._edge_messages(kind).sum())
 
 
-# a shared-component entry of a round that relays a failed vote: the
-# sender's value, and whether the sender speaks in this round
-_CARRIER = np.dtype([("value", float), ("speaks", bool)])
-
-
 def exchange_shared_components(scheduler, flat, vote=None):
     """One data exchange: average each shared variable over its owners.
 
@@ -271,11 +268,9 @@ def exchange_shared_components(scheduler, flat, vote=None):
 
     ``vote`` is the per-agent flags of a failed AND that ``all_agree`` left
     to this exchange (``carry``; not all True), whose data messages relay
-    it: an agent sends its data, marked False, in the round after it
-    learns that the vote failed, round 1 if it holds False. The exchange
-    takes 1 + the largest distance from an agent that holds False rounds,
-    and each agent averages the segments of the round in which their
-    sender spoke.
+    it: an agent sends its data in the round after the first data reach
+    it, round 1 if it holds False, so the exchange takes 1 + the largest
+    hop distance from an agent that holds False rounds.
     """
     plan = scheduler.plan
     if not isinstance(flat, np.ndarray) or flat.shape != plan.local_degrees.shape:
@@ -294,37 +289,27 @@ def exchange_shared_components(scheduler, flat, vote=None):
     return averaged
 
 
-def _relay_vote(scheduler, waits, data):
-    """The rounds of an exchange of ``data`` (a payload) that relays a
-    failed vote; returns the segments each receiver takes. ``waits`` holds
-    the agents' flags: an agent that holds True waits for a neighbour's
-    data to learn the outcome.
+def _relay_vote(scheduler, flags, data):
+    """Deliver ``data``, a shared-component payload, in the rounds of an
+    exchange that relays the failed vote ``flags``, and return it.
 
-    As in a flood, the transport delivers every entry of a round, each
-    marked with whether its sender speaks in it, and a receiver takes the
-    marked ones. Every round's payload is the scheduler's one carrier.
+    Agent i sends its data in round 1 + d_i, d_i its hop distance from the
+    nearest agent that holds False, so the exchange takes 1 + max d_i
+    rounds. A message is its sender's data unchanged, so every round
+    delivers the same payload.
     """
     _require_connected(scheduler)
-    plan = scheduler.plan
-    carrier = scheduler._carrier
-    carrier["value"] = data
-    if 1 not in waits.tobytes():
-        # every agent holds False: round 1 carries all the data
-        carrier["speaks"] = True
-        return scheduler.deliver_round(carrier, KIND_SHARED)["value"]
-    taken = np.empty_like(data)
-    by_receiver = plan.seg_start[plan.recv_start]  # each receiver's first entry
-    speaks = ~waits
-    while True:
-        carrier["speaks"] = speaks[plan.seg_src]
-        received = scheduler.deliver_round(carrier, KIND_SHARED)
-        marks = received["speaks"]
-        np.copyto(taken, received["value"], where=marks)
-        if 1 not in waits.tobytes():
-            return taken
-        heard = np.logical_or.reduceat(marks, by_receiver)
-        speaks = waits & heard
-        waits = waits > heard
+    rounds = 1
+    if 1 in flags.tobytes():
+        rounds += int(_hops_from_false(scheduler, flags).max())
+    for _ in range(rounds):
+        data = scheduler.deliver_round(data, KIND_SHARED)
+    return data
+
+
+def _hops_from_false(scheduler, flags):
+    """Each agent's hop distance from the nearest agent whose flag is False."""
+    return scheduler.distance.min(axis=1, where=~flags, initial=len(flags))
 
 
 def _require_connected(scheduler):
@@ -336,88 +321,68 @@ def _require_connected(scheduler):
 def all_agree(scheduler, flags, carry=False):
     """Logical AND of per-agent flags, by an early-deciding flood.
 
-    False absorbs under AND, so an agent that holds False knows the outcome:
-    it sends False once, in the round after it first holds it, to each
-    neighbour that has not already sent it False, and sends nothing after
-    round ``diameter``. An agent that holds True waits. The flood ends after
-    the last round in which an agent sends, so a False outcome takes at most
-    ``diameter`` rounds and an all-True start exactly ``diameter`` silent
-    ones. Every agent holds the returned decision when the flood ends.
+    With d_i agent i's hop distance from the nearest agent that holds
+    False, agent i sends False once, in round d_i + 1, on the edge to each
+    neighbour j with d_j >= d_i, and not at all if d_i is ``diameter``. The
+    flood ends after the last round in which an agent sends, so a False
+    outcome takes at most ``diameter`` rounds and an all-True start exactly
+    ``diameter`` silent ones. Every agent holds the returned decision when
+    the flood ends.
 
     With ``carry``, a vote that is not all True returns False at once and
     takes no round or message here: the data messages of the next
     ``exchange_shared_components``, given ``flags`` as ``vote``, relay it.
     """
-    state = np.asarray(flags, dtype=bool)
+    flags = np.asarray(flags, dtype=bool)
     _require_connected(scheduler)
     plan = scheduler.plan
-    if 0 not in state.tobytes() or not scheduler.diameter:
+    if 0 not in flags.tobytes() or not scheduler.diameter:
         # no agent holds False, or there is no other agent: a True agent
         # waits out diameter silent rounds
-        payload = state[plan.edge_src]
+        payload = flags[plan.edge_src]
         for _ in range(scheduler.diameter):
             scheduler.deliver_round(payload, KIND_FLAG)
-        return bool(state[0])
+        return bool(flags[0])
     if carry:
         return False
-    received = scheduler.deliver_round(state[plan.edge_src], KIND_FLAG)
-    if 1 not in state.tobytes():
+    if 1 not in flags.tobytes():
         # every agent holds False and tells every neighbour in round 1
+        scheduler.deliver_round(flags[plan.edge_src], KIND_FLAG)
         scheduler.count_messages(KIND_FLAG, 1)
         return False
-    starts = [state]  # the agents' flags at the start of each round
-    while len(starts) < scheduler.diameter:
-        before = state
-        state = before & np.logical_and.reduceat(received, plan.recv_start)
-        # once every agent holds False, only neighbours that both turned
-        # False in the last round still tell each other
-        if 1 not in state.tobytes():
-            if 1 in (received & before[plan.edge_dst]).tobytes():
-                starts.append(state)
-                scheduler.deliver_round(state[plan.edge_src], KIND_FLAG)
-            break
-        starts.append(state)
-        received = scheduler.deliver_round(state[plan.edge_src], KIND_FLAG)
-    _count_news(scheduler, KIND_FLAG, starts, True)
+    hops = _hops_from_false(scheduler, flags)
+    src = hops[plan.edge_src]
+    sends = (hops[plan.edge_dst] >= src) & (src < scheduler.diameter)
+    for r in range(1, 2 + int(src.max(where=sends, initial=0))):
+        # the flags the agents hold at the start of round r
+        scheduler.deliver_round(src >= r, KIND_FLAG)
+    scheduler.count_messages(KIND_FLAG, sends)
     return False
 
 
 def min_consensus(scheduler, values):
     """Minimum of per-agent scalars, by a flood of diameter rounds in which
     an agent sends its value on an edge only when it is below everything
-    that edge has carried in either direction."""
+    that edge has carried in either direction: below the values both ends
+    held a round before."""
     state = np.array(values, dtype=float)
     if not np.isfinite(state).all():
         raise StructureError("consensus values must be finite")
     _require_connected(scheduler)
     plan = scheduler.plan
-    starts = []  # the agents' values at the start of each round, until they are uniform
-    settled = False
-    for _ in range(scheduler.diameter):
-        if not settled:
-            # equal to the bit: a uniform state is a fixed point of np.minimum
-            settled = state.tobytes() == state[:1].tobytes() * state.size
-            starts.append(state)
-            payload = state[plan.edge_src]
+    payload = state[plan.edge_src]
+    # equal to the bit: a uniform state is a fixed point of np.minimum
+    settled = state.tobytes() == state[:1].tobytes() * state.size
+    sent = 1  # every value is below +inf, so round 1 is news on every edge
+    for r in range(1, scheduler.diameter + 1):
         received = scheduler.deliver_round(payload, KIND_MIN)
-        if not settled:
-            state = np.minimum(state, np.minimum.reduceat(received, plan.recv_start))
-    if settled and len(starts) == 1:
-        # a uniform start: every agent tells every neighbour in round 1
-        scheduler.count_messages(KIND_MIN, 1)
-    elif starts:
-        _count_news(scheduler, KIND_MIN, starts, np.inf)
+        if settled:
+            continue
+        carried = np.minimum(payload, state[plan.edge_dst])
+        state = np.minimum(state, np.minimum.reduceat(received, plan.recv_start))
+        if r < scheduler.diameter:
+            settled = state.tobytes() == state[:1].tobytes() * state.size
+            payload = state[plan.edge_src]
+            sent = sent + (payload < carried)
+    scheduler.count_messages(KIND_MIN, sent)
     return float(state[0])
-
-
-def _count_news(scheduler, kind, starts, top):
-    """Credit the messages of a flood whose agents held ``starts`` at the
-    start of its rounds (``top`` before round 1): an agent sends its value
-    on an edge only when it is below everything that edge has carried in
-    either direction, which is when it is below the values both ends of
-    the edge held a round before."""
-    plan = scheduler.plan
-    held = np.array([np.full_like(starts[0], top), *starts])
-    src = held.take(plan.edge_src, axis=1)
-    sent = src[1:] < np.minimum(src[:-1], held[:-1].take(plan.edge_dst, axis=1))
-    scheduler.count_messages(kind, sent.sum(axis=0))
