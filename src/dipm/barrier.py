@@ -22,10 +22,10 @@ positive semidefinite when g_j is convex, so convexity survives the
 transform. The driver minimizes the transformed problem for a geometric
 schedule of t values, warm-starting every stage from the previous one, and
 stops once the duality-gap proxy m/t drops below the target accuracy. Each
-stage is a ``Stage`` (the problem's blocks, their barrier transforms and t)
-solved by one ``newton_solve`` call extending the same ``SolveResult``: its
-trace rows count the stages and iterations, and its ``t_final`` gives the
-final gap proxy m / t_final.
+stage is a ``Stage`` (the problem's blocks, their groups each minimizing
+one stacked ``BarrierFunction``, and t) solved by one ``newton_solve`` call
+extending the same ``SolveResult``: its trace rows count the stages and
+iterations, and its ``t_final`` gives the final gap proxy m / t_final.
 
 With ``warm_start``, the record also carries what the next stage starts
 from: its first direction begins at the previous stage's final duals, and
@@ -65,8 +65,8 @@ class BarrierFunction:
     """
 
     def __init__(self, objective, inequality, t, agent=None):
-        if t <= 0:
-            raise ValueError("barrier parameter t must be positive")
+        if not 0 < t < np.inf:
+            raise ValueError("barrier parameter t must be positive and finite")
         self.objective = objective
         self.inequality = tuple(inequality)
         self.t = float(t)
@@ -134,13 +134,11 @@ def barrier_stage(problem, t, groups=None):
     ``BarrierFunction`` over the group's stacked objectives and constraints.
     """
     groups = group_blocks(problem.blocks) if groups is None else groups
-    objectives = tuple(BarrierFunction(blk.objective, blk.inequality, t, agent=i)
-                       for i, blk in enumerate(problem.blocks))
     stacked = tuple(
         grp._replace(objective=BarrierFunction(grp.f, grp.inequality, t, agent=grp.members))
         for grp in groups
     )
-    return Stage(problem.blocks, objectives, t, stacked)
+    return Stage(problem.blocks, stacked, t)
 
 
 def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
@@ -176,7 +174,7 @@ def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
         )
         result = newton_solve(
             barrier_stage(problem, t, groups),
-            s0_slices if result is None else result.s_slices,
+            s0_slices if result is None else np.split(result.s, coupling.offsets[1:-1]),
             stage_config, coupling, scheduler, rows=rows, earlier=result,
         )
         if problem.m_total / t < config.eps_p:

@@ -325,7 +325,7 @@ def _distributed(mode, problem, x0, config):
     summary = {
         "stages": result.rows[-1].stage + 1,
         "e_c_bound": result.e_c,
-        "consistency_error": consistency_error(result.s_slices, scheduler.coupling),
+        "consistency_error": consistency_error(result.s, scheduler.coupling),
         "max_consistency_error": result.max_consistency_error,
         "max_dual_average": result.max_dual_average,
         "max_eq_violation": result.max_eq_violation,

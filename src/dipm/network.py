@@ -214,13 +214,14 @@ class RoundScheduler:
 
     def count_messages(self, kind, used):
         """Credit messages of ``kind`` to the directed edges that carried them:
-        ``used`` is one count every edge carried (an int), or one per edge."""
+        ``used`` is one count every edge carried (an integer scalar), or one
+        per edge."""
         tally = self._tallies.get(kind)
         if tally is None:
             tally = self._tallies[kind] = [0, np.zeros(self._n_edges, dtype=np.intp)]
-        if isinstance(used, int):
-            tally[0] += used
-            self._total += used * self._n_edges
+        if isinstance(used, (int, np.integer)):
+            tally[0] += int(used)
+            self._total += int(used) * self._n_edges
         else:
             tally[1] += used
             self._total += int(used.sum())
@@ -312,6 +313,15 @@ def _hops_from_false(scheduler, flags):
     return scheduler.distance.min(axis=1, where=~flags, initial=len(flags))
 
 
+def _per_agent(scheduler, values, dtype):
+    """``values`` as an array of ``dtype``; ``StructureError`` unless one entry per agent."""
+    values = np.asarray(values, dtype=dtype)
+    if values.shape != (scheduler.coupling.n_agents,):
+        raise StructureError(f"consensus takes one value per agent "
+                             f"({scheduler.coupling.n_agents}), not shape {values.shape}")
+    return values
+
+
 def _require_connected(scheduler):
     if not scheduler.is_connected:
         raise DisconnectedNetworkError("coupling graph is disconnected; split the problem "
@@ -332,8 +342,9 @@ def all_agree(scheduler, flags, carry=False):
     With ``carry``, a vote that is not all True returns False at once and
     takes no round or message here: the data messages of the next
     ``exchange_shared_components``, given ``flags`` as ``vote``, relay it.
+    ``flags`` that are not one per agent raise ``StructureError``.
     """
-    flags = np.asarray(flags, dtype=bool)
+    flags = _per_agent(scheduler, flags, bool)
     _require_connected(scheduler)
     plan = scheduler.plan
     if 0 not in flags.tobytes() or not scheduler.diameter:
@@ -364,8 +375,9 @@ def min_consensus(scheduler, values):
     """Minimum of per-agent scalars, by a flood of diameter rounds in which
     an agent sends its value on an edge only when it is below everything
     that edge has carried in either direction: below the values both ends
-    held a round before."""
-    state = np.array(values, dtype=float)
+    held a round before. ``values`` that are not one finite scalar per agent
+    raise ``StructureError``."""
+    state = _per_agent(scheduler, values, float)
     if not np.isfinite(state).all():
         raise StructureError("consensus values must be finite")
     _require_connected(scheduler)

@@ -1,10 +1,11 @@
 """Outer Newton loop with distributed direction, decrement, and line search.
 
-A ``Stage`` is what the agents minimize: the problem's blocks, one stage
-objective per agent and the stage parameter t. Each outer iteration
-linearizes the stage objectives at the current iterates, computes the
-Newton direction with the splitting solver, and terminates once every
-agent's local curvature form satisfies its share of the decrement test.
+A ``Stage`` is what the agents minimize: the problem's blocks, stacked
+into groups with their stage objectives, and the stage parameter t. Each
+outer iteration linearizes the stage objectives at the current iterates,
+computes the Newton direction with the splitting solver, and terminates
+once every agent's local curvature form satisfies its share of the
+decrement test.
 Otherwise every agent backtracks on its own stage objective from the
 value already evaluated at its iterate, the smallest step wins by
 min-consensus, and all agents move by that common step. Because every
@@ -35,9 +36,10 @@ state for the duration of a solve, and all reductions run in ascending
 agent order so repeated runs are bit-identical.
 
 A run's record is a ``SolveResult``: one trace row per outer iteration,
-which holds every count, plus what the rows do not hold. The barrier
-method extends one record across its stages, so a plain Newton run is a
-one-stage record of the same kind.
+which holds every count, plus what the rows do not hold, its iterates
+flat in the coupling's layout like its duals. The barrier method extends
+one record across its stages, so a plain Newton run is a one-stage
+record of the same kind.
 """
 
 from dataclasses import dataclass, field
@@ -62,21 +64,9 @@ from .problem import (
     consistency_error,
     flatten_slices,
     group_blocks,
-    merge_slices,
     scatter,
-    stack_functions,
 )
 from .trace import TraceRow
-
-
-def stage_groups(blocks, objectives):
-    """The ``BlockGroup``s of agent ``blocks`` (``group_blocks``) minimizing ``objectives``."""
-    groups = []
-    for grp in group_blocks(blocks):
-        hs = [objectives[i] for i in grp.members]
-        own = all(h is blocks[i].objective for h, i in zip(hs, grp.members))
-        groups.append(grp if own else grp._replace(objective=stack_functions(hs)))
-    return tuple(groups)
 
 
 @dataclass(frozen=True)
@@ -85,23 +75,16 @@ class Stage:
 
     ``blocks`` are the problem's agent blocks: they hold the true objective
     used for reporting, the inequalities whose strict feasibility the line
-    search must preserve, and the equality systems. ``objectives[i]`` is
-    agent i's stage objective (its block objective for plain Newton, the
-    barrier transform during interior-point stages), and ``t`` is the
-    stage parameter. ``groups`` are the blocks' ``problem.BlockGroup``s
-    with the stage objectives stacked, which the outer path evaluates one
-    call per group; they are ``stage_groups(blocks, objectives)`` when
-    omitted.
+    search must preserve, and the equality systems. ``groups`` are the
+    blocks' ``problem.BlockGroup``s, each ``objective`` the group's stacked
+    stage objective (its block objectives for plain Newton, their barrier
+    transform during interior-point stages), which the outer path
+    evaluates one call per group; ``t`` is the stage parameter.
     """
 
     blocks: tuple
-    objectives: tuple
+    groups: tuple = field(repr=False, compare=False)
     t: float = 1.0
-    groups: tuple = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.groups is None:
-            object.__setattr__(self, "groups", stage_groups(self.blocks, self.objectives))
 
 
 def plain_stage(problem):
@@ -114,7 +97,7 @@ def plain_stage(problem):
         raise StructureError(
             "problem has inequality constraints; solve it with the interior-point mode"
         )
-    return Stage(problem.blocks, tuple(blk.objective for blk in problem.blocks))
+    return Stage(problem.blocks, group_blocks(problem.blocks))
 
 
 # equality residual a continued stage may start from: steps along the averaged
@@ -254,18 +237,20 @@ class SolveResult:
     Counts are read from ``rows``: the stages are ``rows[-1].stage + 1``,
     the directions ``len(rows)``, the inner iterations
     ``[r.inner_iterations for r in rows]``, the final decrement
-    ``rows[-1].decrement_half``. The fields hold the final iterate, the
-    solution of the stage before the last (None after one stage), the final
-    flat duals ``v`` of the last direction, the last stage parameter, the
-    consistency budget ``e_c`` carried between stages, the largest agent
-    share of the final decrement, and the invariant maxima and
-    descent-check failures over every iterate of every stage.
+    ``rows[-1].decrement_half``. The fields hold the final global iterate
+    ``x``, its local entries ``s`` and the solution ``s_before`` of the
+    stage before the last (None after one stage), both flat in the
+    coupling's layout like the final duals ``v`` of the last direction,
+    the last stage parameter, the consistency budget ``e_c`` carried
+    between stages, the largest agent share of the final decrement, and
+    the invariant maxima and descent-check failures over every iterate of
+    every stage.
     """
 
     rows: list = field(default_factory=list)
     x: np.ndarray = None
-    s_slices: list = None
-    s_before: list = None
+    s: np.ndarray = None
+    s_before: np.ndarray = None
     v: np.ndarray = None
     t_final: float = 1.0
     e_c: float = 0.0
@@ -339,8 +324,7 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
     sent_before = scheduler.total_sent
     warm = (np.zeros(coupling.n), None if earlier is None else earlier.v)
     if config.warm_start and earlier is not None and earlier.s_before is not None:
-        points = extrapolated_start(stage, points, flatten_slices(earlier.s_before, coupling),
-                                    config, scheduler)
+        points = extrapolated_start(stage, points, earlier.s_before, config, scheduler)
     cons = consistency_error(points, coupling)
     if cons > 1e-12:
         raise InfeasibleStartError(
@@ -401,9 +385,9 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
         ))
         sent_before = sent
         if done:
-            slices = np.split(points, split)
-            result.s_before, result.s_slices, result.v = result.s_slices, slices, res.v
-            result.x = merge_slices(slices, coupling)
+            result.s_before, result.s, result.v = result.s, points, res.v
+            result.x = np.zeros(coupling.n)
+            result.x[coupling.flat_index] = points
             result.decrement_half_max_agent = float(decs.max()) / 2.0
             return result
         h_values, obj_f, h_sum = next_values, next_f, next_sum

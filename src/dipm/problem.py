@@ -5,7 +5,9 @@ dimension ``n``. Each block owns an ordered index set into the global
 variable (0-based), a smooth convex objective on its local slice, optional
 smooth convex inequality constraints, and an optional linear equality
 system. The coupling structure derived from the index sets (who owns which
-variable, who neighbors whom) is what the distributed layers operate on.
+variable, who neighbors whom) is what the distributed layers operate on;
+its flat layout of all local entries, agents ascending, is the one the
+solver keeps its iterates in, and ``consistency_error`` reads.
 The constructors own the validity checks: finite data, PSD quadratics,
 functions sized to their index sets, equality rows passing
 ``linalg.require_full_row_rank``, coverage of 0..n-1; ``check_start``
@@ -436,19 +438,6 @@ def gather_average(slices, coupling):
     return z
 
 
-def merge_slices(slices, coupling):
-    """Assemble the global vector from slices assumed consistent.
-
-    Each global component is written from every owner in turn; for
-    consistent input all writes agree, so the result is a cheap exact
-    inverse of :func:`scatter`.
-    """
-    x = np.zeros(coupling.n)
-    for i, s in enumerate(slices):
-        x[coupling.index_arrays[i]] = s
-    return x
-
-
 def flatten_slices(slices, coupling):
     """The agents' local slices as one flat vector in the coupling's layout (a copy).
 
@@ -460,20 +449,16 @@ def flatten_slices(slices, coupling):
     return np.concatenate(slices, dtype=float)
 
 
-def consistency_error(slices, coupling):
+def consistency_error(copies, coupling):
     """Largest half-spread (max - min) / 2 of any variable's copies over its owners.
 
-    ``slices`` are the agents' local slices, or one flat vector of them in
-    the coupling's layout. Bit-equal copies read exactly 0; two owners'
-    copies read their distance from their average. NaN copies are left out:
-    ``check_start`` rejects them.
+    ``copies`` is one flat vector of all local entries in the coupling's
+    layout (``flatten_slices`` of the agents' slices). Bit-equal copies
+    read exactly 0; two owners' copies read their distance from their
+    average. NaN copies are left out: ``check_start`` rejects them.
     """
-    if isinstance(slices, np.ndarray) and slices.ndim == 1:
-        if slices.shape != coupling.flat_index.shape:
-            raise StructureError(f"expected {coupling.flat_index.size} local entries")
-        copies = slices
-    else:
-        copies = flatten_slices(slices, coupling)
+    if not isinstance(copies, np.ndarray) or copies.shape != coupling.flat_index.shape:
+        raise StructureError(f"expected {coupling.flat_index.size} local entries")
     hi = np.full(coupling.n, -np.inf)
     lo = np.full(coupling.n, np.inf)
     np.fmax.at(hi, coupling.flat_index, copies)

@@ -26,7 +26,6 @@ from dipm.problem import (
     build_coupling,
     check_finite_difference,
     consistency_error,
-    merge_slices,
     scatter,
 )
 
@@ -109,6 +108,13 @@ class TestBarrierCalculus:
         with pytest.raises(BarrierDomainError) as err:
             barrier_calculus(blk, 1.0, np.array([-1.0]))
         assert err.value.constraint == 1
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+    def test_parameter_must_be_positive_and_finite(self, t):
+        f = QuadraticFunction(np.eye(1), np.zeros(1))
+        g = QuadraticFunction(np.zeros((1, 1)), np.ones(1), -1.0)
+        with pytest.raises(ValueError, match="barrier parameter t"):
+            BarrierFunction(f, (g,), t)
 
 
 class TestIpmSolve:
@@ -234,6 +240,16 @@ class TestIpmSolve:
             expected += row.alpha * row.alpha * eps_stage
         assert result.e_c == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
+    def test_record_keeps_flat_consistent_iterates(self):
+        prob, x0 = random_qp(1, n_agents=3, block_size=3, overlap=1, n_ineq=2)
+        result, scheduler = solve_ipm(prob, x0, SolverConfig())
+        coupling = scheduler.coupling
+        assert result.rows[-1].stage >= 2
+        for s in (result.s, result.s_before):
+            assert s.shape == (coupling.flat_index.size,)
+            assert consistency_error(s, coupling) == 0.0
+        assert result.x[coupling.flat_index].tobytes() == result.s.tobytes()
+
     def test_unconstrained_problem_single_stage(self):
         blk = AgentBlock(index_set=(0, 1), objective=QuadraticFunction(np.eye(2), np.ones(2)))
         prob = LooselyCoupledProblem(n=2, blocks=(blk,))
@@ -275,11 +291,12 @@ class TestStageWarmStart:
         assert len(calls) == result.rows[-1].stage - 1
         split = coupling.offsets[1:-1]
         for stage, s_last, start in calls:
-            start = np.split(start, split)
-            for s_new, copy in zip(start, scatter(merge_slices(start, coupling), coupling)):
-                np.testing.assert_array_equal(s_new, copy)
+            x = np.zeros(coupling.n)
+            x[coupling.flat_index] = start
+            np.testing.assert_array_equal(x[coupling.flat_index], start)
             assert consistency_error(start, coupling) == 0.0
-            for blk, s, s_new in zip(stage.blocks, np.split(s_last, split), start):
+            for blk, s, s_new in zip(stage.blocks, np.split(s_last, split),
+                                     np.split(start, split)):
                 for g in blk.inequality:
                     assert g.value(s_new) <= BOUNDARY_FRACTION * g.value(s)
 

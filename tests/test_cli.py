@@ -261,7 +261,7 @@ class TestRun:
         # construction); oracle modes have no copies and no such key
         def disagreeing(problem, x0, config):
             result, scheduler = solve_newton(problem, x0, config)
-            result.s_slices[0] = result.s_slices[0] + np.array([0.0, 1e-3])
+            result.s[1] += 1e-3
             return result, scheduler
 
         monkeypatch.setattr(cli, "solve_newton", disagreeing)

@@ -202,6 +202,17 @@ class TestConsensus:
         with pytest.raises(StructureError, match="finite"):
             min_consensus(sched, [1.0, float("nan")])
 
+    @pytest.mark.parametrize("length", [3, 5], ids=["short", "long"])
+    def test_consensus_takes_one_value_per_agent(self, length):
+        sched = RoundScheduler(chain_coupling(4))
+        for flags in ([True] * length, [False] + [True] * (length - 1)):
+            with pytest.raises(StructureError, match="one value per agent"):
+                all_agree(sched, flags)
+        with pytest.raises(StructureError, match="one value per agent"):
+            min_consensus(sched, np.arange(length, dtype=float))
+        # a refused vector counts nothing
+        assert sched.round_index == 0 and sched.total_sent == 0
+
 
 class CountingScheduler(RoundScheduler):
     """``RoundScheduler`` that counts its ``deliver_round`` calls."""
@@ -358,6 +369,14 @@ class TestAccounting:
             sched.messages_of_kind(k) for k in (KIND_SHARED, KIND_FLAG, KIND_MIN)
         )
         assert total == sched.total_sent
+
+    @pytest.mark.parametrize("used", [1, np.int64(1), np.intp(2)])
+    def test_integer_scalar_counts_once_per_edge(self, used):
+        # a 4-agent chain has 6 directed edges
+        sched = RoundScheduler(chain_coupling(4))
+        sched.count_messages(KIND_MIN, used)
+        assert sched.messages_of_kind(KIND_MIN) == sched.total_sent == 6 * int(used)
+        assert type(sched.total_sent) is int
 
     def test_deterministic_counters(self):
         def run():

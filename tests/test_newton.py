@@ -165,7 +165,8 @@ class TestDistributedLineSearch:
         ws = DirectionWorkspace(stage, np.concatenate(points), coupling, cfg)
         dx = np.array([-2.0, 0.3])
         params = SolverConfig()
-        h_values = np.array([h.value(s) for h, s in zip(stage.objectives, points)])
+        h_values = np.array([BarrierFunction(blk.objective, blk.inequality, 1.0).value(s)
+                             for blk, s in zip(prob.blocks, points)])
         alpha = distributed_line_search(stage, np.concatenate(points), h_values, ws,
                                         dx[coupling.flat_index], params, scheduler)
         assert alpha == 0.5
@@ -187,7 +188,8 @@ class TestDistributedLineSearch:
         ws = DirectionWorkspace(stage, np.concatenate(points), coupling, cfg)
         ds = np.array([50.0, 0.0])[coupling.flat_index]
         params = SolverConfig(max_backtracks=0)
-        h_values = np.array([h.value(s) for h, s in zip(stage.objectives, points)])
+        h_values = np.array([BarrierFunction(blk.objective, blk.inequality, 1.0).value(s)
+                             for blk, s in zip(prob.blocks, points)])
         with pytest.raises(LineSearchError) as err:
             distributed_line_search(stage, np.concatenate(points), h_values, ws, ds, params,
                                     scheduler)
@@ -253,7 +255,8 @@ class TestStackedBits:
         else:
             stage = plain_stage(problem)
         [grp] = stage.groups
-        hs = stage.objectives
+        hs = [BarrierFunction(blk.objective, blk.inequality, stage.t, agent=i)
+              if m or barrier else blk.objective for i, blk in enumerate(problem.blocks)]
 
         def bits(stacked, per_agent):
             return stacked.tobytes() == np.array(per_agent).tobytes()
@@ -461,8 +464,8 @@ class TestNewtonSolve:
                         A_eq=A, b_eq=np.zeros(1))
         prob = LooselyCoupledProblem(n=3, blocks=(b1, b2))
         cfg = SolverConfig(eps_pri=1e-16, eps_dual=1e-16)
-        result, _ = solve_newton(prob, np.zeros(3), cfg)
-        for blk, s in zip(prob.blocks, result.s_slices):
+        result, scheduler = solve_newton(prob, np.zeros(3), cfg)
+        for blk, s in zip(prob.blocks, np.split(result.s, scheduler.coupling.offsets[1:-1])):
             assert np.abs(blk.A_eq @ s - blk.b_eq).max() <= 1e-8
         dense = assemble_dense(prob)
         x_ref = centralized_newton(dense, np.zeros(3), eps_nt=1e-10)
@@ -530,6 +533,12 @@ class TestNewtonSolve:
         for row in result.rows:
             assert row.stage == 0
             assert row.messages > 0
+
+    def test_one_stage_record_has_flat_iterates_and_no_earlier_stage(self):
+        result, scheduler = solve_newton(chain_qp(), np.array([5.0, -3.0, 2.0]), SolverConfig())
+        flat_index = scheduler.coupling.flat_index
+        assert result.s_before is None
+        assert result.x[flat_index].tobytes() == result.s.tobytes()
 
     def test_dual_average_bound_over_run(self):
         prob = chain_qp()

@@ -130,7 +130,14 @@ class TestSliceAlgebra:
             x = rng.standard_normal(prob.n)
             z = gather_average(scatter(x, c), c)
             np.testing.assert_allclose(z, x, rtol=1e-14, atol=1e-14)
-            assert consistency_error(scatter(x, c), c) <= 1e-12
+            assert consistency_error(np.concatenate(scatter(x, c)), c) <= 1e-12
+
+    def test_consistency_error_reads_only_one_flat_vector(self):
+        prob = LooselyCoupledProblem(n=3, blocks=(quad_block((0, 1)), quad_block((1, 2))))
+        c = build_coupling(prob)
+        for copies in (scatter(np.zeros(c.n), c), np.zeros(c.flat_index.size + 1)):
+            with pytest.raises(StructureError, match="local entries"):
+                consistency_error(copies, c)
 
     def test_gather_matches_dense_projection(self):
         # explicit stacked selection matrix, materialized only here
