@@ -29,11 +29,17 @@ iterations, and its ``t_final`` gives the final gap proxy m / t_final.
 
 With ``warm_start``, the record also carries what the next stage starts
 from: its first direction begins at the previous stage's final duals, and
-from the third stage on its point is extrapolated along the central path.
-Stage centres approach the optimum like 1/t, so consecutive centre
-differences shrink by mu, and ``s_k + (s_k - s_{k-1}) / mu`` predicts the
-next centre; each agent backs the step off along the line search's
-feasibility ladder, and the smallest agent step wins by one min-consensus.
+from the third stage on its point and those duals are extrapolated along
+the central path. Stage centres approach the optimum like 1/t, so
+consecutive centre differences shrink by mu, and
+``s_k + (s_k - s_{k-1}) / mu`` predicts the next centre; each agent backs
+the step off along the line search's feasibility ladder, and the smallest
+agent step beta wins by one min-consensus. The splitting duals
+v = (H dz + g) / rho are scale-free (H, g and rho all grow like t) and
+approach their limit like 1/t too, so the first direction starts from
+``v_k + beta (v_k - v_{k-1}) / mu``, with the point's beta. Both dual
+vectors have a zero owner-average, so the start is a valid splitting
+start.
 """
 
 from dataclasses import replace
@@ -146,13 +152,12 @@ def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
 
     Requires a consistent, strictly feasible start; stage 0's Newton solve
     checks both. Stage q minimizes the barrier transform at t = t0 mu^q from
-    the previous stage's solution (with ``warm_start``, from stage 2 on,
-    extrapolated from the last two stage solutions, and with the previous
-    stage's final duals); the loop ends after the first stage whose
-    duality-gap proxy m/t is below eps_p. Factorizations are never reused
-    across stages since every stage changes both t and the linearization
-    points. Every stage extends one ``SolveResult``, whose rows are ``rows``
-    when given.
+    the previous stage's solution (with ``warm_start``, and with its final
+    duals, from stage 2 on both extrapolated from the last two stages); the
+    loop ends after the first stage whose duality-gap proxy m/t is below
+    eps_p. Factorizations are never reused across stages since every stage
+    changes both t and the linearization points. Every stage extends one
+    ``SolveResult``, whose rows are ``rows`` when given.
 
     Each stage runs on a copy of ``config`` with penalty and inner
     tolerances matched to the stage scale (see the module docstring), so

@@ -244,8 +244,10 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     when omitted; any other shape raises ``StructureError``. ``v0`` must
     have a zero owner-average, which keeps the duals in the null space of
     the consensus projection; the Newton driver passes the final duals of
-    the previous direction (within a stage) or of the previous stage's
-    last direction (at a barrier stage's first direction), which have one.
+    the previous direction (within a stage) or, at a barrier stage's first
+    direction, those of the previous stage's last direction, from the third
+    stage on extrapolated from the last two stages' (a combination of two
+    such vectors), which have one.
 
     The iterates are flat vectors in the coupling's layout; each inner
     iteration makes one prox call per ``AgentGroup``, whose arithmetic is
@@ -281,7 +283,8 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
 
     eps_pri_i = config.eps_pri / n_agents
     eps_dual_i = config.eps_dual / n_agents
-    max_dual_avg = 0.0
+    # each variable's largest owner-average of the duals so far
+    dual_avg = np.zeros(coupling.n)
     max_eq_viol = 0.0
     ds = np.empty(dz.size)
     # each agent's squared primal change (row 0) and dual change (row 1)
@@ -327,7 +330,7 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
 
         avg_v = np.bincount(coupling.flat_index, weights=v,
                             minlength=coupling.n) / coupling.degrees
-        max_dual_avg = max(max_dual_avg, float(np.abs(avg_v).max(initial=0.0)))
+        np.maximum(dual_avg, np.abs(avg_v, out=avg_v), out=dual_avg)
 
         dz = dz_new
         # a failed vote is relayed by the next iteration's exchange
@@ -346,7 +349,7 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
         dx=dx,
         primal_residual=pri,
         dual_residual=dua,
-        max_dual_average=max_dual_avg,
+        max_dual_average=float(dual_avg.max(initial=0.0)),
         max_eq_violation=max_eq_viol,
         v=v,
     )

@@ -16,12 +16,13 @@ With ``warm_start`` on, each direction after the first in a stage starts
 the splitting iteration from the previous direction scaled by (1 - alpha)
 and from its final duals, on a quadratic stage exactly the next direction's
 fixed point (the gradient moves by alpha H dx). The first direction of a
-continued barrier stage starts from zero and the previous stage's final
-duals, unscaled: H, g and rho all grow like t, so v = (H dz + g) / rho is
-roughly scale-free. From the third stage on, the stage also starts from
-its centre extrapolated along the central path (``extrapolated_start``).
-Without ``warm_start`` every direction starts from zero and every stage
-from the previous stage's solution.
+continued barrier stage starts from zero and from the previous stage's
+final duals. H, g and rho all grow like t, so v = (H dz + g) / rho is
+scale-free and follows the central path like the point, approaching its
+limit like 1/t. From the third stage on, the stage therefore starts its
+point and its duals extrapolated along the central path by one common
+step (``extrapolated_start``). Without ``warm_start`` every direction
+starts from zero and every stage from the previous stage's solution.
 
 Per-agent work (calculus, prox solves, decrements, backtracking) depends
 only on agent-local state, so the consensus calls are the only barriers.
@@ -211,7 +212,7 @@ def distributed_line_search(stage, points, h_values, workspace, ds, config, sche
 
 
 def extrapolated_start(stage, s_last, s_before, config, scheduler):
-    """Start of a barrier stage, extrapolated along the central path.
+    """Start of a barrier stage, extrapolated along the central path, and its step.
 
     ``s_last`` and ``s_before`` are the last two stage solutions, each one
     flat vector of all local entries (the coupling's layout). On the
@@ -219,15 +220,17 @@ def extrapolated_start(stage, s_last, s_before, config, scheduler):
     near ``s_last + (s_last - s_before) / mu``. Every agent takes the
     largest step beta of the feasibility ladder along that displacement (0
     when none qualifies), and the agents move by the min-consensus of their
-    steps. Shared entries see the same arithmetic on equal inputs, so a
-    consistent pair of solutions gives a consistent start, to the bit.
+    steps. Returns the start and that common beta, with which
+    ``newton_solve`` extrapolates the stages' final duals too. Shared
+    entries see the same arithmetic on equal inputs, so a consistent pair
+    of solutions gives a consistent start, to the bit.
     """
     steps = (s_last - s_before) / config.mu
     betas = np.empty(len(stage.blocks))
     for grp in stage.groups:
         betas[grp.members] = ladder_steps(grp, s_last[grp.pos], steps[grp.pos], config)
     beta = min_consensus(scheduler, np.nan_to_num(betas, nan=0.0))
-    return s_last + beta * steps
+    return s_last + beta * steps, beta
 
 
 @dataclass
@@ -238,13 +241,14 @@ class SolveResult:
     the directions ``len(rows)``, the inner iterations
     ``[r.inner_iterations for r in rows]``, the final decrement
     ``rows[-1].decrement_half``. The fields hold the final global iterate
-    ``x``, its local entries ``s`` and the solution ``s_before`` of the
-    stage before the last (None after one stage), both flat in the
-    coupling's layout like the final duals ``v`` of the last direction,
-    the last stage parameter, the consistency budget ``e_c`` carried
-    between stages, the largest agent share of the final decrement, and
-    the invariant maxima and descent-check failures over every iterate of
-    every stage.
+    ``x``; its local entries ``s`` and the final duals ``v`` of the last
+    direction, and the same two of the stage before the last,
+    ``s_before`` and ``v_before`` (None after one stage), all flat in the
+    coupling's layout, from which the next barrier stage extrapolates its
+    start; the last stage parameter, the consistency budget ``e_c``
+    carried between stages, the largest agent share of the final
+    decrement, and the invariant maxima and descent-check failures over
+    every iterate of every stage.
     """
 
     rows: list = field(default_factory=list)
@@ -252,6 +256,7 @@ class SolveResult:
     s: np.ndarray = None
     s_before: np.ndarray = None
     v: np.ndarray = None
+    v_before: np.ndarray = None
     t_final: float = 1.0
     e_c: float = 0.0
     decrement_half_max_agent: float = 0.0
@@ -314,17 +319,21 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
     With ``warm_start``, a continued stage starts its first direction from
     the previous stage's final duals, and from the third stage on
     ``s0_slices`` (the last stage's solution) is moved to the
-    ``extrapolated_start``; the stage's first trace row counts that
-    consensus. The iterates are one flat vector of all local entries in
+    ``extrapolated_start`` and those duals by the same step,
+    ``v + beta (v - v_before) / mu``; the stage's first trace row counts
+    that consensus. The iterates are one flat vector of all local entries in
     the coupling's layout, and every sum over agents runs in ascending
     agent order.
     """
     points = flatten_slices(s0_slices, coupling)
     split = coupling.offsets[1:-1]
     sent_before = scheduler.total_sent
-    warm = (np.zeros(coupling.n), None if earlier is None else earlier.v)
+    v0 = None if earlier is None else earlier.v
     if config.warm_start and earlier is not None and earlier.s_before is not None:
-        points = extrapolated_start(stage, points, earlier.s_before, config, scheduler)
+        points, beta = extrapolated_start(stage, points, earlier.s_before, config, scheduler)
+        # the scale-free duals follow the central path like the point
+        v0 = v0 + beta * ((v0 - earlier.v_before) / config.mu)
+    warm = (np.zeros(coupling.n), v0)
     cons = consistency_error(points, coupling)
     if cons > 1e-12:
         raise InfeasibleStartError(
@@ -385,7 +394,8 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
         ))
         sent_before = sent
         if done:
-            result.s_before, result.s, result.v = result.s, points, res.v
+            result.s_before, result.s = result.s, points
+            result.v_before, result.v = result.v, res.v
             result.x = np.zeros(coupling.n)
             result.x[coupling.flat_index] = points
             result.decrement_half_max_agent = float(decs.max()) / 2.0

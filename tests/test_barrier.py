@@ -272,9 +272,9 @@ def spy_on_extrapolation(monkeypatch):
     calls = []
 
     def spy(stage, s_last, s_before, config, scheduler):
-        start = extrapolated_start(stage, s_last, s_before, config, scheduler)
+        start, beta = extrapolated_start(stage, s_last, s_before, config, scheduler)
         calls.append((stage, s_last, start))
-        return start
+        return start, beta
 
     monkeypatch.setattr(dipm.newton, "extrapolated_start", spy)
     return calls
@@ -324,8 +324,8 @@ class TestStageWarmStart:
         scheduler = RoundScheduler(coupling)
         s_last = np.array([1.5, 0.0, 2.0])[coupling.flat_index]
         s_before = np.array([30.0, 1.0, 1.0])[coupling.flat_index]
-        start = extrapolated_start(barrier_stage(prob, 100.0), s_last, s_before,
-                                   SolverConfig(), scheduler)
+        start, _ = extrapolated_start(barrier_stage(prob, 100.0), s_last, s_before,
+                                      SolverConfig(), scheduler)
         expected = np.array([1.5, 0.0, 2.0]) + 0.125 * np.array([-2.85, -0.1, 0.1])
         np.testing.assert_allclose(start, expected[coupling.flat_index], rtol=1e-15)
         assert consistency_error(start, coupling) == 0.0

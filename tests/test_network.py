@@ -1,8 +1,10 @@
 """Message-passing simulation: exchange, consensus, accounting, locality.
 
-The shaped couplings at the end also carry the direction and Newton
-oracle checks, the only tests that run the solver off a chain.
+The shaped couplings at the end also carry the direction, Newton and
+barrier oracle checks, the only tests that run the solver off a chain.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
+from dipm.barrier import solve_ipm
 from dipm.config import SolverConfig
 from dipm.direction import DirectionWorkspace, compute_direction
 from dipm.errors import DisconnectedNetworkError, StructureError
@@ -24,12 +27,13 @@ from dipm.network import (
     min_consensus,
 )
 from dipm.newton import plain_stage, solve_newton
-from dipm.oracle import assemble_dense, centralized_newton, direct_direction
+from dipm.oracle import assemble_dense, centralized_ipm, centralized_newton, direct_direction
 from dipm.problem import (
     AgentBlock,
     LooselyCoupledProblem,
     QuadraticFunction,
     build_coupling,
+    consistency_error,
     gather_average,
     scatter,
 )
@@ -848,3 +852,28 @@ class TestShapedSolves:
             dense = assemble_dense(prob)
             x_ref = centralized_newton(dense, x0, eps_nt=1e-8)
             assert abs(dense.value(result.x) - dense.value(x_ref)) <= 1e-6, shape
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_barrier_solve_meets_the_gap_bound(self, shape):
+        # six agents (a 2 x 3 grid), each with one halfspace strictly feasible
+        # at x0 and no equality rows; every solve runs at least three stages,
+        # so from the third on the point and the splitting duals start
+        # extrapolated along the central path
+        rng = np.random.default_rng(0)
+        prob = spd_problem_on(SHAPES[shape](6, rng), rng)
+        x0 = rng.standard_normal(prob.n)
+        blocks = []
+        for blk in prob.blocks:
+            d, s0 = len(blk.index_set), x0[list(blk.index_set)]
+            a = rng.standard_normal(d)
+            halfspace = QuadraticFunction(np.zeros((d, d)), a, -(a @ s0) - rng.uniform(0.2, 1.0))
+            blocks.append(replace(blk, inequality=(halfspace,)))
+        prob = LooselyCoupledProblem(n=prob.n, blocks=tuple(blocks))
+        result, sched = solve_ipm(prob, x0, SolverConfig())
+        assert result.rows[-1].stage >= 2
+        dense = assemble_dense(prob)
+        x_ref = centralized_ipm(dense, x0, eps_p=1e-7, eps_nt=1e-9)
+        assert dense.value(result.x) - dense.value(x_ref) <= prob.m_total / result.t_final + 1e-6
+        assert result.max_dual_average <= 1e-10
+        assert result.max_consistency_error == 0.0
+        assert consistency_error(result.s, sched.coupling) == 0.0

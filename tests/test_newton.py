@@ -1,5 +1,7 @@
 """Outer Newton loop: decrement, distributed line search, end-to-end solves."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from dipm.network import RoundScheduler
 from dipm.newton import (
     BOUNDARY_FRACTION,
     distributed_line_search,
+    extrapolated_start,
     ladder_steps,
     local_decrement,
     newton_solve,
@@ -39,6 +42,7 @@ from dipm.problem import (
     QuadraticFunction,
     SoftplusRidge,
     build_coupling,
+    gather_average,
     scatter,
     stack_functions,
 )
@@ -546,6 +550,25 @@ class TestNewtonSolve:
         assert result.max_dual_average <= 1e-10
 
 
+def spy_on_directions(monkeypatch):
+    """Record (dz0, v0, result) of every direction and the beta of every extrapolated start."""
+    calls, betas = [], []
+
+    def spy_direction(workspace, scheduler, dz0=None, v0=None):
+        res = compute_direction(workspace, scheduler, dz0, v0)
+        calls.append((dz0, v0, res))
+        return res
+
+    def spy_start(*args):
+        start, beta = extrapolated_start(*args)
+        betas.append(beta)
+        return start, beta
+
+    monkeypatch.setattr(dipm.newton, "compute_direction", spy_direction)
+    monkeypatch.setattr(dipm.newton, "extrapolated_start", spy_start)
+    return calls, betas
+
+
 class TestWarmStart:
     def test_quadratic_directions_after_the_first_take_one_inner_iteration(self):
         # the carried direction and duals are the next direction's fixed point
@@ -556,34 +579,82 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("warm_start", [True, False])
     def test_carry_over_resets_at_every_barrier_stage(self, monkeypatch, warm_start):
-        calls = []
-
-        def spy(workspace, scheduler, dz0=None, v0=None):
-            res = compute_direction(workspace, scheduler, dz0, v0)
-            calls.append((dz0, v0, res))
-            return res
-
-        monkeypatch.setattr(dipm.newton, "compute_direction", spy)
+        calls, betas = spy_on_directions(monkeypatch)
         problem, x0 = random_qp(1, n_agents=3, block_size=3, overlap=1, n_ineq=2)
-        result, _ = solve_ipm(problem, x0, SolverConfig(warm_start=warm_start))
+        config = SolverConfig(warm_start=warm_start)
+        result, _ = solve_ipm(problem, x0, config)
         assert len(calls) == len(result.rows)
         assert result.rows[-1].stage >= 2
-        for k, (row, (dz0, v0, _)) in enumerate(zip(result.rows, calls)):
+        final_v = {}  # each stage's final duals
+        for k, (row, (dz0, v0, res)) in enumerate(zip(result.rows, calls)):
             if not warm_start:
                 assert dz0 is None and v0 is None
             elif row.outer == 0:
-                # a stage's first direction: zero, and the previous stage's
-                # final duals, unscaled
+                # a stage's first direction starts from zero
                 assert not dz0.any()
                 if row.stage == 0:
                     assert v0 is None
+                elif row.stage == 1:
+                    # stage 0's final duals, bit for bit
+                    assert v0.tobytes() == final_v[0].tobytes()
                 else:
-                    prev = calls[k - 1][2]
-                    assert len(v0) == len(prev.v)
-                    for vi, prev_vi in zip(v0, prev.v):
-                        np.testing.assert_array_equal(vi, prev_vi)
+                    # extrapolated along the central path with the point's beta
+                    v_k, v_before = final_v[row.stage - 1], final_v[row.stage - 2]
+                    beta = betas[row.stage - 2]
+                    expected = v_k + beta * ((v_k - v_before) / config.mu)
+                    assert v0.tobytes() == expected.tobytes()
             else:
                 alpha, prev = result.rows[k - 1].alpha, calls[k - 1][2]
                 np.testing.assert_array_equal(dz0, (1.0 - alpha) * prev.dx)
-                for vi, prev_vi in zip(v0, prev.v):
-                    np.testing.assert_array_equal(vi, prev_vi)
+                np.testing.assert_array_equal(v0, prev.v)
+            final_v[row.stage] = res.v
+        if warm_start:
+            assert len(betas) == result.rows[-1].stage - 1
+            assert any(beta > 0.0 for beta in betas)
+        else:
+            assert betas == []
+
+    def test_extrapolated_duals_keep_a_zero_owner_average(self, monkeypatch):
+        # three owners per interior variable, so the average is a three-term sum
+        calls, betas = spy_on_directions(monkeypatch)
+        problem, x0 = random_qp(0, n_agents=6, block_size=3, overlap=2, n_ineq=1)
+        result, _ = solve_ipm(problem, x0, SolverConfig())
+        coupling = build_coupling(problem)
+        assert any(beta > 0.0 for beta in betas)
+        starts = [v0 for row, (_, v0, _) in zip(result.rows, calls)
+                  if row.outer == 0 and row.stage >= 2]
+        assert len(starts) == len(betas) >= 1
+        for v0 in starts:
+            avg = gather_average(np.split(v0, coupling.offsets[1:-1]), coupling)
+            assert np.abs(avg).max() <= 1e-12 * np.abs(v0).max()
+
+    def test_duals_are_carried_unscaled_when_no_ladder_step_qualifies(self, monkeypatch):
+        # agent 0 needs x0 + x1 / 2 >= 1, active at the optimum, so the duals of
+        # the shared x1 move between stages. The recorded stage before the last
+        # is moved so far above the last in x0 that even the ladder's last step,
+        # 2^-60 of the extrapolation, crosses the bound: the stage starts with
+        # beta = 0
+        bound = QuadraticFunction(np.zeros((2, 2)), np.array([-1.0, -0.5]), 1.0)
+        problem = LooselyCoupledProblem(n=3, blocks=(
+            AgentBlock(index_set=(0, 1), objective=QuadraticFunction(np.eye(2), np.ones(2)),
+                       inequality=(bound,)),
+            AgentBlock(index_set=(1, 2),
+                       objective=QuadraticFunction(np.eye(2), np.array([-3.0, 1.0]))),
+        ))
+        coupling = build_coupling(problem)
+        scheduler = RoundScheduler(coupling)
+        config = SolverConfig()
+        s = scatter(np.array([2.0, 0.0, 0.0]), coupling)
+        record = None
+        for t in (1.0, 10.0):
+            record = newton_solve(barrier_stage(problem, t), s, replace(config, rho=t),
+                                  coupling, scheduler, earlier=record)
+            s = np.split(record.s, coupling.offsets[1:-1])
+        assert np.abs(record.v - record.v_before).max() > 0.0
+        record.s_before = record.s + np.where(coupling.flat_index == 0, 1e30, 0.0)
+        v_last = record.v.copy()
+        calls, betas = spy_on_directions(monkeypatch)
+        newton_solve(barrier_stage(problem, 100.0), s, replace(config, rho=100.0),
+                     coupling, scheduler, earlier=record)
+        assert betas == [0.0]
+        assert calls[0][1].tobytes() == v_last.tobytes()
