@@ -25,13 +25,26 @@ per directed edge, and no value goes back over the edge it came by. Values
 are compared as numbers: ``np.minimum`` returns its second argument on a
 tie, so a zero may change sign without news.
 
-A MIN flood takes diameter rounds, after which it is exact. The minimum is
-idempotent and a withheld value is never below its receiver's, so it cannot
-change the receiver's value; the transport delivers every value anyway, so
-results are bit for bit those of a flood recombining every value each round
-(a transport that drops withheld values could change only a zero's sign).
-Once every agent holds the same bits, the remaining rounds are delivered,
-one ``deliver_round`` each, but nothing is recombined.
+A MIN flood takes diameter rounds, after which it is exact. It may carry
+one row of k values per agent: a round then still carries one entry per
+directed edge, the sender's k-tuple, and an edge sends in a round when any
+of its k values is news there. Agent i holds, at the start of round r, the
+minimum over the agents fewer than r hops away, so the rounds' payloads and
+their news are read from prefix minima of the values in each agent's
+distance order (``RoundScheduler.nearest_first``), not recombined round by
+round. The minimum is idempotent and a withheld value is never below its
+receiver's, so it cannot change the receiver's value: results are bit for
+bit those of a flood recombining every value each round (a transport that
+drops withheld values could change only a zero's sign). Only zeros of both
+signs tie with different bits; their flood is recombined round by round. A
+uniform start is a fixed point of ``np.minimum``: its rounds are delivered,
+one ``deliver_round`` each, and nothing is computed.
+
+A column of flags, False as 0.0 below True as 1.0, is news after round 1
+exactly where the early-deciding AND below sends, and round 1 is news on
+every edge anyway, so a vote can ride a MIN of other values: the Newton
+iteration floods its decrement vote and its step sizes as one (flag, step)
+row per agent.
 
 An AND flood decides early (Dolev, Reischuk & Strong, J. ACM 1990): False
 absorbs, so an agent that holds False knows the outcome. Let d_i be agent
@@ -55,9 +68,10 @@ and each agent still sends each neighbour one data message, its data
 unchanged. An all-True vote sends no data and takes its diameter silent
 flag rounds.
 
-Both are read from the scheduler's all-pairs hop distances, and their
-rounds are still delivered one ``deliver_round`` each: an AND round carries
-the flags the agents hold at its start, a relay round the data.
+These, like a MIN flood's payloads and news, are read from the
+scheduler's all-pairs hop distances, and every round is still delivered
+one ``deliver_round`` each: an AND or MIN round carries the values the
+agents hold at its start, a relay round the data.
 
 On a disconnected graph with more than one agent the floods raise, since
 values cannot propagate between components, so a solver meets a
@@ -71,6 +85,7 @@ order, so reductions are reproducible.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -99,6 +114,22 @@ def _hop_distances(neighbors):
             frontier = nxt
         distance[root] = dist
     return distance
+
+
+def _distance_order(distance, diameter):
+    """The agents in hop-distance order from each agent, and how far into
+    that order each round of a flood reaches.
+
+    Column i of ``nearest_first`` (N x N) lists the agents by hop distance
+    from agent i, nearest first and ties in ascending order; ``reach_end``
+    (diameter x N) holds at ``[r - 1, i]`` the flat position in
+    ``nearest_first`` of the last agent fewer than r hops from agent i.
+    """
+    n = len(distance)
+    at_distance = np.bincount((np.arange(n)[:, None] * (diameter + 1) + distance).ravel(),
+                              minlength=n * (diameter + 1)).reshape(n, diameter + 1)
+    within = at_distance.cumsum(axis=1)[:, :diameter].T
+    return np.argsort(distance, axis=1, kind="stable").T.copy(), (within - 1) * n + np.arange(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +209,8 @@ class RoundScheduler:
     The transport itself accepts any topology; connectivity only matters to
     the consensus operations, which check it explicitly. ``distance`` is the
     agents' all-pairs hop distances (-1 between components); ``diameter`` is
-    None on a disconnected graph.
+    None on a disconnected graph. On a connected one, ``nearest_first`` and
+    ``reach_end`` are their distance order (``_distance_order``).
     """
 
     def __init__(self, coupling):
@@ -188,6 +220,8 @@ class RoundScheduler:
         self.distance = _hop_distances(coupling.neighbors)
         self.is_connected = bool((self.distance >= 0).all())
         self.diameter = int(self.distance.max(initial=0)) if self.is_connected else None
+        if self.is_connected:
+            self.nearest_first, self.reach_end = _distance_order(self.distance, self.diameter)
         self.plan = _build_round_plan(coupling)
         # a shared-component round carries the plan's segments, any other
         # round one entry per directed edge
@@ -313,12 +347,14 @@ def _hops_from_false(scheduler, flags):
     return scheduler.distance.min(axis=1, where=~flags, initial=len(flags))
 
 
-def _per_agent(scheduler, values, dtype):
-    """``values`` as an array of ``dtype``; ``StructureError`` unless one entry per agent."""
+def _per_agent(scheduler, values, dtype, rows=False):
+    """``values`` as an array of ``dtype``; ``StructureError`` unless one entry
+    per agent, or, with ``rows``, one entry or one row per agent."""
     values = np.asarray(values, dtype=dtype)
-    if values.shape != (scheduler.coupling.n_agents,):
+    n = scheduler.coupling.n_agents
+    if values.ndim not in ((1, 2) if rows else (1,)) or len(values) != n:
         raise StructureError(f"consensus takes one value per agent "
-                             f"({scheduler.coupling.n_agents}), not shape {values.shape}")
+                             f"({n}), not shape {values.shape}")
     return values
 
 
@@ -372,29 +408,62 @@ def all_agree(scheduler, flags, carry=False):
 
 
 def min_consensus(scheduler, values):
-    """Minimum of per-agent scalars, by a flood of diameter rounds in which
+    """Minimum of per-agent values, by a flood of diameter rounds in which
     an agent sends its value on an edge only when it is below everything
     that edge has carried in either direction: below the values both ends
-    held a round before. ``values`` that are not one finite scalar per agent
-    raise ``StructureError``."""
-    state = _per_agent(scheduler, values, float)
+    held a round before.
+
+    ``values`` is one scalar per agent, whose minimum is returned, or one
+    row of k per agent, shape (N, k): each message then carries the
+    sender's row, an edge sends in a round when any of its k values is news
+    there, and the tuple of the k columns' minima is returned, each that of
+    a flood of its column alone, bit for bit. Values that are not finite,
+    or not one scalar or row per agent, raise ``StructureError``.
+    """
+    state = _per_agent(scheduler, values, float, rows=True)
     if not np.isfinite(state).all():
         raise StructureError("consensus values must be finite")
     _require_connected(scheduler)
-    plan = scheduler.plan
-    payload = state[plan.edge_src]
-    # equal to the bit: a uniform state is a fixed point of np.minimum
-    settled = state.tobytes() == state[:1].tobytes() * state.size
+    plan, rounds = scheduler.plan, scheduler.diameter
     sent = 1  # every value is below +inf, so round 1 is news on every edge
-    for r in range(1, scheduler.diameter + 1):
-        received = scheduler.deliver_round(payload, KIND_MIN)
-        if settled:
-            continue
-        carried = np.minimum(payload, state[plan.edge_dst])
-        state = np.minimum(state, np.minimum.reduceat(received, plan.recv_start))
-        if r < scheduler.diameter:
-            settled = state.tobytes() == state[:1].tobytes() * state.size
-            payload = state[plan.edge_src]
-            sent = sent + (payload < carried)
+    uniform = state.tobytes() == state[:1].tobytes() * len(state)
+    if uniform or rounds < 2:
+        # a state equal to the bit is a fixed point of np.minimum, and a
+        # single round carries the start values
+        payload = np.take(state, plan.edge_src, axis=0)
+        for _ in range(rounds):
+            scheduler.deliver_round(payload, KIND_MIN)
+    else:
+        # at the start of round r agent i holds the minimum over the agents
+        # fewer than r hops away: a prefix minimum in its distance order,
+        # here for every round (diameter, N) and edge (diameter, edges) at once
+        n = len(state)
+        prefix = np.minimum.accumulate(np.take(state, scheduler.nearest_first, axis=0), axis=0)
+        held = np.take(prefix.reshape((n * n,) + state.shape[1:]), scheduler.reach_end, axis=0)
+        payloads = np.take(held, plan.edge_src, axis=1)
+        for payload in payloads:
+            scheduler.deliver_round(payload, KIND_MIN)
+        # from round 2 on, news is below the values both ends held a round
+        # before; an edge sends when any column is news
+        ends = np.take(held[:-1], plan.edge_dst, axis=1)
+        news = payloads[1:] < np.minimum(payloads[:-1], ends, out=ends)
+        if state.ndim == 2:
+            # column by column: numpy reduces a short last axis slowly
+            news = reduce(np.logical_or, news.transpose(2, 0, 1))
+        sent = news.sum(axis=0, initial=sent)
     scheduler.count_messages(KIND_MIN, sent)
-    return float(state[0])
+    if uniform:
+        return _row(state[0])
+    if np.signbit(state).any() and not state.all():
+        # zeros of both signs may tie, and np.minimum returns its second
+        # argument on a tie: agent 0's bits are those the rounds leave it
+        for _ in range(rounds):
+            state = np.minimum(state, np.minimum.reduceat(state[plan.edge_src],
+                                                          plan.recv_start))
+        return _row(state[0])
+    return _row(state.min(axis=0))
+
+
+def _row(values):
+    """A float for one value per agent, a tuple of floats for a row."""
+    return float(values) if values.ndim == 0 else tuple(values.tolist())

@@ -5,12 +5,16 @@ into groups with their stage objectives, and the stage parameter t. Each
 outer iteration linearizes the stage objectives at the current iterates,
 computes the Newton direction with the splitting solver, and terminates
 once every agent's local curvature form satisfies its share of the
-decrement test.
-Otherwise every agent backtracks on its own stage objective from the
-value already evaluated at its iterate, the smallest step wins by
-min-consensus, and all agents move by that common step. Because every
-update adds a common multiple of slices of one global vector, iterates
-started consistent stay consistent to the last bit.
+decrement test. Each agent tests its share and backtracks on its own
+stage objective, from the value already evaluated at its iterate, before
+the outcome is known; one min-consensus over (flag, step) rows, False as
+0.0 below True as 1.0, then settles both. Its flag column is the AND of
+the tests and its step column the smallest step. When every test passed
+the solve stops and the steps are thrown away; otherwise all agents move
+by the common step. A lone agent knows the outcome first and backtracks
+only when it must step. Because every update adds a common multiple of
+slices of one global vector, iterates started consistent stay consistent
+to the last bit.
 
 With ``warm_start`` on, each direction after the first in a stage starts
 the splitting iteration from the previous direction scaled by (1 - alpha)
@@ -58,7 +62,10 @@ from .errors import (
     LineSearchError,
     StructureError,
 )
-from .network import RoundScheduler, all_agree, min_consensus
+from .network import RoundScheduler, min_consensus
+# all_agree stays importable from here: perfbench/tracing.py wraps it at
+# this lookup site
+from .network import all_agree
 from .problem import (
     build_coupling,
     check_start,
@@ -156,7 +163,11 @@ def ladder_steps(group, S, D, config, h0=None, grad_dot=None):
     member's points and values are the bits of trying its steps one by
     one. The first chunk, the full step, is all most line searches take.
     """
-    floors = [BOUNDARY_FRACTION * g.value(S) for g in group.inequality]
+    at_start = [g.value(S) for g in group.inequality]
+    floors = [BOUNDARY_FRACTION * v for v in at_start]
+    # a stage objective that is a barrier over these very constraint stacks
+    # takes the values computed here instead of evaluating them again
+    barrier = bool(at_start) and getattr(group.objective, "inequality", None) is group.inequality
     if h0 is not None:
         descending = grad_dot < 0.0
         # resolution of the objective value itself; the acceptable decrease near
@@ -176,13 +187,18 @@ def ladder_steps(group, S, D, config, h0=None, grad_dot=None):
         A = np.array(chunk)[:, None]
         X = S + A[..., None] * D
         ok = pending & np.ones(A.shape, dtype=bool)
-        for g, floor in zip(group.inequality, floors):
-            ok &= g.value(X) <= floor
+        at = [g.value(X) for g in group.inequality]
+        for v, floor in zip(at, floors):
+            ok &= v <= floor
         if h0 is not None:
             test = ok & descending
             if test.any():
-                # a step that left the region is valued at its start instead
-                values = group.objective.value(np.where(ok[..., None], X, S))
+                # a step that left the region is valued at its start instead,
+                # with the constraint values there
+                W = np.where(ok[..., None], X, S)
+                values = (group.objective.value(W, [np.where(ok, v, v0)
+                                                    for v, v0 in zip(at, at_start)])
+                          if barrier else group.objective.value(W))
                 ok &= ~test | (values <= h0 + config.armijo_a * A * grad_dot + noise)
         hit = ok.any(axis=0)
         steps[hit] = A[ok.argmax(axis=0)[hit], 0]
@@ -190,25 +206,43 @@ def ladder_steps(group, S, D, config, h0=None, grad_dot=None):
     return steps
 
 
-def distributed_line_search(stage, points, h_values, workspace, ds, config, scheduler):
-    """Backtracking of every agent from its stage value ``h_values[i]``, then min-consensus.
+def distributed_line_search(stage, points, h_values, workspace, ds, config, scheduler,
+                            converged=None):
+    """Backtracking of every agent from its stage value ``h_values[i]``, and
+    one min-consensus of the steps that carries the decrement vote.
 
     ``points`` and ``ds`` are flat vectors of all local entries (the
     coupling's layout); each group's slopes come from the ``workspace``
-    gradients. An agent that spends its budget raises ``LineSearchError``,
-    naming the lowest such agent.
+    gradients. ``converged`` is each agent's decrement flag (None: no
+    agent's passed). Every agent runs its ladder before the outcome is
+    known and floods its flag, False as 0.0 below True as 1.0, with its
+    step as one row: the flood's minima are the AND of the flags and the
+    common step. Returns 0.0 when the vote passed, the common step
+    otherwise. An agent alone knows the outcome at once and runs no ladder
+    when it passed. An agent that spends its budget floods a step of 0;
+    when the vote failed, ``LineSearchError`` names the lowest such agent
+    after the flood.
     """
-    alphas = np.empty(len(stage.blocks))
+    # one (flag, step) row per agent
+    rows = np.zeros((len(stage.blocks), 2))
+    if converged is not None:
+        rows[:, 0] = converged
+    if scheduler.diameter == 0 and rows[0, 0]:
+        return 0.0
     for grp, at in zip(stage.groups, workspace.groups):
         D = ds[grp.pos]
         grad_dot = np.matmul(at.grad[:, None, :], D[:, :, None])[:, 0, 0]
-        alphas[grp.members] = ladder_steps(grp, points[grp.pos], D, config,
-                                           h_values[grp.members], grad_dot)
-    failed = np.flatnonzero(np.isnan(alphas))
-    if failed.size:
-        i = int(failed[0])
+        rows[grp.members, 1] = ladder_steps(grp, points[grp.pos], D, config,
+                                            h_values[grp.members], grad_dot)
+    exhausted = np.isnan(rows[:, 1])
+    np.copyto(rows[:, 1], 0.0, where=exhausted)
+    passed, alpha = min_consensus(scheduler, rows)
+    if passed:
+        return 0.0
+    if exhausted.any():
+        i = int(exhausted.argmax())
         raise LineSearchError(f"agent {i} exhausted {config.max_backtracks} backtracks", agent=i)
-    return min_consensus(scheduler, alphas)
+    return alpha
 
 
 def extrapolated_start(stage, s_last, s_before, config, scheduler):
@@ -366,13 +400,10 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
 
         ds = res.dx[coupling.flat_index]
         decs = _decrements(workspace, ds)
-        done = all_agree(scheduler, decs / 2.0 <= config.eps_nt / coupling.n_agents)
-
-        alpha = 0.0
+        alpha = distributed_line_search(stage, points, h_values, workspace, ds, config,
+                                        scheduler, decs / 2.0 <= config.eps_nt / coupling.n_agents)
+        done = alpha == 0.0
         if not done:
-            alpha = distributed_line_search(
-                stage, points, h_values, workspace, ds, config, scheduler
-            )
             points = points + alpha * ds
             result.e_c += alpha * alpha * config.eps_pri
             warm = ((1.0 - alpha) * res.dx, res.v)

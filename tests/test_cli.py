@@ -380,6 +380,16 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "o"), "--max-backtracks", "0"])
         assert code == EXIT_LINESEARCH
 
+    def test_exhausted_ladder_at_a_failed_vote(self, tmp_path, monkeypatch, capsys):
+        # the agents backtrack before the decrement vote is known; an
+        # exhausted ladder fails the run when the vote fails
+        monkeypatch.setattr(dipm.newton, "ladder_steps",
+                            lambda group, *args: np.full(len(group.members), np.nan))
+        path = write_doc(tmp_path / "p.json", chain_doc())
+        assert main(["run", "--mode", "newton", "--problem", path,
+                     "--out", str(tmp_path / "o")]) == EXIT_LINESEARCH
+        assert "error: agent 0 exhausted 60 backtracks" in capsys.readouterr().err
+
     def test_outer_cap(self, tmp_path):
         path = write_doc(tmp_path / "p.json", chain_doc())
         code = main(["run", "--mode", "newton", "--problem", path,

@@ -247,23 +247,28 @@ def news_flood(c, state, combine, identity):
     """Reference flood over a masked transport, simulated for diameter
     rounds: an agent puts its value on an edge only when it is below
     everything that edge has carried in either direction (the identity
-    before round 1), and a silent edge carries the identity. Returns agent
-    0's value, each agent's messages and the last round in which an agent
-    sent (0 if none did)."""
+    before round 1), and a silent edge carries the identity. A state of one
+    row of k values per agent, with one identity per column or one for
+    all, puts its whole row on an edge when any of its values is news
+    there. Returns agent 0's value, each agent's messages, the last round
+    in which an agent sent (0 if none did) and which values were news, per
+    round and edge (and column)."""
     sched = RoundScheduler(c)
     plan = sched.plan
     reverse = reverse_edges(plan)
-    carried = np.full(plan.n_edges, identity, dtype=state.dtype)
-    messages = np.zeros(c.n_agents, dtype=int)
-    last = 0
-    for r in range(1, sched.diameter + 1):
-        send = state[plan.edge_src] < carried
-        messages += np.bincount(plan.edge_src[send], minlength=c.n_agents)
-        last = r if send.any() else last
-        payload = np.where(send, state[plan.edge_src], identity)
+    carried = np.full(state[plan.edge_src].shape, identity, dtype=state.dtype)
+    news = np.zeros((sched.diameter,) + carried.shape, dtype=bool)
+    for r in range(sched.diameter):
+        news[r] = state[plan.edge_src] < carried
+        send = news[r].reshape(plan.n_edges, -1).any(axis=1)
+        payload = np.where(send.reshape(carried.shape[:1] + (1,) * (state.ndim - 1)),
+                           state[plan.edge_src], identity)
         carried = combine(carried, combine(payload, payload[reverse]))
         state = combine(state, combine.reduceat(payload, plan.recv_start))
-    return state[0], messages, last
+    sends = news.any(axis=2) if state.ndim == 2 else news
+    messages = np.bincount(plan.edge_src, sends.sum(axis=0), c.n_agents).astype(int)
+    rounds = np.flatnonzero(sends.any(axis=1))
+    return state[0], messages, int(rounds[-1]) + 1 if rounds.size else 0, news
 
 
 def agent_news(c, state, combine, identity):
@@ -617,7 +622,7 @@ class TestNewsFlood:
         got = np.array(run(sched, start.tolist()), dtype=dtype)
         want = recomputing_flood(c, start, combine)
         assert got.tobytes() == want.tobytes()
-        reference, messages, last = news_flood(c, start, combine, identity)
+        reference, messages, last, _ = news_flood(c, start, combine, identity)
         # the masked network reaches the same value; only a zero's sign may differ
         assert reference == want
         np.testing.assert_array_equal(sched.sent_by_kind[kind], messages)
@@ -707,6 +712,65 @@ class TestDecidingFlood:
         np.testing.assert_array_equal(news_flood(c, flags, np.logical_and, True)[1], messages)
 
 
+class TestStackedMin:
+    """A MIN flood of one row of k values per agent carries one k-tuple per
+    message, sent on an edge when any of its values is news there."""
+
+    def test_a_vote_rides_a_min_on_a_chain(self):
+        # agent 0 holds False and a step of 1/2. The vote column alone would
+        # send on edges 0 -> 1 (round 1), 1 -> 2 (2) and 2 -> 3 (3), the
+        # step column alone on every edge in round 1 and on those three
+        # edges in the same rounds: 8 messages, not 3 + 8
+        c = chain_coupling(4)
+        sched = RoundScheduler(c)
+        rows = [[0.0, 0.5], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]
+        assert min_consensus(sched, rows) == (0.0, 0.5)
+        assert sched.rounds_by_kind == {KIND_MIN: 3}
+        np.testing.assert_array_equal(sched.sent_by_kind[KIND_MIN], [1, 3, 3, 1])
+        assert sched.total_sent == 8
+
+    @PROPERTY
+    @given(c=st.one_of(shaped_coupling(), LONG_CHAINS), width=st.integers(1, 2),
+           data=st.data())
+    def test_columns_rounds_and_tallies_of_a_masked_network(self, c, width, data):
+        # column 0 is a vote, False as 0.0 below True as 1.0, as the Newton
+        # iteration floods it with its steps
+        flags = np.array(data.draw(flood_starts(KIND_FLAG, c.n_agents)), dtype=bool)
+        steps = np.column_stack([data.draw(flood_starts(KIND_MIN, c.n_agents))
+                                 for _ in range(width)])
+        rows = np.column_stack((flags.astype(float), steps))
+        sched = RoundScheduler(c)
+        got = min_consensus(sched, rows)
+        assert sched.round_index == sched.rounds_by_kind[KIND_MIN] == sched.diameter
+        # each column's result is a flood of that column alone, bit for bit
+        assert len(got) == 1 + width
+        for value, column in zip(got, rows.T):
+            alone = min_consensus(RoundScheduler(c), column)
+            want = recomputing_flood(c, column, np.minimum)
+            assert np.float64(value).tobytes() == np.float64(alone).tobytes() == want.tobytes()
+        # per edge, the masked reference's rounds in which any column is news
+        _, messages, _, news = news_flood(c, rows, np.minimum, np.inf)
+        fused = news.any(axis=2).sum(axis=0)
+        np.testing.assert_array_equal(sched._edge_messages(KIND_MIN), fused)
+        np.testing.assert_array_equal(sched.sent_by_kind[KIND_MIN], messages)
+        # with True as its identity, the vote column is news where the
+        # early-deciding AND sends; the steps where their own flood sends;
+        # a round in which both are news is one message
+        news = news_flood(c, rows, np.minimum, [1.0] + [np.inf] * width)[3]
+        vote, step = news[:, :, 0], news[:, :, 1:].any(axis=2)
+        separate = RoundScheduler(c)
+        all_agree(separate, flags)
+        and_edges = separate._edge_messages(KIND_FLAG)
+        np.testing.assert_array_equal(vote.sum(axis=0), and_edges)
+        np.testing.assert_array_equal(
+            np.bincount(sched.plan.edge_src, and_edges, c.n_agents), deciding_flood(c, flags)[1])
+        min_consensus(separate, steps)
+        min_edges = separate._edge_messages(KIND_MIN)
+        np.testing.assert_array_equal(step.sum(axis=0), min_edges)
+        np.testing.assert_array_equal(fused, and_edges + min_edges - (vote & step).sum(axis=0))
+        assert (fused <= and_edges + min_edges).all()
+
+
 STAR_EDGES = [(0, 1), (0, 2), (0, 3)]
 
 
@@ -792,13 +856,16 @@ class TestCarriedVote:
 
 # n_agents -> (rounds by kind, messages, outer iterations, inner iterations)
 # of ``random_qp(0, n_agents, 3, overlap=1, n_eq=1)``: no golden trace
-# records rounds, so a change of protocol would otherwise move them unseen
+# records rounds, so a change of protocol would otherwise move them unseen.
+# Every outer iteration floods its decrement vote with its steps, diameter
+# MIN rounds, and every direction ends with an all-True splitting vote,
+# diameter flag rounds
 PINNED_CHAINS = {
-    5: ({KIND_SHARED: 74, KIND_FLAG: 13, KIND_MIN: 4}, 424, 2, 51),
-    16: ({KIND_SHARED: 471, KIND_FLAG: 174, KIND_MIN: 135}, 3354, 10, 89),
-    50: ({KIND_SHARED: 16852, KIND_FLAG: 1998, KIND_MIN: 1862}, 104684, 39, 961),
+    5: ({KIND_SHARED: 74, KIND_FLAG: 8, KIND_MIN: 8}, 424, 2, 51),
+    16: ({KIND_SHARED: 471, KIND_FLAG: 150, KIND_MIN: 150}, 3114, 10, 89),
+    50: ({KIND_SHARED: 16852, KIND_FLAG: 1911, KIND_MIN: 1911}, 101058, 39, 961),
     # relays that run the chain's length
-    200: ({KIND_SHARED: 72039, KIND_FLAG: 19798, KIND_MIN: 19303}, 458229, 98, 838),
+    200: ({KIND_SHARED: 72039, KIND_FLAG: 19502, KIND_MIN: 19502}, 420021, 98, 838),
 }
 
 
@@ -810,6 +877,7 @@ def test_rounds_and_messages_of_a_chain_solve_are_pinned(n_agents):
               sum(row.inner_iterations for row in result.rows))
     assert counts == PINNED_CHAINS[n_agents]
     assert sched.round_index == sum(sched.rounds_by_kind.values())
+    assert sched.rounds_by_kind[KIND_MIN] == sched.diameter * len(result.rows)
 
 
 def spd_problem_on(c, rng):

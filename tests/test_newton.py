@@ -22,7 +22,7 @@ from dipm.errors import (
     NonFiniteError,
 )
 from dipm.generator import random_qp
-from dipm.network import RoundScheduler
+from dipm.network import KIND_MIN, RoundScheduler
 from dipm.newton import (
     BOUNDARY_FRACTION,
     distributed_line_search,
@@ -198,6 +198,49 @@ class TestDistributedLineSearch:
             distributed_line_search(stage, np.concatenate(points), h_values, ws, ds, params,
                                     scheduler)
         assert err.value.agent == 0
+
+
+def exhaust(agents):
+    """A stand-in for ``ladder_steps`` whose ``agents`` exhaust their ladders."""
+    def ladder(group, *args):
+        steps = ladder_steps(group, *args)
+        steps[np.isin(group.members, agents)] = np.nan
+        return steps
+    return ladder
+
+
+class TestVoteRidesTheStepMin:
+    """Every agent runs its ladder before it knows the decrement vote, which
+    one min-consensus settles with the step."""
+
+    def test_an_exhausted_ladder_at_a_terminal_iteration_is_thrown_away(self, monkeypatch):
+        calls = []
+
+        def ladder(group, *args):
+            calls.append(group.members.tolist())
+            return exhaust(group.members)(group, *args)
+
+        monkeypatch.setattr(dipm.newton, "ladder_steps", ladder)
+        # the minimizer: the first iteration is terminal
+        result, sched = solve_newton(chain_qp(), np.array([0.0, 0.5, 1.0]), SolverConfig())
+        assert [row.alpha for row in result.rows] == [0.0]
+        assert sorted(sum(calls, [])) == [0, 1]
+        np.testing.assert_allclose(result.x, [0.0, 0.5, 1.0], atol=1e-12)
+        assert sched.rounds_by_kind[KIND_MIN] == sched.diameter == 1
+        assert sum(row.messages for row in result.rows) == sched.total_sent
+
+    def test_an_exhausted_ladder_at_a_failed_vote_names_the_lowest_agent(self, monkeypatch):
+        monkeypatch.setattr(dipm.newton, "ladder_steps", exhaust([3, 1, 2]))
+        problem, x0 = random_qp(0, 5, 3, overlap=1, n_eq=1)
+        coupling = build_coupling(problem)
+        sched = RoundScheduler(coupling)
+        with pytest.raises(LineSearchError, match="^agent 1 exhausted 60 backtracks") as err:
+            newton_solve(plain_stage(problem), scatter(x0, coupling), SolverConfig(), coupling,
+                         sched)
+        assert err.value.agent == 1
+        # the error follows the flood, whose rounds and messages are counted
+        assert sched.rounds_by_kind[KIND_MIN] == sched.diameter == 4
+        assert sched.messages_of_kind(KIND_MIN) >= sched.plan.n_edges
 
 
 def reference_step(h, inequality, s, h0, ds, grad_dot, config, armijo=True):
