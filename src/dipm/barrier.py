@@ -104,10 +104,8 @@ class BarrierFunction:
             )
         return vals
 
-    def value(self, s, constraint_values=None):
-        """The stage value at ``s``; ``constraint_values``, when given, are
-        each inequality's values at ``s``, all strictly negative."""
-        vals = self._constraint_values(s) if constraint_values is None else constraint_values
+    def value(self, s):
+        vals = self._constraint_values(s)
         return self.t * self.objective.value(s) - sum(np.log(-v) for v in vals)
 
     def gradient(self, s):

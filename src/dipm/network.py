@@ -9,12 +9,13 @@ communication pattern of an algorithm rather than trust it.
 A round is one flat, edge-indexed payload laid out by the scheduler's
 ``RoundPlan``, built once from the coupling graph: one entry per directed
 edge, edges listed receiver-major with senders ascending. A consensus round
-carries one scalar per edge; a shared-component round carries, edge by
-edge, the sender's values of the variables both parties own, read from
-the coupling's flat vector of local entries. A message to a non-neighbour
-therefore cannot be expressed. Messages are credited to the directed edges
-that carry them; in a shared-component exchange every edge carries one,
-and a coupling without edges has nothing to exchange, so it takes no round.
+carries one value, or one row of values, per edge; a shared-component
+round carries, edge by edge, the sender's values of the variables both
+parties own, read from the coupling's flat vector of local entries. A
+message to a non-neighbour therefore cannot be expressed. Messages are
+credited to the directed edges that carry them; in a shared-component
+exchange every edge carries one, and a coupling without edges has nothing
+to exchange, so it takes no round.
 
 Consensus primitives (boolean AND, minimum) are realized by flooding over a
 connected graph, and an agent sends its value on an edge only when it is
@@ -26,19 +27,19 @@ are compared as numbers: ``np.minimum`` returns its second argument on a
 tie, so a zero may change sign without news.
 
 A MIN flood takes diameter rounds, after which it is exact. It may carry
-one row of k values per agent: a round then still carries one entry per
-directed edge, the sender's k-tuple, and an edge sends in a round when any
-of its k values is news there. Agent i holds, at the start of round r, the
-minimum over the agents fewer than r hops away, so the rounds' payloads and
-their news are read from prefix minima of the values in each agent's
-distance order (``RoundScheduler.nearest_first``), not recombined round by
-round. The minimum is idempotent and a withheld value is never below its
-receiver's, so it cannot change the receiver's value: results are bit for
-bit those of a flood recombining every value each round (a transport that
-drops withheld values could change only a zero's sign). Only zeros of both
-signs tie with different bits; their flood is recombined round by round. A
-uniform start is a fixed point of ``np.minimum``: its rounds are delivered,
-one ``deliver_round`` each, and nothing is computed.
+one row of k values per agent: round 1 then carries one entry per directed
+edge, the sender's k-tuple, and an edge sends in a round when any of its
+values is news there. The minimum is idempotent and a withheld value is
+never below its receiver's, so it cannot change the receiver's value; the
+transport delivers every value anyway, so results are bit for bit those of
+a flood recombining every value each round (a transport that drops
+withheld values could change only a zero's sign). A state equal to the bit
+on every agent is a fixed point of ``np.minimum``, and so is such a column:
+it is never news after round 1, so later rounds carry and recombine only
+the other columns, and once every agent holds the same bits the remaining
+rounds are delivered, one ``deliver_round`` each, but nothing is
+recombined. The news of each round is counted after the last, from the
+values the agents held at the start of every round.
 
 A column of flags, False as 0.0 below True as 1.0, is news after round 1
 exactly where the early-deciding AND below sends, and round 1 is news on
@@ -68,10 +69,9 @@ and each agent still sends each neighbour one data message, its data
 unchanged. An all-True vote sends no data and takes its diameter silent
 flag rounds.
 
-These, like a MIN flood's payloads and news, are read from the
-scheduler's all-pairs hop distances, and every round is still delivered
-one ``deliver_round`` each: an AND or MIN round carries the values the
-agents hold at its start, a relay round the data.
+Both are read from the scheduler's all-pairs hop distances, and their
+rounds are still delivered one ``deliver_round`` each: an AND round carries
+the flags the agents hold at its start, a relay round the data.
 
 On a disconnected graph with more than one agent the floods raise, since
 values cannot propagate between components, so a solver meets a
@@ -85,7 +85,6 @@ order, so reductions are reproducible.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -114,22 +113,6 @@ def _hop_distances(neighbors):
             frontier = nxt
         distance[root] = dist
     return distance
-
-
-def _distance_order(distance, diameter):
-    """The agents in hop-distance order from each agent, and how far into
-    that order each round of a flood reaches.
-
-    Column i of ``nearest_first`` (N x N) lists the agents by hop distance
-    from agent i, nearest first and ties in ascending order; ``reach_end``
-    (diameter x N) holds at ``[r - 1, i]`` the flat position in
-    ``nearest_first`` of the last agent fewer than r hops from agent i.
-    """
-    n = len(distance)
-    at_distance = np.bincount((np.arange(n)[:, None] * (diameter + 1) + distance).ravel(),
-                              minlength=n * (diameter + 1)).reshape(n, diameter + 1)
-    within = at_distance.cumsum(axis=1)[:, :diameter].T
-    return np.argsort(distance, axis=1, kind="stable").T.copy(), (within - 1) * n + np.arange(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,8 +192,7 @@ class RoundScheduler:
     The transport itself accepts any topology; connectivity only matters to
     the consensus operations, which check it explicitly. ``distance`` is the
     agents' all-pairs hop distances (-1 between components); ``diameter`` is
-    None on a disconnected graph. On a connected one, ``nearest_first`` and
-    ``reach_end`` are their distance order (``_distance_order``).
+    None on a disconnected graph.
     """
 
     def __init__(self, coupling):
@@ -220,8 +202,6 @@ class RoundScheduler:
         self.distance = _hop_distances(coupling.neighbors)
         self.is_connected = bool((self.distance >= 0).all())
         self.diameter = int(self.distance.max(initial=0)) if self.is_connected else None
-        if self.is_connected:
-            self.nearest_first, self.reach_end = _distance_order(self.distance, self.diameter)
         self.plan = _build_round_plan(coupling)
         # a shared-component round carries the plan's segments, any other
         # round one entry per directed edge
@@ -352,7 +332,7 @@ def _per_agent(scheduler, values, dtype, rows=False):
     per agent, or, with ``rows``, one entry or one row per agent."""
     values = np.asarray(values, dtype=dtype)
     n = scheduler.coupling.n_agents
-    if values.ndim not in ((1, 2) if rows else (1,)) or len(values) != n:
+    if values.shape != (n,) and not (rows and values.ndim == 2 and len(values) == n):
         raise StructureError(f"consensus takes one value per agent "
                              f"({n}), not shape {values.shape}")
     return values
@@ -414,56 +394,60 @@ def min_consensus(scheduler, values):
     held a round before.
 
     ``values`` is one scalar per agent, whose minimum is returned, or one
-    row of k per agent, shape (N, k): each message then carries the
-    sender's row, an edge sends in a round when any of its k values is news
-    there, and the tuple of the k columns' minima is returned, each that of
-    a flood of its column alone, bit for bit. Values that are not finite,
-    or not one scalar or row per agent, raise ``StructureError``.
+    row of k per agent, shape (N, k): round 1 then carries each sender's
+    row and later rounds only the columns not equal on every agent at the
+    start, an edge sends in a round when any of its values is news there,
+    and the tuple of the k columns' minima is returned, each that of a
+    flood of its column alone, bit for bit. Values that are not finite, or
+    not one scalar or row per agent, raise ``StructureError``.
     """
-    state = _per_agent(scheduler, values, float, rows=True)
-    if not np.isfinite(state).all():
+    values = _per_agent(scheduler, values, float, rows=True)
+    if not np.isfinite(values).all():
         raise StructureError("consensus values must be finite")
     _require_connected(scheduler)
-    plan, rounds = scheduler.plan, scheduler.diameter
+    plan = scheduler.plan
+    payload = values[plan.edge_src]
+    # equal to the bit, a uniform state is a fixed point of np.minimum
+    settled = _uniform(values)
+    state, live = values, slice(None)
+    if values.ndim == 2 and not settled:
+        # and so is a uniform column, never news after round 1: later rounds
+        # carry and recombine only the others, a single one as a vector
+        live = [c for c, column in enumerate(values.T) if not _uniform(column)]
+        live = live[0] if len(live) == 1 else live
+        state = values[:, live]
+    # what the agents hold at the start of each round until it is settled
+    held = [state]
+    for r in range(1, scheduler.diameter + 1):
+        received = scheduler.deliver_round(payload, KIND_MIN)
+        if settled:
+            continue
+        if r == 1:
+            received = received[..., live]
+        state = np.minimum(state, np.minimum.reduceat(received, plan.recv_start))
+        if r < scheduler.diameter:
+            settled = _uniform(state)
+            held.append(state)
+            payload = state[plan.edge_src]
     sent = 1  # every value is below +inf, so round 1 is news on every edge
-    uniform = state.tobytes() == state[:1].tobytes() * len(state)
-    if uniform or rounds < 2:
-        # a state equal to the bit is a fixed point of np.minimum, and a
-        # single round carries the start values
-        payload = np.take(state, plan.edge_src, axis=0)
-        for _ in range(rounds):
-            scheduler.deliver_round(payload, KIND_MIN)
-    else:
-        # at the start of round r agent i holds the minimum over the agents
-        # fewer than r hops away: a prefix minimum in its distance order,
-        # here for every round (diameter, N) and edge (diameter, edges) at once
-        n = len(state)
-        prefix = np.minimum.accumulate(np.take(state, scheduler.nearest_first, axis=0), axis=0)
-        held = np.take(prefix.reshape((n * n,) + state.shape[1:]), scheduler.reach_end, axis=0)
+    if len(held) > 1:
+        # from round 2 on, news is below the values both ends held a round before
+        held = np.array(held)
         payloads = np.take(held, plan.edge_src, axis=1)
-        for payload in payloads:
-            scheduler.deliver_round(payload, KIND_MIN)
-        # from round 2 on, news is below the values both ends held a round
-        # before; an edge sends when any column is news
         ends = np.take(held[:-1], plan.edge_dst, axis=1)
         news = payloads[1:] < np.minimum(payloads[:-1], ends, out=ends)
-        if state.ndim == 2:
-            # column by column: numpy reduces a short last axis slowly
-            news = reduce(np.logical_or, news.transpose(2, 0, 1))
+        if news.ndim == 3:
+            # an edge sends when any value of its row is news
+            news = news.any(axis=2)
         sent = news.sum(axis=0, initial=sent)
     scheduler.count_messages(KIND_MIN, sent)
-    if uniform:
-        return _row(state[0])
-    if np.signbit(state).any() and not state.all():
-        # zeros of both signs may tie, and np.minimum returns its second
-        # argument on a tie: agent 0's bits are those the rounds leave it
-        for _ in range(rounds):
-            state = np.minimum(state, np.minimum.reduceat(state[plan.edge_src],
-                                                          plan.recv_start))
-        return _row(state[0])
-    return _row(state.min(axis=0))
+    if values.ndim == 1:
+        return float(state[0])
+    row = values[0].copy()
+    row[live] = state[0]
+    return tuple(row.tolist())
 
 
-def _row(values):
-    """A float for one value per agent, a tuple of floats for a row."""
-    return float(values) if values.ndim == 0 else tuple(values.tolist())
+def _uniform(values):
+    """Whether every agent holds the same bits: one value each, or one row each."""
+    return values.tobytes() == values[:1].tobytes() * len(values)

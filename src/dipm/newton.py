@@ -163,11 +163,7 @@ def ladder_steps(group, S, D, config, h0=None, grad_dot=None):
     member's points and values are the bits of trying its steps one by
     one. The first chunk, the full step, is all most line searches take.
     """
-    at_start = [g.value(S) for g in group.inequality]
-    floors = [BOUNDARY_FRACTION * v for v in at_start]
-    # a stage objective that is a barrier over these very constraint stacks
-    # takes the values computed here instead of evaluating them again
-    barrier = bool(at_start) and getattr(group.objective, "inequality", None) is group.inequality
+    floors = [BOUNDARY_FRACTION * g.value(S) for g in group.inequality]
     if h0 is not None:
         descending = grad_dot < 0.0
         # resolution of the objective value itself; the acceptable decrease near
@@ -187,18 +183,13 @@ def ladder_steps(group, S, D, config, h0=None, grad_dot=None):
         A = np.array(chunk)[:, None]
         X = S + A[..., None] * D
         ok = pending & np.ones(A.shape, dtype=bool)
-        at = [g.value(X) for g in group.inequality]
-        for v, floor in zip(at, floors):
-            ok &= v <= floor
+        for g, floor in zip(group.inequality, floors):
+            ok &= g.value(X) <= floor
         if h0 is not None:
             test = ok & descending
             if test.any():
-                # a step that left the region is valued at its start instead,
-                # with the constraint values there
-                W = np.where(ok[..., None], X, S)
-                values = (group.objective.value(W, [np.where(ok, v, v0)
-                                                    for v, v0 in zip(at, at_start)])
-                          if barrier else group.objective.value(W))
+                # a step that left the region is valued at its start instead
+                values = group.objective.value(np.where(ok[..., None], X, S))
                 ok &= ~test | (values <= h0 + config.armijo_a * A * grad_dot + noise)
         hit = ok.any(axis=0)
         steps[hit] = A[ok.argmax(axis=0)[hit], 0]
@@ -207,38 +198,37 @@ def ladder_steps(group, S, D, config, h0=None, grad_dot=None):
 
 
 def distributed_line_search(stage, points, h_values, workspace, ds, config, scheduler,
-                            converged=None):
+                            converged):
     """Backtracking of every agent from its stage value ``h_values[i]``, and
     one min-consensus of the steps that carries the decrement vote.
 
     ``points`` and ``ds`` are flat vectors of all local entries (the
     coupling's layout); each group's slopes come from the ``workspace``
-    gradients. ``converged`` is each agent's decrement flag (None: no
-    agent's passed). Every agent runs its ladder before the outcome is
-    known and floods its flag, False as 0.0 below True as 1.0, with its
-    step as one row: the flood's minima are the AND of the flags and the
-    common step. Returns 0.0 when the vote passed, the common step
-    otherwise. An agent alone knows the outcome at once and runs no ladder
-    when it passed. An agent that spends its budget floods a step of 0;
-    when the vote failed, ``LineSearchError`` names the lowest such agent
-    after the flood.
+    gradients. ``converged`` is each agent's decrement flag. Every agent
+    runs its ladder before the outcome is known and floods its flag, False
+    as 0.0 below True as 1.0, with its step as one row: the flood's minima
+    are the AND of the flags and the common step. Returns None when the
+    vote passed, the common step otherwise. An agent alone knows the
+    outcome at once and runs no ladder when it passed. An agent that spends
+    its budget floods a step of 0; when the vote failed,
+    ``LineSearchError`` names the lowest such agent after the flood.
     """
     # one (flag, step) row per agent
-    rows = np.zeros((len(stage.blocks), 2))
-    if converged is not None:
-        rows[:, 0] = converged
+    rows = np.empty((len(stage.blocks), 2))
+    rows[:, 0] = converged
     if scheduler.diameter == 0 and rows[0, 0]:
-        return 0.0
+        return None
+    steps = rows[:, 1]
     for grp, at in zip(stage.groups, workspace.groups):
         D = ds[grp.pos]
         grad_dot = np.matmul(at.grad[:, None, :], D[:, :, None])[:, 0, 0]
-        rows[grp.members, 1] = ladder_steps(grp, points[grp.pos], D, config,
-                                            h_values[grp.members], grad_dot)
-    exhausted = np.isnan(rows[:, 1])
-    np.copyto(rows[:, 1], 0.0, where=exhausted)
+        steps[grp.members] = ladder_steps(grp, points[grp.pos], D, config,
+                                          h_values[grp.members], grad_dot)
+    exhausted = np.isnan(steps)
+    np.copyto(steps, 0.0, where=exhausted)
     passed, alpha = min_consensus(scheduler, rows)
     if passed:
-        return 0.0
+        return None
     if exhausted.any():
         i = int(exhausted.argmax())
         raise LineSearchError(f"agent {i} exhausted {config.max_backtracks} backtracks", agent=i)
@@ -402,8 +392,10 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
         decs = _decrements(workspace, ds)
         alpha = distributed_line_search(stage, points, h_values, workspace, ds, config,
                                         scheduler, decs / 2.0 <= config.eps_nt / coupling.n_agents)
-        done = alpha == 0.0
-        if not done:
+        done = alpha is None
+        if done:
+            alpha = 0.0
+        else:
             points = points + alpha * ds
             result.e_c += alpha * alpha * config.eps_pri
             warm = ((1.0 - alpha) * res.dx, res.v)

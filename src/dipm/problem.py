@@ -98,14 +98,26 @@ class QuadraticStack:
 
     def __init__(self, P, q, r):
         self.P, self.q, self.r = P, q, r
+        # the bits of the last points valued and their read-only values: a
+        # barrier stage value, gradient and Hessian and the line search's
+        # floors all take the constraint values at one iterate, and a full
+        # step's trial points are the next iterate
+        self._last = None
 
     def take(self, rows):
         """The stack of the members ``rows``, in that order."""
         return QuadraticStack(self.P[rows], self.q[rows], self.r[rows])
 
     def value(self, S):
-        quad = np.matmul(np.matmul(S[..., None, :], self.P), S[..., :, None])[..., 0, 0]
-        return 0.5 * quad + np.matmul(self.q[:, None, :], S[..., :, None])[..., 0, 0] + self.r
+        # a member's value does not depend on the leading axes: only the
+        # points' bits and the member axes key the last values
+        key = (S.dtype, S.shape[-2:], S.tobytes())
+        if self._last is None or self._last[0] != key:
+            quad = np.matmul(np.matmul(S[..., None, :], self.P), S[..., :, None])[..., 0, 0]
+            out = 0.5 * quad + np.matmul(self.q[:, None, :], S[..., :, None])[..., 0, 0] + self.r
+            out.setflags(write=False)
+            self._last = key, out
+        return self._last[1].reshape(S.shape[:-1])
 
     def gradient(self, S):
         return np.matmul(self.P, S[..., :, None])[..., 0] + self.q

@@ -172,7 +172,8 @@ class TestDistributedLineSearch:
         h_values = np.array([BarrierFunction(blk.objective, blk.inequality, 1.0).value(s)
                              for blk, s in zip(prob.blocks, points)])
         alpha = distributed_line_search(stage, np.concatenate(points), h_values, ws,
-                                        dx[coupling.flat_index], params, scheduler)
+                                        dx[coupling.flat_index], params, scheduler,
+                                        np.zeros(2, dtype=bool))
         assert alpha == 0.5
 
     def test_exhaustion_identifies_agent(self):
@@ -196,7 +197,7 @@ class TestDistributedLineSearch:
                              for blk, s in zip(prob.blocks, points)])
         with pytest.raises(LineSearchError) as err:
             distributed_line_search(stage, np.concatenate(points), h_values, ws, ds, params,
-                                    scheduler)
+                                    scheduler, np.zeros(2, dtype=bool))
         assert err.value.agent == 0
 
 
@@ -241,6 +242,14 @@ class TestVoteRidesTheStepMin:
         # the error follows the flood, whose rounds and messages are counted
         assert sched.rounds_by_kind[KIND_MIN] == sched.diameter == 4
         assert sched.messages_of_kind(KIND_MIN) >= sched.plan.n_edges
+
+    def test_a_zero_step_at_a_failed_vote_does_not_stop_the_solve(self, monkeypatch):
+        # a ladder rung can underflow to 0.0 (shrink_b = 1e-200: 1, 1e-200,
+        # 0.0); only the vote ends a solve
+        monkeypatch.setattr(dipm.newton, "ladder_steps",
+                            lambda group, *args: np.zeros(len(group.members)))
+        with pytest.raises(IterationCapError):
+            solve_newton(chain_qp(), np.zeros(3), SolverConfig(newton_max_iter=3))
 
 
 def reference_step(h, inequality, s, h0, ds, grad_dot, config, armijo=True):
@@ -422,7 +431,8 @@ class TestLowestAgentIsNamed:
         h_values = stage.groups[0].objective.value(points[stage.groups[0].pos])
         with pytest.raises(LineSearchError, match="^agent 1 exhausted 0 backtracks") as err:
             distributed_line_search(stage, points, h_values, ws, ds,
-                                    SolverConfig(max_backtracks=0), RoundScheduler(coupling))
+                                    SolverConfig(max_backtracks=0), RoundScheduler(coupling),
+                                    np.zeros(4, dtype=bool))
         assert err.value.agent == 1
 
     def test_decrement(self):

@@ -20,6 +20,7 @@ from dipm.problem import (
     consistency_error,
     gather_average,
     scatter,
+    stack_functions,
 )
 
 
@@ -248,6 +249,37 @@ def test_block_accepts_exactly_the_equality_rows_the_factorization_takes(seed, k
     except StructureError:
         accepted = False
     assert accepted == factors
+
+
+class TestQuadraticStackValues:
+    """A stack's values at the points it valued last come back without a new
+    evaluation, read-only, whatever the leading axes of the stack of points."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(c=st.integers(1, 4), g=st.integers(1, 6), d=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_last_values_are_the_bits_of_each_member(self, c, g, d, seed):
+        rng = np.random.default_rng(seed)
+        fns = []
+        for _ in range(g):
+            M = rng.standard_normal((d, d))
+            fns.append(QuadraticFunction(M @ M.T, rng.standard_normal(d), rng.standard_normal()))
+        X = rng.standard_normal((c, g, d))
+        stack = stack_functions(fns)
+        values = stack.value(X)
+        assert values.shape == (c, g) and not values.flags.writeable
+        expected = [[f.value(x) for f, x in zip(fns, row)] for row in X]
+        assert values.tobytes() == np.array(expected).tobytes()
+        # a copy with the same bits is not evaluated again
+        assert np.shares_memory(stack.value(X.copy()), values)
+        if c == 1:
+            # nor is one stack of points without the leading axis
+            again = stack.value(X[0].copy())
+            assert again.shape == (g,) and np.shares_memory(again, values)
+        # other bits are evaluated afresh
+        Y = X + 1.0
+        assert not np.shares_memory(stack.value(Y), values)
+        assert stack.value(Y).tobytes() == stack_functions(fns).value(Y).tobytes()
 
 
 class TestFiniteDifference:
