@@ -96,8 +96,9 @@ class BarrierFunction:
             c = int(np.argmax(outside[:, :, k].any(axis=1)))
             at = np.asarray(vals[c]).reshape(-1, members)[:, k]
             agent = self.agent if np.ndim(s) == 1 else self.agent[k]
+            of = "" if agent is None else f" of agent {agent}"
             raise BarrierDomainError(
-                f"constraint {c} of agent {agent} is not strictly satisfied "
+                f"constraint {c}{of} is not strictly satisfied "
                 f"(value {at[np.argmax(at >= 0.0)]:.6e})",
                 agent=agent,
                 constraint=c,

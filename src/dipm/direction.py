@@ -25,7 +25,11 @@ by one prox call per inner iteration. Each agent's arithmetic in the
 stack is what it would be alone, bit for bit, so the grouping changes no
 iterate, count or trace byte. The iterates and the duals are flat vectors of all
 local entries in the coupling's layout (``CouplingStructure.flat_index``,
-agents in ascending order), which the exchange averages as they are.
+agents in ascending order), which the exchange averages as they are. A
+failure names the agent that a loop over the agents in ascending order
+would meet first: building the workspace checks per agent its barrier
+domain, gradient, Hessian, then factorization, replayed one agent at a
+time after any failure of the stacks.
 
 Per-agent convergence is declared when the squared slice change and the
 squared disagreement both fall below their tolerances split evenly across
@@ -98,46 +102,6 @@ def _by_agent(groups):
                   for j, grp in enumerate(groups) for k, i in enumerate(grp.members))
 
 
-def _stage_calculus(groups, points):
-    """Gradient and Hessian stacks of the stage objective of every group at the flat ``points``.
-
-    A point outside a stage objective's domain raises for the lowest such
-    agent unless a lower agent's gradient or Hessian is not finite, as a
-    loop over the agents would: the agents are then evaluated one at a
-    time, as stacks of one in ascending order, up to the first non-finite
-    one, and each group's stacks hold its members evaluated so far.
-    """
-    calculus = []
-    try:
-        for grp in groups:
-            x = points[grp.pos]
-            calculus.append((grp.objective.gradient(x), grp.objective.hessian(x)))
-        return calculus
-    except BarrierDomainError:
-        pass
-    rows = [([], []) for _ in groups]
-    for _, j, k in _by_agent(groups):
-        one, x = groups[j].objective.take([k]), points[groups[j].pos[k]][None]
-        g, H = one.gradient(x), one.hessian(x)
-        rows[j][0].append(g)
-        rows[j][1].append(H)
-        if not (np.isfinite(g).all() and np.isfinite(H).all()):
-            break
-    return [(np.concatenate(gs), np.concatenate(Hs)) if gs else None for gs, Hs in rows]
-
-
-def _first_nonfinite(groups, calculus):
-    """A ``NonFiniteError`` for the lowest agent whose gradient or Hessian is not finite."""
-    found = []
-    for grp, c in zip(groups, calculus):
-        if c is None or (np.isfinite(c[0]).all() and np.isfinite(c[1]).all()):
-            continue
-        bad_g = ~np.isfinite(c[0]).all(axis=1)
-        k = int(np.argmax(bad_g | ~np.isfinite(c[1]).all(axis=(1, 2))))
-        found.append(NonFiniteError(int(grp.members[k]), "gradient" if bad_g[k] else "Hessian"))
-    return min(found, key=lambda exc: exc.agent, default=None)
-
-
 class DirectionWorkspace:
     """Stacked gradients, Hessians and cached factorizations at one linearization point.
 
@@ -149,11 +113,11 @@ class DirectionWorkspace:
     layout), and performs the N factorizations with penalty ``config.rho``,
     one ``linalg.factor_spd`` or ``linalg.factor_kkt`` call per group; they
     stay valid for the lifetime of the workspace, which is tied to the
-    linearization point it was built from. When a group fails to factor,
-    the agents are factored again one at a time, in ascending order, so the
-    error names the lowest-numbered failing agent as a loop over the agents
-    would; a non-finite gradient (reported before a non-finite Hessian)
-    likewise comes after the failures of the agents before it.
+    linearization point it was built from. A failure raises the first
+    error of a loop over the agents in ascending order, each checked for
+    its barrier domain, gradient, Hessian, then factorization: after any
+    failure of the stacks the agents are built again that way, one at a
+    time as stacks of one.
     """
 
     def __init__(self, stage, points, coupling, config):
@@ -161,38 +125,32 @@ class DirectionWorkspace:
         self.config = config
         if not (isinstance(points, np.ndarray) and points.shape == coupling.flat_index.shape):
             raise StructureError("points must be one flat vector of the agents' local entries")
-        calculus = _stage_calculus(stage.groups, points)
-        nonfinite = _first_nonfinite(stage.groups, calculus)
-        # only the agents below a non-finite one are factored
-        cut = coupling.n_agents if nonfinite is None else nonfinite.agent
-        parts = [(grp, slice(0, int(np.searchsorted(grp.members, cut))), c)
-                 for grp, c in zip(stage.groups, calculus)]
         try:
-            self.groups = [self._group(grp, rows, c[0][rows], c[1][rows])
-                           for grp, rows, c in parts if rows.stop]
-        except (FactorizationError, RankError):
+            self.groups = [self._group(grp, points) for grp in stage.groups]
+        except (BarrierDomainError, NonFiniteError, FactorizationError, RankError):
             for i, j, k in _by_agent(stage.groups):
-                if i >= cut:
-                    break
-                one, (g, H) = slice(k, k + 1), calculus[j]
                 try:
-                    self._group(stage.groups[j], one, g[one], H[one])
+                    self._group(stage.groups[j], points, [k])
                 except (FactorizationError, RankError) as exc:
                     raise _blame(exc, i) from None
             raise
-        if nonfinite is not None:
-            raise nonfinite
 
-    def _group(self, grp, rows, g, H):
-        """The ``AgentGroup`` of the members ``rows`` (a slice) of stage group ``grp``,
-        with gradients ``g`` and Hessians ``H``."""
+    def _group(self, grp, points, rows=slice(None)):
+        """The ``AgentGroup`` of ``grp``'s members ``rows`` (all by default) at ``points``."""
+        members, pos = grp.members[rows], grp.pos[rows]
+        fn = grp.objective if rows == slice(None) else grp.objective.take(rows)
+        x = points[pos]
+        g, H = fn.gradient(x), fn.hessian(x)
+        for quantity, arr in (("gradient", g), ("Hessian", H)):
+            if not np.isfinite(arr).all():
+                k = int(np.argmin(np.isfinite(arr).reshape(len(members), -1).all(axis=1)))
+                raise NonFiniteError(int(members[k]), quantity)
         A_eq = None if grp.A_eq is None else grp.A_eq[rows]
         if A_eq is None:
-            fac = linalg.factor_spd(H + self.config.rho * np.eye(grp.pos.shape[1]))
+            fac = linalg.factor_spd(H + self.config.rho * np.eye(pos.shape[1]))
         else:
             fac = linalg.factor_kkt(H, self.config.rho, A_eq)
-        return AgentGroup(members=grp.members[rows], pos=grp.pos[rows], grad=g, hessian=H,
-                          factor=fac, A_eq=A_eq)
+        return AgentGroup(members=members, pos=pos, grad=g, hessian=H, factor=fac, A_eq=A_eq)
 
 
 def prox_step_unconstrained(agent, dz_slice, v, rho):
@@ -217,18 +175,19 @@ def prox_step_equality(agent, dz_slice, v, rho):
 class DirectionResult:
     """Outcome of one distributed direction computation.
 
-    ``dx`` is the global direction. Residuals are the final per-agent
-    maxima of the squared norms the termination test uses. ``v`` holds
-    the final duals, one flat vector in the coupling's layout, which the
-    Newton driver carries into the next direction. ``max_dual_average``
-    tracks how far the averaged dual variables drifted from zero;
-    ``max_eq_violation`` tracks the worst violation of the local equality
-    null-space condition over all inner iterates.
+    ``dz`` is the direction and ``v`` the final duals, which the Newton
+    driver carries into the next direction, each one flat vector in the
+    coupling's layout; the copies of a shared variable in ``dz`` are equal
+    to the bit. Residuals are the final per-agent maxima of the squared
+    norms the termination test uses. ``max_dual_average`` tracks how far
+    the averaged dual variables drifted from zero; ``max_eq_violation``
+    tracks the worst violation of the local equality null-space condition
+    over all inner iterates.
     """
 
     converged: bool
     iterations: int
-    dx: np.ndarray
+    dz: np.ndarray
     primal_residual: float
     dual_residual: float
     max_dual_average: float
@@ -239,12 +198,12 @@ class DirectionResult:
 def compute_direction(workspace, scheduler, dz0=None, v0=None):
     """Run the splitting iteration to consensus on the Newton direction.
 
-    ``dz0`` warm-starts the averaged direction (a global vector) and ``v0``
-    the duals (one flat vector in the coupling's layout, copied), zeros
-    when omitted; any other shape raises ``StructureError``. ``v0`` must
-    have a zero owner-average, which keeps the duals in the null space of
-    the consensus projection; the Newton driver passes the final duals of
-    the previous direction (within a stage) or, at a barrier stage's first
+    ``dz0`` warm-starts the averaged direction and ``v0`` the duals
+    (copied), each one flat vector in the coupling's layout, zeros when
+    omitted; any other shape raises ``StructureError``. ``v0`` must have a
+    zero owner-average, which keeps the duals in the null space of the
+    consensus projection; the Newton driver passes the final duals of the
+    previous direction (within a stage) or, at a barrier stage's first
     direction, those of the previous stage's last direction, from the third
     stage on extrapolated from the last two stages' (a combination of two
     such vectors), which have one.
@@ -272,27 +231,24 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     config = workspace.config
     rho = config.rho
 
-    dx0 = np.zeros(coupling.n) if dz0 is None else np.asarray(dz0, dtype=float)
-    if dx0.shape != (coupling.n,):
-        raise StructureError(f"dz0 must be a global vector of length {coupling.n}")
-    dz = dx0[coupling.flat_index]
-    if v0 is not None and not (isinstance(v0, np.ndarray) and v0.shape == dz.shape):
-        raise StructureError("v0 must be one flat vector of the agents' local entries")
+    size = coupling.flat_index.size
+    for name, start in (("dz0", dz0), ("v0", v0)):
+        if start is not None and not (isinstance(start, np.ndarray) and start.shape == (size,)):
+            raise StructureError(f"{name} must be one flat vector of the agents' local entries")
+    dz = np.zeros(size) if dz0 is None else dz0
     # a copy: the dual update below works in place, and v0 is the caller's
-    v = np.zeros(dz.size) if v0 is None else v0.astype(float)
+    v = np.zeros(size) if v0 is None else v0.astype(float)
 
     eps_pri_i = config.eps_pri / n_agents
     eps_dual_i = config.eps_dual / n_agents
     # each variable's largest owner-average of the duals so far
     dual_avg = np.zeros(coupling.n)
     max_eq_viol = 0.0
-    ds = np.empty(dz.size)
+    ds = np.empty(size)
     # each agent's squared primal change (row 0) and dual change (row 1)
     E = np.full((2, n_agents), np.inf)
     e_pri, e_dual = E
 
-    converged = False
-    iterations = config.admm_max_iter
     vote = None  # the flags of an AND that rides this iteration's exchange
     for k in range(config.admm_max_iter):
         failures = []
@@ -336,17 +292,14 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
         # a failed vote is relayed by the next iteration's exchange
         converged = all_agree(scheduler, flags, carry=k + 1 < config.admm_max_iter)
         if converged:
-            iterations = k + 1
             break
         vote = flags
 
-    dx = np.zeros(coupling.n)
-    dx[coupling.flat_index] = dz
     pri, dua = E.max(axis=1).tolist()
     return DirectionResult(
         converged=converged,
-        iterations=iterations,
-        dx=dx,
+        iterations=k + 1,
+        dz=dz,
         primal_residual=pri,
         dual_residual=dua,
         max_dual_average=float(dual_avg.max(initial=0.0)),

@@ -128,7 +128,8 @@ def local_decrement(hess, ds, index=None):
     (d,) are a stack of one, whose form is returned as a float. Tiny
     negative values (inexact directions meeting a semidefinite Hessian)
     are clamped to zero; anything below -1e-12 signals corrupted data and
-    raises, naming the lowest such agent.
+    raises, naming the lowest such agent (its row of a stack without
+    ``index``, nothing for a single form without one).
     """
     single = np.ndim(ds) == 1
     H, D = (hess[None], ds[None]) if single else (hess, ds)
@@ -137,8 +138,9 @@ def local_decrement(hess, ds, index=None):
     if low.size:
         k = low[0]
         agent = index if single or index is None else int(index[k])
-        raise DecrementError(f"agent {agent}: local decrement {vals[k]:.3e} is significantly "
-                             "negative", agent=agent)
+        who = f"agent {agent}: " if agent is not None else "" if single else f"row {k}: "
+        raise DecrementError(f"{who}local decrement {vals[k]:.3e} is significantly negative",
+                             agent=agent)
     vals = np.maximum(vals, 0.0)
     return float(vals[0]) if single else vals
 
@@ -357,7 +359,7 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
         points, beta = extrapolated_start(stage, points, earlier.s_before, config, scheduler)
         # the scale-free duals follow the central path like the point
         v0 = v0 + beta * ((v0 - earlier.v_before) / config.mu)
-    warm = (np.zeros(coupling.n), v0)
+    warm = (np.zeros(coupling.flat_index.size), v0)
     cons = consistency_error(points, coupling)
     if cons > 1e-12:
         raise InfeasibleStartError(
@@ -388,17 +390,16 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
                 dual_residual=res.dual_residual,
             )
 
-        ds = res.dx[coupling.flat_index]
-        decs = _decrements(workspace, ds)
-        alpha = distributed_line_search(stage, points, h_values, workspace, ds, config,
+        decs = _decrements(workspace, res.dz)
+        alpha = distributed_line_search(stage, points, h_values, workspace, res.dz, config,
                                         scheduler, decs / 2.0 <= config.eps_nt / coupling.n_agents)
         done = alpha is None
         if done:
             alpha = 0.0
         else:
-            points = points + alpha * ds
+            points = points + alpha * res.dz
             result.e_c += alpha * alpha * config.eps_pri
-            warm = ((1.0 - alpha) * res.dx, res.v)
+            warm = ((1.0 - alpha) * res.dz, res.v)
             result.max_consistency_error = max(result.max_consistency_error,
                                                consistency_error(points, coupling))
             next_values, next_f = _stage_objectives(stage, points)

@@ -109,6 +109,14 @@ class TestBarrierCalculus:
             barrier_calculus(blk, 1.0, np.array([-1.0]))
         assert err.value.constraint == 1
 
+    def test_domain_error_of_a_lone_block_names_no_agent(self):
+        blk = AgentBlock(index_set=(0,), objective=QuadraticFunction(np.eye(1), np.zeros(1)),
+                         inequality=(QuadraticFunction(np.zeros((1, 1)), np.ones(1), -2.0),))
+        with pytest.raises(BarrierDomainError,
+                           match=r"^constraint 0 is not strictly satisfied \(value 1\.0") as err:
+            barrier_calculus(blk, 1.0, np.array([3.0]))
+        assert (err.value.agent, err.value.constraint) == (None, 0)
+
     @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
     def test_parameter_must_be_positive_and_finite(self, t):
         f = QuadraticFunction(np.eye(1), np.zeros(1))

@@ -4,9 +4,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dipm.direction
-from dipm.barrier import BarrierFunction
+from dipm.barrier import BarrierFunction, barrier_stage
 from dipm.config import SolverConfig
 from dipm.direction import (
     DirectionWorkspace,
@@ -18,6 +20,8 @@ from dipm.errors import (
     DisconnectedNetworkError,
     FactorizationError,
     NonFiniteError,
+    RankError,
+    SolverError,
     StructureError,
 )
 from dipm.generator import random_qp
@@ -121,7 +125,7 @@ class TestComputeDirection:
         ws = DirectionWorkspace(plain_stage(prob), np.concatenate(s0), coupling, cfg)
         res = compute_direction(ws, sched)
         assert res.converged
-        np.testing.assert_allclose(res.dx, np.linalg.solve(P, -q), atol=1e-6)
+        np.testing.assert_allclose(res.dz, np.linalg.solve(P, -q)[coupling.flat_index], atol=1e-6)
         assert sched.total_sent == 0
 
     def test_warm_start_at_fixed_point_finishes_fast(self):
@@ -138,10 +142,11 @@ class TestComputeDirection:
             )
         assert np.abs(gather_average(v_star, coupling)).max() <= 1e-12
         ws = DirectionWorkspace(plain_stage(prob), np.concatenate(s0), coupling, cfg)
-        res = compute_direction(ws, sched, dz0=dx_star, v0=np.concatenate(v_star))
+        res = compute_direction(ws, sched, dz0=dx_star[coupling.flat_index],
+                                v0=np.concatenate(v_star))
         assert res.converged
         assert res.iterations <= 2
-        np.testing.assert_allclose(res.dx, dx_star, atol=1e-9)
+        np.testing.assert_allclose(res.dz, dx_star[coupling.flat_index], atol=1e-9)
 
     def test_final_duals_have_zero_owner_average(self):
         # the Newton driver starts the next direction from these duals, which
@@ -177,9 +182,9 @@ class TestComputeDirection:
         s0 = scatter(np.zeros(3), coupling)
         ws = DirectionWorkspace(plain_stage(prob), np.concatenate(s0), coupling, cfg)
         res = compute_direction(ws, sched)
-        np.testing.assert_allclose(res.dx, [0.0, 0.5, 1.0], atol=1e-5)
+        np.testing.assert_allclose(res.dz, [0.0, 0.5, 0.5, 1.0], atol=1e-5)
         _, dx_star = direct_direction(prob, s0, coupling)
-        assert np.abs(res.dx - dx_star).max() <= 1e-5
+        assert np.abs(res.dz - dx_star[coupling.flat_index]).max() <= 1e-5
 
     def test_random_instances_match_oracle(self):
         for seed in range(15):
@@ -190,7 +195,7 @@ class TestComputeDirection:
             res = compute_direction(ws, sched)
             assert res.converged
             _, dx_star = direct_direction(prob, s0, coupling)
-            assert np.abs(res.dx - dx_star).max() <= 1e-5
+            assert np.abs(res.dz - dx_star[coupling.flat_index]).max() <= 1e-5
 
     def test_dual_average_stays_null(self):
         prob, x0 = random_qp(11, n_agents=6, block_size=3, overlap=2)
@@ -209,7 +214,7 @@ class TestComputeDirection:
         # averaged slices satisfy the constraint only to the primal tolerance
         assert res.max_eq_violation <= 1e-9
         slack = np.sqrt(cfg.eps_pri / prob.n_agents)
-        for blk, ds in zip(prob.blocks, scatter(res.dx, coupling)):
+        for blk, ds in zip(prob.blocks, np.split(res.dz, coupling.offsets[1:-1])):
             norm_A = np.abs(blk.A_eq).sum(axis=1).max()
             assert np.abs(blk.A_eq @ ds).max() <= norm_A * slack
 
@@ -238,7 +243,7 @@ class TestComputeDirection:
         ({"v0": [np.zeros(2), np.zeros(3)]}, "v0 must be one flat vector"),
         ({"v0": np.zeros(3)}, "v0 must be one flat vector"),
         ({"v0": np.zeros(5)}, "v0 must be one flat vector"),
-        ({"dz0": np.zeros(4)}, "dz0 must be a global vector of length 3"),
+        ({"dz0": np.zeros(5)}, "dz0 must be one flat vector"),
     ], ids=["per-agent-list", "ragged-list", "short-duals", "long-duals", "long-direction"])
     def test_warm_start_of_the_wrong_form_is_refused(self, start, message):
         prob = chain_qp()
@@ -378,7 +383,7 @@ class TestGroups:
                                               coupling.index_arrays[i])
         res = compute_direction(ws, sched)
         assert res.converged
-        assert np.abs(res.dx - dx).max() <= 1e-8
+        assert np.abs(res.dz - dx[coupling.flat_index]).max() <= 1e-8
         assert res.max_eq_violation <= 1e-9
 
     def test_failure_in_the_second_group_names_its_agent(self):
@@ -429,6 +434,92 @@ class TestGroups:
                 DirectionWorkspace(plain_stage(prob), np.zeros(coupling.flat_index.size), coupling,
                                    cfg)
             assert info.value.agent == agent
+
+
+def reference_workspace(problem, t, points, coupling, config):
+    """The workspace as a loop over the agents in ascending order, each on
+    its own: the barrier transform's gradient and Hessian at ``t``, their
+    finiteness, then the factorization. Raises the first failure it meets."""
+    for i, (blk, s) in enumerate(zip(problem.blocks, np.split(points, coupling.offsets[1:-1]))):
+        h = BarrierFunction(blk.objective, blk.inequality, t, agent=i)
+        g, H = h.gradient(s), h.hessian(s)
+        for quantity, arr in (("gradient", g), ("Hessian", H)):
+            if not np.isfinite(arr).all():
+                raise NonFiniteError(i, quantity)
+        try:
+            if blk.A_eq is None:
+                factor_spd(H + config.rho * np.eye(len(s)))
+            else:
+                factor_kkt(H, config.rho, blk.A_eq)
+        except (FactorizationError, RankError) as exc:
+            exc.agent = i
+            raise
+
+
+def failure(build):
+    """(type, agent, quantity or constraint) of what ``build()`` raises; None if it succeeds."""
+    try:
+        build()
+    except SolverError as exc:
+        return type(exc), exc.agent, getattr(exc, "quantity", getattr(exc, "constraint", None))
+    return None
+
+
+# group keys (local size, equality rows, inequalities) a chain draws from,
+# and what an agent's local work does
+KEYS = ((2, 0, 1), (3, 1, 2), (3, 0, 0), (2, 1, 2))
+KINDS = ("healthy", "outside", "nan-gradient", "nan-hessian", "indefinite")
+
+
+def objective(kind, d, rng):
+    """A block objective of size ``d`` whose calculus or curvature fails as ``kind`` says."""
+    if kind in ("healthy", "outside"):
+        X = rng.standard_normal((d, d))
+        return QuadraticFunction(X @ X.T + 0.5 * np.eye(d), rng.standard_normal(d))
+    nan_grad, nan_hess = kind == "nan-gradient", kind == "nan-hessian"
+    sign = -2.0 if kind == "indefinite" else 1.0
+    return CustomFunction(d, lambda s: 0.5 * sign * float(s @ s),
+                          lambda s: np.full(d, np.nan) if nan_grad else sign * s,
+                          lambda s: np.full((d, d), np.nan) if nan_hess else sign * np.eye(d))
+
+
+@st.composite
+def failing_chains(draw):
+    """A chain of agents of mixed group keys (each block shares its first
+    variable with the previous one) and a flat point. Each agent's
+    inequalities bound its first entry, s_0 < 1, then s_0 > -1; its point
+    has s_0 = 0, or breaks the constraint it draws if it is outside."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks, points, start = [], [], 0
+    for _ in range(draw(st.integers(2, 8))):
+        d, p, m = draw(st.sampled_from(KEYS))
+        # only an agent with a constraint can leave its domain
+        kind = draw(st.sampled_from(KINDS if m else KINDS[:1] + KINDS[2:]))
+        e0 = np.eye(d)[0]
+        inequality = tuple(QuadraticFunction(np.zeros((d, d)), sign * e0, -1.0)
+                           for sign in (1.0, -1.0)[:m])
+        A = rng.standard_normal((p, d)) if p else None
+        blocks.append(AgentBlock(index_set=tuple(range(start, start + d)),
+                                 objective=objective(kind, d, rng), inequality=inequality,
+                                 A_eq=A, b_eq=None if A is None else np.zeros(p)))
+        s = rng.standard_normal(d)
+        s[0] = (2.0, -2.0)[draw(st.integers(0, m - 1))] if kind == "outside" else 0.0
+        points.append(s)
+        start += d - 1
+    return LooselyCoupledProblem(n=start + 1, blocks=tuple(blocks)), np.concatenate(points)
+
+
+class TestFailureOrder:
+    """A failing workspace raises what a loop over the agents meets first."""
+
+    @settings(deadline=None, database=None)
+    @given(chain=failing_chains())
+    def test_workspace_raises_the_first_failure_of_a_loop_over_the_agents(self, chain):
+        problem, points = chain
+        coupling, _, cfg = setup_instance(problem)
+        stage = barrier_stage(problem, 1.0)
+        assert failure(lambda: DirectionWorkspace(stage, points, coupling, cfg)) == \
+            failure(lambda: reference_workspace(problem, 1.0, points, coupling, cfg))
 
 
 @pytest.fixture
@@ -489,7 +580,7 @@ class TestCarriedVote:
             results.append((res, sched))
         (res, carried), (ref, flooded) = results
         assert res.converged and res.iterations == ref.iterations > 1
-        for name in ("dx", "v"):
+        for name in ("dz", "v"):
             assert getattr(res, name).tobytes() == getattr(ref, name).tobytes()
         assert (res.primal_residual, res.dual_residual) == (ref.primal_residual,
                                                              ref.dual_residual)

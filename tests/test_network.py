@@ -910,7 +910,7 @@ class TestShapedSolves:
             res = compute_direction(ws, RoundScheduler(c))
             assert res.converged
             _, dx_ref = direct_direction(prob, s0, c)
-            assert np.abs(res.dx - dx_ref).max() <= 1e-5, shape
+            assert np.abs(res.dz - dx_ref[c.flat_index]).max() <= 1e-5, shape
             shapes.add(shape)
         assert shapes == set(SHAPES)
 

@@ -16,6 +16,7 @@ from dipm.errors import (
     DecrementError,
     DirectionConvergenceError,
     DisconnectedNetworkError,
+    FactorizationError,
     InfeasibleStartError,
     IterationCapError,
     LineSearchError,
@@ -94,6 +95,17 @@ class TestLocalDecrement:
                 as err:
             local_decrement(np.array([[-1.0]]), np.array([1.0]), 3)
         assert err.value.agent == 3
+
+    def test_negative_decrement_without_agents(self):
+        # a single form names no agent; a stack without its agents names the row
+        with pytest.raises(DecrementError, match=r"^local decrement -1\.000e\+00") as err:
+            local_decrement(np.array([[-1.0]]), np.array([1.0]))
+        assert err.value.agent is None
+        H = np.stack([np.eye(2), -np.eye(2), -np.eye(2)])
+        with pytest.raises(DecrementError, match=r"^row 1: local decrement -1\.000e\+00") \
+                as err:
+            local_decrement(H, np.ones((3, 2)) / np.sqrt(2.0))
+        assert err.value.agent is None
 
 
 def agent_step_size(h, inequality, s, h0, ds, grad_dot, config):
@@ -408,6 +420,18 @@ class TestLowestAgentIsNamed:
             DirectionWorkspace(stage, points, coupling, SolverConfig())
         assert (err.value.agent, err.value.constraint) == (2, 1)
 
+    def test_lower_indefinite_agent_comes_before_a_point_outside_the_domain(self):
+        # agent 0's curvature -2 t I fails its factorization before agent 2's
+        # calculus leaves the domain, as in a loop over the agents
+        problem, coupling, _, points = self.outside()
+        indefinite = CustomFunction(3, lambda s: -float(s @ s), lambda s: -2.0 * s,
+                                    lambda s: -2.0 * np.eye(3))
+        blocks = (replace(problem.blocks[0], objective=indefinite),) + problem.blocks[1:]
+        stage = barrier_stage(LooselyCoupledProblem(n=problem.n, blocks=blocks), 10.0)
+        with pytest.raises(FactorizationError, match="^agent 0: ") as err:
+            DirectionWorkspace(stage, points, coupling, SolverConfig())
+        assert err.value.agent == 0
+
     def test_lower_non_finite_agent_comes_before_a_point_outside_the_domain(self):
         problem, coupling, stage, points = self.outside()
         points[coupling.offsets[1]] = np.nan
@@ -658,7 +682,7 @@ class TestWarmStart:
                     assert v0.tobytes() == expected.tobytes()
             else:
                 alpha, prev = result.rows[k - 1].alpha, calls[k - 1][2]
-                np.testing.assert_array_equal(dz0, (1.0 - alpha) * prev.dx)
+                np.testing.assert_array_equal(dz0, (1.0 - alpha) * prev.dz)
                 np.testing.assert_array_equal(v0, prev.v)
             final_v[row.stage] = res.v
         if warm_start:
