@@ -67,7 +67,8 @@ class BarrierFunction:
     indices, and every argument is a stack of points (..., g, d), one per
     member along its second-to-last axis. The arithmetic per member is that
     of its own transform, bit for bit, and a point outside the domain names
-    the lowest failing member's agent, then its lowest failing constraint.
+    the lowest failing member's agent (none without ``agent``), then its
+    lowest failing constraint.
     """
 
     def __init__(self, objective, inequality, t, agent=None):
@@ -82,7 +83,7 @@ class BarrierFunction:
         """The stacked transform of the members ``rows``, in that order."""
         return BarrierFunction(self.objective.take(rows),
                                [g.take(rows) for g in self.inequality], self.t,
-                               agent=self.agent[rows])
+                               agent=None if self.agent is None else self.agent[rows])
 
     def _constraint_values(self, s):
         vals = [g.value(s) for g in self.inequality]
@@ -95,7 +96,7 @@ class BarrierFunction:
             k = int(np.argmax(outside.any(axis=(0, 1))))
             c = int(np.argmax(outside[:, :, k].any(axis=1)))
             at = np.asarray(vals[c]).reshape(-1, members)[:, k]
-            agent = self.agent if np.ndim(s) == 1 else self.agent[k]
+            agent = self.agent if self.agent is None or np.ndim(s) == 1 else self.agent[k]
             of = "" if agent is None else f" of agent {agent}"
             raise BarrierDomainError(
                 f"constraint {c}{of} is not strictly satisfied "
@@ -153,12 +154,13 @@ def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
 
     Requires a consistent, strictly feasible start; stage 0's Newton solve
     checks both. Stage q minimizes the barrier transform at t = t0 mu^q from
-    the previous stage's solution (with ``warm_start``, and with its final
-    duals, from stage 2 on both extrapolated from the last two stages); the
-    loop ends after the first stage whose duality-gap proxy m/t is below
-    eps_p. Factorizations are never reused across stages since every stage
-    changes both t and the linearization points. Every stage extends one
-    ``SolveResult``, whose rows are ``rows`` when given.
+    the previous stage's flat solution, the record's ``s`` (with
+    ``warm_start``, and with its final duals, from stage 2 on both
+    extrapolated from the last two stages); the loop ends after the first
+    stage whose duality-gap proxy m/t is below eps_p. Factorizations are
+    never reused across stages since every stage changes both t and the
+    linearization points. Every stage extends one ``SolveResult``, whose
+    rows are ``rows`` when given.
 
     Each stage runs on a copy of ``config`` with penalty and inner
     tolerances matched to the stage scale (see the module docstring), so
@@ -178,11 +180,8 @@ def ipm_solve(problem, s0_slices, config, coupling, scheduler, rows=None):
             eps_pri=max(config.eps_pri / scale, EPS_STAGE_FLOOR),
             eps_dual=max(config.eps_dual / scale, EPS_STAGE_FLOOR),
         )
-        result = newton_solve(
-            barrier_stage(problem, t, groups),
-            s0_slices if result is None else np.split(result.s, coupling.offsets[1:-1]),
-            stage_config, coupling, scheduler, rows=rows, earlier=result,
-        )
+        result = newton_solve(barrier_stage(problem, t, groups), s0_slices, stage_config,
+                              coupling, scheduler, rows=rows, earlier=result)
         if problem.m_total / t < config.eps_p:
             return result
         t *= config.mu

@@ -17,6 +17,12 @@ curvature matrix is constant across inner iterations, so each agent
 factors exactly once per direction computation no matter how many
 iterations are needed.
 
+The code keeps the map apart from the loop that stops it. The map is
+``DirectionWorkspace.step``: one pass of the three lines above, on the
+workspace's factorizations. The loop is ``compute_direction``: it checks
+the start, runs the map, computes each agent's residuals from its output,
+votes, and keeps the diagnostics.
+
 The simulation runs the agents' local work group by group: the agents of
 one stage group (``Stage.groups``: one local size, one number of equality
 rows, one number of inequalities) form an ``AgentGroup``, whose calculus
@@ -35,7 +41,7 @@ Per-agent convergence is declared when the squared slice change and the
 squared disagreement both fall below their tolerances split evenly across
 agents; one flooded AND per iteration turns the local declarations into a
 global stop. A failed vote costs no round or message of its own: the
-next iteration's data relay it (``network.all_agree`` with ``carry``),
+next step's data relay it (``network.all_agree`` with ``carry``),
 each agent sending its new data, marked False, in the round after it
 learns that the vote failed, round 1 if it holds False. An agent thus
 computes its next prox only once it knows the vote failed, each agent
@@ -118,6 +124,8 @@ class DirectionWorkspace:
     its barrier domain, gradient, Hessian, then factorization: after any
     failure of the stacks the agents are built again that way, one at a
     time as stacks of one.
+
+    ``step`` is one pass of the splitting map on these factorizations.
     """
 
     def __init__(self, stage, points, coupling, config):
@@ -125,6 +133,8 @@ class DirectionWorkspace:
         self.config = config
         if not (isinstance(points, np.ndarray) and points.shape == coupling.flat_index.shape):
             raise StructureError("points must be one flat vector of the agents' local entries")
+        # the prox outputs of every step, written in place
+        self._ds = np.empty(points.shape)
         try:
             self.groups = [self._group(grp, points) for grp in stage.groups]
         except (BarrierDomainError, NonFiniteError, FactorizationError, RankError):
@@ -151,6 +161,31 @@ class DirectionWorkspace:
         else:
             fac = linalg.factor_kkt(H, self.config.rho, A_eq)
         return AgentGroup(members=members, pos=pos, grad=g, hessian=H, factor=fac, A_eq=A_eq)
+
+    def step(self, dz, v, scheduler, vote=None):
+        """One pass of the splitting map from the direction ``dz`` and the duals ``v``.
+
+        Each group makes one prox call, the exchange averages their
+        outputs ``ds`` over the owners of each variable into ``dz_new``
+        (relaying ``vote``, the flags of a failed AND, see
+        ``exchange_shared_components``), and the duals are updated in
+        place, ``v -= ds - dz_new``. Returns ``(ds, dz_new)``; ``ds`` is the
+        workspace's buffer, which the next step overwrites. A failed prox
+        solve raises the lowest failing agent's ``FactorizationError``
+        before the exchange.
+        """
+        ds, failures = self._ds, []
+        for grp in self.groups:
+            prox = prox_step_unconstrained if grp.A_eq is None else prox_step_equality
+            try:
+                ds[grp.pos] = prox(grp, dz[grp.pos], v[grp.pos], self.config.rho)
+            except FactorizationError as exc:
+                failures.append(_blame(exc, int(grp.members[exc.row])))
+        if failures:
+            raise min(failures, key=lambda exc: exc.agent)
+        dz_new = exchange_shared_components(scheduler, ds, vote)
+        v -= ds - dz_new
+        return ds, dz_new
 
 
 def prox_step_unconstrained(agent, dz_slice, v, rho):
@@ -196,113 +231,62 @@ class DirectionResult:
 
 
 def compute_direction(workspace, scheduler, dz0=None, v0=None):
-    """Run the splitting iteration to consensus on the Newton direction.
+    """Run the splitting map ``workspace.step`` until the agents agree to stop.
 
     ``dz0`` warm-starts the averaged direction and ``v0`` the duals
     (copied), each one flat vector in the coupling's layout, zeros when
     omitted; any other shape raises ``StructureError``. ``v0`` must have a
-    zero owner-average, which keeps the duals in the null space of the
-    consensus projection; the Newton driver passes the final duals of the
-    previous direction (within a stage) or, at a barrier stage's first
-    direction, those of the previous stage's last direction, from the third
-    stage on extrapolated from the last two stages' (a combination of two
-    such vectors), which have one.
+    zero owner-average, as the duals ``newton_solve`` carries over have.
 
-    The iterates are flat vectors in the coupling's layout; each inner
-    iteration makes one prox call per ``AgentGroup``, whose arithmetic is
-    each member's own, bit for bit. An error names the lowest-numbered
-    failing agent, and a non-finite primal residual comes before a
-    non-finite dual one of the same agent.
-
+    The stop rule: after each step, agent i's flag holds when its squared
+    primal change |ds_i - dz_new_i|^2 and its squared dual change
+    |dz_new_i - dz_i|^2, each summed over its slice, are at most
+    ``eps_pri`` and ``eps_dual`` divided by the number of agents. One
+    ``all_agree`` of the flags per step stops the loop; a failed vote rides
+    the next step's exchange unless the step was the last permitted. A
+    non-finite change raises ``NonFiniteError`` for the lowest such agent,
+    primal before dual, and a disconnected graph raises from the first
+    vote; a non-converged result (iteration cap) is returned.
     ``max_dual_average`` is the largest owner-average of the duals over the
-    iterations, a diagnostic summed in ascending agent order as
-    ``gather_average`` sums, so its value is the same to the bit.
-
-    Each iteration's convergence vote, unless it passes or is the last,
-    is relayed by the next iteration's exchange (``vote``), after that
-    iteration's prox calls. A non-converged result (iteration cap) is
-    returned rather than raised; ``newton_solve`` rejects it. A
-    disconnected graph raises ``DisconnectedNetworkError`` from the first
-    vote, after the first exchange.
+    steps, summed in ascending agent order as ``gather_average`` sums, and
+    ``max_eq_violation`` the largest |A_i ds_i| of an equality agent.
     """
-    coupling = workspace.coupling
-    groups = workspace.groups
-    n_agents = coupling.n_agents
-    config = workspace.config
-    rho = config.rho
-
-    size = coupling.flat_index.size
+    coupling, config, groups = workspace.coupling, workspace.config, workspace.groups
+    size, n_agents = coupling.flat_index.size, coupling.n_agents
     for name, start in (("dz0", dz0), ("v0", v0)):
         if start is not None and not (isinstance(start, np.ndarray) and start.shape == (size,)):
             raise StructureError(f"{name} must be one flat vector of the agents' local entries")
     dz = np.zeros(size) if dz0 is None else dz0
-    # a copy: the dual update below works in place, and v0 is the caller's
+    # a copy: the step updates the duals in place, and v0 is the caller's
     v = np.zeros(size) if v0 is None else v0.astype(float)
-
-    eps_pri_i = config.eps_pri / n_agents
-    eps_dual_i = config.eps_dual / n_agents
-    # each variable's largest owner-average of the duals so far
-    dual_avg = np.zeros(coupling.n)
-    max_eq_viol = 0.0
-    ds = np.empty(size)
+    eps_pri_i, eps_dual_i = config.eps_pri / n_agents, config.eps_dual / n_agents
     # each agent's squared primal change (row 0) and dual change (row 1)
     E = np.full((2, n_agents), np.inf)
     e_pri, e_dual = E
-
-    vote = None  # the flags of an AND that rides this iteration's exchange
+    dual_avg, max_eq_viol, vote = np.zeros(coupling.n), 0.0, None
     for k in range(config.admm_max_iter):
-        failures = []
-        for grp in groups:
-            try:
-                if grp.A_eq is None:
-                    d = prox_step_unconstrained(grp, dz[grp.pos], v[grp.pos], rho)
-                else:
-                    d = prox_step_equality(grp, dz[grp.pos], v[grp.pos], rho)
-                    viol = float(np.abs(np.matmul(grp.A_eq, d[..., None])).max(initial=0.0))
-                    max_eq_viol = max(max_eq_viol, viol)
-            except FactorizationError as exc:
-                failures.append(_blame(exc, int(grp.members[exc.row])))
-                continue
-            ds[grp.pos] = d
-        if failures:
-            raise min(failures, key=lambda exc: exc.agent)
-
-        dz_new = exchange_shared_components(scheduler, ds, vote)
-
-        pri_change = ds - dz_new
-        v -= pri_change
-        dual_change = dz_new - dz
+        ds, dz_new = workspace.step(dz, v, scheduler, vote)
+        pri_change, dual_change = ds - dz_new, dz_new - dz
         pri_change *= pri_change
         dual_change *= dual_change
         for grp in groups:
             e_pri[grp.members] = pri_change[grp.pos].sum(axis=1)
             e_dual[grp.members] = dual_change[grp.pos].sum(axis=1)
+            if grp.A_eq is not None:
+                viol = np.abs(np.matmul(grp.A_eq, ds[grp.pos][..., None])).max(initial=0.0)
+                max_eq_viol = max(max_eq_viol, float(viol))
         # a NaN fails every flag, so the iteration would run to its cap
         if not np.isfinite(E).all():
             i = int(np.argmin(np.isfinite(E).all(axis=0)))
-            quantity = "dual residual" if np.isfinite(e_pri[i]) else "primal residual"
-            raise NonFiniteError(i, quantity)
-        flags = (e_dual <= eps_dual_i) & (e_pri <= eps_pri_i)
-
-        avg_v = np.bincount(coupling.flat_index, weights=v,
-                            minlength=coupling.n) / coupling.degrees
+            raise NonFiniteError(i, "dual residual" if np.isfinite(e_pri[i]) else "primal residual")
+        avg_v = np.bincount(coupling.flat_index, weights=v, minlength=coupling.n) / coupling.degrees
         np.maximum(dual_avg, np.abs(avg_v, out=avg_v), out=dual_avg)
-
-        dz = dz_new
-        # a failed vote is relayed by the next iteration's exchange
-        converged = all_agree(scheduler, flags, carry=k + 1 < config.admm_max_iter)
+        dz, vote = dz_new, (e_dual <= eps_dual_i) & (e_pri <= eps_pri_i)
+        converged = all_agree(scheduler, vote, carry=k + 1 < config.admm_max_iter)
         if converged:
             break
-        vote = flags
-
     pri, dua = E.max(axis=1).tolist()
-    return DirectionResult(
-        converged=converged,
-        iterations=k + 1,
-        dz=dz,
-        primal_residual=pri,
-        dual_residual=dua,
-        max_dual_average=float(dual_avg.max(initial=0.0)),
-        max_eq_violation=max_eq_viol,
-        v=v,
-    )
+    return DirectionResult(converged=converged, iterations=k + 1, dz=dz,
+                           primal_residual=pri, dual_residual=dua,
+                           max_dual_average=float(dual_avg.max(initial=0.0)),
+                           max_eq_violation=max_eq_viol, v=v)

@@ -336,22 +336,22 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
     feasible for the stage's constraints. Trace rows are appended to
     ``rows`` when given; the terminal iteration is recorded with alpha 0.
     ``earlier`` is the record of the previous barrier stages: when given,
-    this stage is numbered after them, appends to their rows (``rows`` is
-    then ignored), and the record is updated and returned. A first stage
-    is a start, held to ``problem.START_EQ_ATOL``; a continued stage may
-    carry an equality residual up to ``STAGE_EQ_DRIFT``. A disconnected
-    coupling raises from the first consensus.
+    this stage starts from its flat solution ``earlier.s``, is numbered
+    after it, appends to its rows (``s0_slices`` and ``rows`` are then
+    ignored), and the record is updated and returned. A first stage is a
+    start, held to ``problem.START_EQ_ATOL``; a continued stage may carry
+    an equality residual up to ``STAGE_EQ_DRIFT``. A disconnected coupling
+    raises from the first consensus.
 
     With ``warm_start``, a continued stage starts its first direction from
-    the previous stage's final duals, and from the third stage on
-    ``s0_slices`` (the last stage's solution) is moved to the
-    ``extrapolated_start`` and those duals by the same step,
-    ``v + beta (v - v_before) / mu``; the stage's first trace row counts
-    that consensus. The iterates are one flat vector of all local entries in
-    the coupling's layout, and every sum over agents runs in ascending
-    agent order.
+    the previous stage's final duals, and from the third stage on its
+    start ``earlier.s`` is moved to the ``extrapolated_start`` and those
+    duals by the same step, ``v + beta (v - v_before) / mu``; the stage's
+    first trace row counts that consensus. The iterates are one flat
+    vector of all local entries in the coupling's layout, and every sum
+    over agents runs in ascending agent order.
     """
-    points = flatten_slices(s0_slices, coupling)
+    points = flatten_slices(s0_slices, coupling) if earlier is None else earlier.s
     split = coupling.offsets[1:-1]
     sent_before = scheduler.total_sent
     v0 = None if earlier is None else earlier.v

@@ -27,6 +27,7 @@ from dipm.problem import (
     check_finite_difference,
     consistency_error,
     scatter,
+    stack_functions,
 )
 
 
@@ -116,6 +117,20 @@ class TestBarrierCalculus:
                            match=r"^constraint 0 is not strictly satisfied \(value 1\.0") as err:
             barrier_calculus(blk, 1.0, np.array([3.0]))
         assert (err.value.agent, err.value.constraint) == (None, 0)
+
+    @pytest.mark.parametrize("rows", [None, [1]], ids=["stack", "taken"])
+    def test_domain_error_of_a_stack_without_agents_names_no_agent(self, rows):
+        # g_c(s) = s_0 + s_1 - c: member 1 at (1, 1) is past constraint 1 (c = 1)
+        ball = stack_functions([QuadraticFunction(np.eye(2), np.zeros(2))] * 2)
+        cuts = [stack_functions([QuadraticFunction(np.zeros((2, 2)), np.ones(2), -c)] * 2)
+                for c in (5.0, 1.0)]
+        fn, points = BarrierFunction(ball, cuts, 1.0), np.array([[0.0, 0.0], [1.0, 1.0]])
+        if rows is not None:
+            fn, points = fn.take(rows), points[rows]
+        with pytest.raises(BarrierDomainError,
+                           match=r"^constraint 1 is not strictly satisfied \(value 1\.0") as err:
+            fn.gradient(points)
+        assert (err.value.agent, err.value.constraint) == (None, 1)
 
     @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
     def test_parameter_must_be_positive_and_finite(self, t):

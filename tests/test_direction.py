@@ -38,6 +38,7 @@ from dipm.problem import (
     gather_average,
     scatter,
 )
+from test_network import SHAPES, spd_problem_on
 
 
 def chain_qp():
@@ -690,3 +691,86 @@ class TestResidualBits:
                 assert capped.iterations == k
                 assert_reports_the_residuals(capped)
         assert_reports_the_residuals(res)
+
+
+def shaped_problem(shape):
+    """A problem on the chain of ``random_qp`` or on a star or grid of ``SHAPES``, and a start."""
+    if shape == "chain":
+        return random_qp(0, n_agents=5, block_size=3, overlap=1)
+    rng = np.random.default_rng(2)
+    prob = spd_problem_on(SHAPES[shape](6, rng), rng)
+    return prob, rng.standard_normal(prob.n)
+
+
+def owner_average(flat, coupling):
+    return gather_average(np.split(flat, coupling.offsets[1:-1]), coupling)
+
+
+class TestStep:
+    """``DirectionWorkspace.step``, the splitting map, on its own."""
+
+    @pytest.mark.parametrize("shape", ["chain", "star", "grid"])
+    def test_a_start_at_the_fixed_point_comes_back_unchanged(self, shape):
+        prob, x0 = shaped_problem(shape)
+        coupling, sched, cfg = setup_instance(prob)
+        ws = DirectionWorkspace(plain_stage(prob), x0[coupling.flat_index], coupling, cfg)
+        _, dx_star = direct_direction(prob, scatter(x0, coupling), coupling)
+        dz = dx_star[coupling.flat_index]
+        # the fixed point: rho v_i = H_i dz_i + grad_i
+        v_star = np.empty_like(dz)
+        for grp in ws.groups:
+            Hdz = np.matmul(grp.hessian, dz[grp.pos][..., None])[..., 0]
+            v_star[grp.pos] = (Hdz + grp.grad) / cfg.rho
+        assert np.abs(owner_average(v_star, coupling)).max() <= 1e-12
+        v = v_star.copy()
+        ds, dz_new = ws.step(dz, v, sched)
+        for got, want in ((ds, dz), (dz_new, dz), (v, v_star)):
+            assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", ["chain", "star", "grid"])
+    def test_one_step_keeps_the_owner_average_of_the_duals_at_zero(self, shape):
+        prob, x0 = shaped_problem(shape)
+        coupling, sched, cfg = setup_instance(prob)
+        ws = DirectionWorkspace(plain_stage(prob), x0[coupling.flat_index], coupling, cfg)
+        rng = np.random.default_rng(5)
+        dz = rng.standard_normal(prob.n)[coupling.flat_index]
+        v = rng.standard_normal(dz.size)
+        v -= owner_average(v, coupling)[coupling.flat_index]
+        assert np.abs(owner_average(v, coupling)).max() <= 1e-12
+        ws.step(dz, v, sched)
+        assert np.abs(v).max() > 0.0
+        assert np.abs(owner_average(v, coupling)).max() <= 1e-12
+
+    @pytest.mark.parametrize("make", [
+        lambda: (random_qp(1, n_agents=6, block_size=3, overlap=1, n_eq=1), plain_stage,
+                 SolverConfig()),
+        lambda: (random_qp(2, n_agents=4, block_size=3, overlap=1, n_ineq=2),
+                 lambda prob: barrier_stage(prob, 10.0), SolverConfig(rho=10.0)),
+    ], ids=["equality-chain", "barrier-stage"])
+    def test_steps_by_hand_reproduce_compute_direction_bitwise(self, make):
+        # the stop rule of compute_direction's docstring, on the map
+        (prob, x0), stage_of, cfg = make()
+        coupling = build_coupling(prob)
+        ws = DirectionWorkspace(stage_of(prob), x0[coupling.flat_index], coupling, cfg)
+        n_agents, size = coupling.n_agents, coupling.flat_index.size
+        by_hand = RoundScheduler(coupling)
+        dz, v, vote = np.zeros(size), np.zeros(size), None
+        for k in range(1, cfg.admm_max_iter + 1):
+            ds, dz_new = ws.step(dz, v, by_hand, vote)
+            e_pri, e_dual = np.empty(n_agents), np.empty(n_agents)
+            for grp in ws.groups:
+                e_pri[grp.members] = ((ds - dz_new) ** 2)[grp.pos].sum(axis=1)
+                e_dual[grp.members] = ((dz_new - dz) ** 2)[grp.pos].sum(axis=1)
+            dz, vote = dz_new, ((e_dual <= cfg.eps_dual / n_agents)
+                                & (e_pri <= cfg.eps_pri / n_agents))
+            if all_agree(by_hand, vote, carry=k < cfg.admm_max_iter):
+                break
+        sched = RoundScheduler(coupling)
+        res = compute_direction(ws, sched)
+        assert res.converged and res.iterations == k > 1
+        assert (res.dz.tobytes(), res.v.tobytes()) == (dz.tobytes(), v.tobytes())
+        assert (sched.round_index, sched.rounds_by_kind) == (by_hand.round_index,
+                                                             by_hand.rounds_by_kind)
+        assert sched.total_sent == by_hand.total_sent
+        for kind in sched.sent_by_kind:
+            np.testing.assert_array_equal(sched.sent_by_kind[kind], by_hand.sent_by_kind[kind])

@@ -150,7 +150,10 @@ RUNS = {
 def test_trace_matches_golden_bytes(name):
     run, seed = RUNS[name]
     expected = (FIXTURES / name).read_bytes()
-    assert rows_to_csv(run(seed)).encode() == expected
+    got = rows_to_csv(run(seed)).encode()
+    if got != expected:
+        # the columns that changed, not a raw bytes diff
+        pytest.fail(_report(name, expected.decode(), got.decode()), pytrace=False)
 
 
 def test_report_names_every_changed_column():
