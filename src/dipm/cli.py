@@ -328,7 +328,6 @@ def _distributed(mode, problem, x0, config):
         "consistency_error": consistency_error(result.s, scheduler.coupling),
         "max_consistency_error": result.max_consistency_error,
         "max_dual_average": result.max_dual_average,
-        "max_eq_violation": result.max_eq_violation,
         "descent_violations": result.descent_violations,
         "messages": {
             kind: int(arr.sum()) for kind, arr in scheduler.sent_by_kind.items()

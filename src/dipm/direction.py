@@ -11,11 +11,13 @@ of shared components, and a running dual update:
     dz_j   <- mean of ds_q[j] over the owners q of variable j
     v_i    <- v_i + (dz_{J_i} - ds_i)
 
-Agents with a local equality system solve the corresponding saddle system
-instead, which keeps every iterate in the constraint null space. The
-curvature matrix is constant across inner iterations, so each agent
-factors exactly once per direction computation no matter how many
-iterations are needed.
+Agents with a local equality system solve the saddle system whose bottom
+block A_i ds_i = b_i - A_i s_i aims every prox output at their rows (the
+infeasible-start Newton step, Boyd & Vandenberghe, *Convex Optimization*
+10.3), so the next direction removes the residual a step along the
+averaged one leaves. The curvature matrix is constant across inner
+iterations, so each agent factors exactly once per direction computation
+no matter how many iterations are needed.
 
 The code keeps the map apart from the loop that stops it. The map is
 ``DirectionWorkspace.step``: one pass of the three lines above, on the
@@ -82,7 +84,9 @@ class AgentGroup:
     stack belongs to agent ``members[k]``. ``pos`` holds the positions of
     each member's entries in the coupling's flat vector of local entries,
     ``grad`` and ``hessian`` the gradients and Hessians of their stage
-    objectives, ``A_eq`` their equality matrices (None for agents without
+    objectives, ``A_eq`` their equality matrices, ``closing`` the part of
+    every prox output that closes their equality residuals, the saddle
+    solve with top zero and bottom b - A x (both None for agents without
     equality rows), and ``factor`` one stacked handle with all their
     factorizations.
     """
@@ -93,6 +97,7 @@ class AgentGroup:
     hessian: np.ndarray
     factor: object = field(repr=False)
     A_eq: np.ndarray = None
+    closing: np.ndarray = None
 
 
 def _blame(exc, agent):
@@ -155,24 +160,26 @@ class DirectionWorkspace:
             if not np.isfinite(arr).all():
                 k = int(np.argmin(np.isfinite(arr).reshape(len(members), -1).all(axis=1)))
                 raise NonFiniteError(int(members[k]), quantity)
-        A_eq = None if grp.A_eq is None else grp.A_eq[rows]
+        A_eq, closing = None if grp.A_eq is None else grp.A_eq[rows], None
         if A_eq is None:
             fac = linalg.factor_spd(H + self.config.rho * np.eye(pos.shape[1]))
         else:
             fac = linalg.factor_kkt(H, self.config.rho, A_eq)
-        return AgentGroup(members=members, pos=pos, grad=g, hessian=H, factor=fac, A_eq=A_eq)
+            residual = grp.b_eq[rows] - np.matmul(A_eq, x[..., None])[..., 0]
+            closing = fac.solve(np.zeros(x.shape), residual)[0]
+        return AgentGroup(members=members, pos=pos, grad=g, hessian=H, factor=fac, A_eq=A_eq,
+                          closing=closing)
 
     def step(self, dz, v, scheduler, vote=None):
         """One pass of the splitting map from the direction ``dz`` and the duals ``v``.
 
-        Each group makes one prox call, the exchange averages their
-        outputs ``ds`` over the owners of each variable into ``dz_new``
-        (relaying ``vote``, the flags of a failed AND, see
-        ``exchange_shared_components``), and the duals are updated in
-        place, ``v -= ds - dz_new``. Returns ``(ds, dz_new)``; ``ds`` is the
-        workspace's buffer, which the next step overwrites. A failed prox
-        solve raises the lowest failing agent's ``FactorizationError``
-        before the exchange.
+        Each group makes one prox call, the exchange averages their outputs
+        ``ds`` over the owners of each variable into ``dz_new`` (relaying
+        ``vote``, the flags of a failed AND, see ``exchange_shared_components``),
+        and the duals are updated in place, ``v -= ds - dz_new``. Returns
+        ``(ds, dz_new, ds - dz_new)``; ``ds`` is the workspace's buffer, which
+        the next step overwrites. A failed prox solve raises the lowest
+        failing agent's ``FactorizationError`` before the exchange.
         """
         ds, failures = self._ds, []
         for grp in self.groups:
@@ -184,8 +191,9 @@ class DirectionWorkspace:
         if failures:
             raise min(failures, key=lambda exc: exc.agent)
         dz_new = exchange_shared_components(scheduler, ds, vote)
-        v -= ds - dz_new
-        return ds, dz_new
+        primal = ds - dz_new
+        v -= primal
+        return ds, dz_new, primal
 
 
 def prox_step_unconstrained(agent, dz_slice, v, rho):
@@ -200,10 +208,11 @@ def prox_step_unconstrained(agent, dz_slice, v, rho):
 
 
 def prox_step_equality(agent, dz_slice, v, rho):
-    """Equality-constrained prox: saddle solve, direction in null(A); stacks as above."""
+    """Equality-constrained prox: the saddle solve with bottom b - A x; stacks as above."""
+    # the elimination is linear: the certified solve with bottom zero plus the closing part
     rhs = rho * (dz_slice + v) - agent.grad
     ds, _ = agent.factor.solve(rhs)
-    return ds
+    return ds + agent.closing
 
 
 @dataclass
@@ -215,9 +224,7 @@ class DirectionResult:
     coupling's layout; the copies of a shared variable in ``dz`` are equal
     to the bit. Residuals are the final per-agent maxima of the squared
     norms the termination test uses. ``max_dual_average`` tracks how far
-    the averaged dual variables drifted from zero; ``max_eq_violation``
-    tracks the worst violation of the local equality null-space condition
-    over all inner iterates.
+    the averaged dual variables drifted from zero.
     """
 
     converged: bool
@@ -226,7 +233,6 @@ class DirectionResult:
     primal_residual: float
     dual_residual: float
     max_dual_average: float
-    max_eq_violation: float
     v: np.ndarray
 
 
@@ -248,8 +254,7 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     primal before dual, and a disconnected graph raises from the first
     vote; a non-converged result (iteration cap) is returned.
     ``max_dual_average`` is the largest owner-average of the duals over the
-    steps, summed in ascending agent order as ``gather_average`` sums, and
-    ``max_eq_violation`` the largest |A_i ds_i| of an equality agent.
+    steps, summed in ascending agent order as ``gather_average`` sums.
     """
     coupling, config, groups = workspace.coupling, workspace.config, workspace.groups
     size, n_agents = coupling.flat_index.size, coupling.n_agents
@@ -263,18 +268,15 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     # each agent's squared primal change (row 0) and dual change (row 1)
     E = np.full((2, n_agents), np.inf)
     e_pri, e_dual = E
-    dual_avg, max_eq_viol, vote = np.zeros(coupling.n), 0.0, None
+    dual_avg, vote = np.zeros(coupling.n), None
     for k in range(config.admm_max_iter):
-        ds, dz_new = workspace.step(dz, v, scheduler, vote)
-        pri_change, dual_change = ds - dz_new, dz_new - dz
+        _, dz_new, pri_change = workspace.step(dz, v, scheduler, vote)
+        dual_change = dz_new - dz
         pri_change *= pri_change
         dual_change *= dual_change
         for grp in groups:
             e_pri[grp.members] = pri_change[grp.pos].sum(axis=1)
             e_dual[grp.members] = dual_change[grp.pos].sum(axis=1)
-            if grp.A_eq is not None:
-                viol = np.abs(np.matmul(grp.A_eq, ds[grp.pos][..., None])).max(initial=0.0)
-                max_eq_viol = max(max_eq_viol, float(viol))
         # a NaN fails every flag, so the iteration would run to its cap
         if not np.isfinite(E).all():
             i = int(np.argmin(np.isfinite(E).all(axis=0)))
@@ -288,5 +290,4 @@ def compute_direction(workspace, scheduler, dz0=None, v0=None):
     pri, dua = E.max(axis=1).tolist()
     return DirectionResult(converged=converged, iterations=k + 1, dz=dz,
                            primal_residual=pri, dual_residual=dua,
-                           max_dual_average=float(dual_avg.max(initial=0.0)),
-                           max_eq_violation=max_eq_viol, v=v)
+                           max_dual_average=float(dual_avg.max(initial=0.0)), v=v)

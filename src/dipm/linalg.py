@@ -27,14 +27,15 @@ test at G = I); with p = 0 it is the plain positive definite solve
 return value). A solve's residuals must meet a bound against the original
 matrix, row by row: RESIDUAL_RTOL (1 + ||top||) plus a rounding floor
 4 n eps (||G|| ||ds|| + ||A|| ||u||) for the top block, and RESIDUAL_RTOL
-plus 4 n eps ||A|| ||ds|| for A ds (all norms max-norms). A row that
+plus 4 n eps ||A|| ||ds|| for A ds - bottom (all norms max-norms). A row that
 misses its bound gets a single refinement step, after which the solve
 raises, naming the lowest row that still fails as the error's ``row``. A
 stack whose factorization fails raises as a whole; a caller that must name
 the failing matrix factors them one at a time.
 
 The bound is certified once per factorization rather than checked on
-every solve. For each matrix the handle computes a cap on ||top||, and a
+every solve with a zero bottom block; a solve with a bottom block always
+runs the check. For each matrix the handle computes a cap on ||top||, and a
 solve whose right-hand sides all lie within their caps skips the check,
 which it provably passes; if any matrix of the stack is beyond its cap,
 the whole stack runs the check and refinement. The cap follows Higham,
@@ -222,13 +223,14 @@ class KKTFactorization:
     (H + rho I) and ``A`` (g, p, n) the p >= 0 equality rows of each; a
     single matrix (n, n) with rows (p, n) is a stack of one. Solves are
     carried out by block elimination through G; ``solve`` takes the
-    top-block right-hand sides (the bottom block is zero in this solver),
-    one row per matrix, and returns the primal parts together with the
-    multipliers; each primal part lies in the null space of its A to
-    within the residual bound. With p = 0 the systems are the G themselves
-    and the multipliers have length zero. ``cap`` holds each matrix's
-    certificate, the largest ||top||_inf whose solve skips the residual
-    check, and ``covers_all`` says that every cap is infinite.
+    top-block right-hand sides, one row per matrix, and the bottom blocks
+    (zero when omitted), and returns the primal parts together with the
+    multipliers; each primal part meets its bottom block, A ds = bottom,
+    to within the residual bound. With p = 0 the systems are the G
+    themselves and the multipliers have length zero. ``cap`` holds each
+    matrix's certificate, the largest ||top||_inf whose solve with a zero
+    bottom skips the residual check, and ``covers_all`` says that every
+    cap is infinite.
     """
 
     def __init__(self, G, A=None):
@@ -297,7 +299,7 @@ class KKTFactorization:
         du = _mv(self.Winv[k], w)
         return y - _mv(Ginv, _mv(A.swapaxes(1, 2), du)), du
 
-    def _check(self, k, top, r_scale, ds, u):
+    def _check(self, k, top, r_scale, ds, u, bottom=0.0):
         """Residuals of the solves on matrices ``k`` and which miss their bounds."""
         res = top - _mv(self.G[k], ds)
         ds_scale = np.abs(ds).max(axis=1, initial=0.0)
@@ -307,7 +309,7 @@ class KKTFactorization:
         if self.p:
             A, A_norm = self.A[k], self.A_norm[k]
             res = res - _mv(A.swapaxes(1, 2), u)
-            eq = _mv(A, ds)
+            eq = _mv(A, ds) - bottom
             noise = noise + A_norm * np.abs(u).max(axis=1, initial=0.0)
             err_eq = np.abs(eq).max(axis=1, initial=0.0)
             bound_eq = _solve_bound(0.0, A_norm * ds_scale, self.n)
@@ -318,16 +320,16 @@ class KKTFactorization:
         fail = (err > bound) | (err_eq > bound_eq)
         return res, eq, fail, (err, err_eq, bound, bound_eq)
 
-    def _check_and_refine(self, top, r_scale, ds, u):
+    def _check_and_refine(self, top, r_scale, ds, u, bottom):
         """Check every solve, refine the failing ones once in place, raise if any still fails."""
-        res, eq, fail, _ = self._check(slice(None), top, r_scale, ds, u)
+        res, eq, fail, _ = self._check(slice(None), top, r_scale, ds, u, bottom)
         if not fail.any():
             return
         k = np.flatnonzero(fail)
         y, du = self._eliminate(k, res[k], None if eq is None else -eq[k])
         ds[k] += y
         u[k] += du
-        _, _, fail, report = self._check(k, top[k], r_scale[k], ds[k], u[k])
+        _, _, fail, report = self._check(k, top[k], r_scale[k], ds[k], u[k], bottom[k])
         if fail.any():
             j = int(np.argmax(fail))
             err, err_eq, bound, bound_eq = (float(a[j]) for a in report)
@@ -337,31 +339,37 @@ class KKTFactorization:
                 row=int(k[j]),
             )
 
-    def _solve(self, r):
-        """Block elimination, then the residual checks unless the certificate covers ``r``."""
-        r = np.asarray(r, dtype=float)
-        g = len(self.G)
-        if r.shape != (g, self.n) and (g != 1 or r.shape != (self.n,)):
-            raise StructureError(f"right-hand side of shape {r.shape} does not match "
-                                 f"{g} systems of size {self.n}")
-        top = r.reshape(g, self.n)
-        ds, u = self._eliminate(slice(None), top)
-        if not self.covers_all:
+    def _rows(self, x, size):
+        """``x`` as one row of ``size`` per matrix; a stack of one also takes a vector."""
+        x, g = np.asarray(x, dtype=float), len(self.G)
+        if x.shape != (g, size) and (g != 1 or x.shape != (size,)):
+            raise StructureError(f"right-hand side of shape {x.shape} does not match "
+                                 f"{g} systems of size {size}")
+        return x.reshape(g, size)
+
+    def _solve(self, r, bottom=None):
+        """Block elimination, then the checks unless the certificate covers ``r`` and ``bottom``."""
+        top = self._rows(r, self.n)
+        bottom = None if bottom is None else self._rows(bottom, self.p)
+        ds, u = self._eliminate(slice(None), top, bottom)
+        if bottom is not None or not self.covers_all:
             r_scale = np.abs(top).max(axis=1, initial=0.0)
             # within its cap a solve provably passes the check (module docstring)
-            if not (r_scale <= self.cap).all():
-                self._check_and_refine(top, r_scale, ds, u)
-        if r.ndim == 1:
+            if bottom is not None or not (r_scale <= self.cap).all():
+                bottom = np.zeros_like(u) if bottom is None else bottom
+                self._check_and_refine(top, r_scale, ds, u, bottom)
+        if np.ndim(r) == 1:
             return ds[0], u[0]
         return ds, u
 
-    def solve(self, r):
-        """Return (ds, u) solving the saddle systems with bottom block zero.
+    def solve(self, r, bottom=None):
+        """Return (ds, u) solving the saddle systems with top ``r`` and ``bottom``.
 
         ``r`` is one right-hand side (n,) for a stack of one, or one per
-        matrix (g, n); the results have the same leading shape.
+        matrix (g, n), and ``bottom`` likewise (p,) or (g, p), zero when
+        omitted; the results have the same leading shape as ``r``.
         """
-        return self._solve(r)
+        return self._solve(r, bottom)
 
 
 class SymmetricFactorization(KKTFactorization):

@@ -372,11 +372,6 @@ def all_agree(scheduler, flags, carry=False):
         return bool(flags[0])
     if carry:
         return False
-    if 1 not in flags.tobytes():
-        # every agent holds False and tells every neighbour in round 1
-        scheduler.deliver_round(flags[plan.edge_src], KIND_FLAG)
-        scheduler.count_messages(KIND_FLAG, 1)
-        return False
     hops = _hops_from_false(scheduler, flags)
     src = hops[plan.edge_src]
     sends = (hops[plan.edge_dst] >= src) & (src < scheduler.diameter)

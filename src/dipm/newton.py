@@ -108,10 +108,6 @@ def plain_stage(problem):
     return Stage(problem.blocks, group_blocks(problem.blocks))
 
 
-# equality residual a continued stage may start from: steps along the averaged
-# direction hold the equality rows only to the inner primal tolerance
-STAGE_EQ_DRIFT = 1e-5
-
 # keep at least this fraction of every constraint gap per step; the log
 # barrier is finite arbitrarily close to the boundary while its curvature
 # overflows, so bare strict feasibility is not a usable acceptance rule
@@ -288,7 +284,6 @@ class SolveResult:
     decrement_half_max_agent: float = 0.0
     max_consistency_error: float = 0.0
     max_dual_average: float = 0.0
-    max_eq_violation: float = 0.0
     descent_violations: int = 0
 
 
@@ -338,10 +333,11 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
     ``earlier`` is the record of the previous barrier stages: when given,
     this stage starts from its flat solution ``earlier.s``, is numbered
     after it, appends to its rows (``s0_slices`` and ``rows`` are then
-    ignored), and the record is updated and returned. A first stage is a
-    start, held to ``problem.START_EQ_ATOL``; a continued stage may carry
-    an equality residual up to ``STAGE_EQ_DRIFT``. A disconnected coupling
-    raises from the first consensus.
+    ignored), and the record is updated and returned. Only a first stage
+    is a start, checked by ``problem.check_start``: a continued stage
+    starts from the solver's own iterate, kept strictly feasible by the
+    ``BOUNDARY_FRACTION`` floors, whose equality residual its first
+    direction removes. A disconnected coupling raises from the first consensus.
 
     With ``warm_start``, a continued stage starts its first direction from
     the previous stage's final duals, and from the third stage on its
@@ -352,7 +348,6 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
     over agents runs in ascending agent order.
     """
     points = flatten_slices(s0_slices, coupling) if earlier is None else earlier.s
-    split = coupling.offsets[1:-1]
     sent_before = scheduler.total_sent
     v0 = None if earlier is None else earlier.v
     if config.warm_start and earlier is not None and earlier.s_before is not None:
@@ -367,10 +362,9 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
         )
 
     if earlier is None:
-        check_start(stage.blocks, np.split(points, split))
+        check_start(stage.blocks, np.split(points, coupling.offsets[1:-1]))
         result, stage_index = SolveResult(rows=[] if rows is None else rows), 0
     else:
-        check_start(stage.blocks, np.split(points, split), STAGE_EQ_DRIFT)
         result, stage_index = earlier, earlier.rows[-1].stage + 1
     result.t_final = stage.t
     result.max_consistency_error = max(result.max_consistency_error, cons)
@@ -381,7 +375,6 @@ def newton_solve(stage, s0_slices, config, coupling, scheduler,
         workspace = DirectionWorkspace(stage, points, coupling, config)
         res = compute_direction(workspace, scheduler, *(warm if config.warm_start else ()))
         result.max_dual_average = max(result.max_dual_average, res.max_dual_average)
-        result.max_eq_violation = max(result.max_eq_violation, res.max_eq_violation)
         if not res.converged:
             raise DirectionConvergenceError(
                 f"direction iteration cap {config.admm_max_iter} reached "

@@ -353,10 +353,10 @@ class BlockGroup(NamedTuple):
     each member's entries in the flat vector of all local entries, agents
     ascending (``CouplingStructure.flat_index`` order). ``f`` stacks their
     block objectives, ``inequality`` their constraints (one stack per
-    constraint index) and ``A_eq`` their equality matrices (None without
-    equality rows); the stacks are ``stack_functions``. ``objective`` is
-    the stacked objective the group minimizes: ``f`` itself unless a stage
-    replaces it (``_replace``).
+    constraint index), ``A_eq`` their equality matrices and ``b_eq`` their
+    right-hand sides (both None without equality rows); the stacks are
+    ``stack_functions``. ``objective`` is the stacked objective the group
+    minimizes: ``f`` itself unless a stage replaces it (``_replace``).
     """
 
     members: np.ndarray
@@ -364,6 +364,7 @@ class BlockGroup(NamedTuple):
     f: object
     inequality: tuple
     A_eq: np.ndarray
+    b_eq: np.ndarray
     objective: object
 
 
@@ -385,6 +386,7 @@ def group_blocks(blocks):
             inequality=tuple(stack_functions([blk.inequality[c] for blk in blks])
                              for c in range(blks[0].n_ineq)),
             A_eq=None if blks[0].A_eq is None else np.array([blk.A_eq for blk in blks]),
+            b_eq=None if blks[0].b_eq is None else np.array([blk.b_eq for blk in blks]),
             objective=f,
         ))
     return tuple(groups)
@@ -478,11 +480,11 @@ def consistency_error(copies, coupling):
     return float(((hi - lo) / 2.0).max(initial=0.0))
 
 
-def check_start(blocks, slices, eq_atol=START_EQ_ATOL):
+def check_start(blocks, slices):
     """Raise InfeasibleStartError unless every slice is a valid start.
 
-    Each slice must be finite, each inequality of its block strictly negative
-    and each equality residual at most ``eq_atol``. All violations are listed.
+    Each slice must be finite, each inequality strictly negative and each
+    equality residual at most ``START_EQ_ATOL``. All violations are listed.
     """
     violations = []
     for i, (blk, s) in enumerate(zip(blocks, slices)):
@@ -497,8 +499,9 @@ def check_start(blocks, slices, eq_atol=START_EQ_ATOL):
                 )
         if blk.A_eq is not None:
             resid = float(np.abs(blk.A_eq @ s - blk.b_eq).max(initial=0.0))
-            if resid > eq_atol:
-                violations.append(f"agent {i} equality residual {resid:.3e} exceeds {eq_atol:g}")
+            if resid > START_EQ_ATOL:
+                violations.append(
+                    f"agent {i} equality residual {resid:.3e} exceeds {START_EQ_ATOL:g}")
     if violations:
         raise InfeasibleStartError("starting point is infeasible", violations)
 

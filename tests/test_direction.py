@@ -56,6 +56,19 @@ def setup_instance(problem, config=None):
     return coupling, RoundScheduler(coupling), config
 
 
+def assert_prox_outputs_meet_the_rows(prob, ws, points, res):
+    """The prox outputs of one more step from ``res`` meet A_i ds_i = b_i - A_i s_i."""
+    ds, _, _ = ws.step(res.dz, res.v.copy(), RoundScheduler(ws.coupling))
+    checked = 0
+    for grp in ws.groups:
+        for k, i in enumerate(grp.members if grp.A_eq is not None else ()):
+            blk = prob.blocks[i]
+            aim = blk.b_eq - blk.A_eq @ points[grp.pos[k]]
+            assert np.abs(blk.A_eq @ ds[grp.pos[k]] - aim).max() <= 1e-9
+            checked += 1
+    assert checked
+
+
 class TestProxSteps:
     def test_quadratic_at_interior_point(self):
         # f(s) = 1/2 |s|^2 linearized at (1, 1): grad (1, 1), hessian I
@@ -85,7 +98,7 @@ class TestProxSteps:
         np.testing.assert_allclose(ds, [-0.5], rtol=1e-14)
 
     def test_equality_hand_case(self):
-        agent = SimpleNamespace(grad=np.array([-2.0, 0.0]),
+        agent = SimpleNamespace(grad=np.array([-2.0, 0.0]), closing=np.zeros(2),
                                 factor=factor_kkt(np.eye(2), 1.0, np.array([[1.0, -1.0]])))
         ds = prox_step_equality(agent, np.zeros(2), np.zeros(2), 1.0)
         np.testing.assert_allclose(ds, [0.5, 0.5], atol=1e-12)
@@ -101,16 +114,32 @@ class TestProxSteps:
         grad = rng.standard_normal(dim)
         w = rng.standard_normal(dim)
         rho = 1.3
-        agent = SimpleNamespace(grad=grad, factor=factor_kkt(H, rho, basis))
+        agent = SimpleNamespace(grad=grad, closing=np.zeros(dim), factor=factor_kkt(H, rho, basis))
         ds = prox_step_equality(agent, w, np.zeros(dim), rho)
         tau = (rho * d @ w - d @ grad) / (d @ H @ d + rho * d @ d)
         np.testing.assert_allclose(ds, tau * d, atol=1e-9)
 
     def test_zero_rhs_gives_zero(self):
-        agent = SimpleNamespace(grad=np.zeros(2),
+        agent = SimpleNamespace(grad=np.zeros(2), closing=np.zeros(2),
                                 factor=factor_kkt(np.eye(2), 1.0, np.array([[1.0, 1.0]])))
         ds = prox_step_equality(agent, np.zeros(2), np.zeros(2), 1.0)
         np.testing.assert_array_equal(ds, np.zeros(2))
+
+    def test_closing_part_makes_the_saddle_solve_with_a_bottom(self):
+        # linear elimination: the bottom-zero solve plus the closing part is the
+        # saddle solve whose bottom is the equality residual b - A x
+        rng = np.random.default_rng(3)
+        H, A = np.diag(rng.uniform(0.5, 2.0, size=4)), rng.standard_normal((2, 4))
+        grad, w, bottom, rho = (rng.standard_normal(4), rng.standard_normal(4),
+                                rng.standard_normal(2), 1.3)
+        factor = factor_kkt(H, rho, A)
+        agent = SimpleNamespace(grad=grad, factor=factor,
+                                closing=factor.solve(np.zeros(4), bottom)[0])
+        ds = prox_step_equality(agent, w, np.zeros(4), rho)
+        K = np.block([[H + rho * np.eye(4), A.T], [A, np.zeros((2, 2))]])
+        want = np.linalg.solve(K, np.concatenate([rho * w - grad, bottom]))[:4]
+        np.testing.assert_allclose(ds, want, atol=1e-12)
+        np.testing.assert_allclose(A @ ds, bottom, atol=1e-12)
 
 
 class TestComputeDirection:
@@ -211,9 +240,9 @@ class TestComputeDirection:
         ws = DirectionWorkspace(plain_stage(prob), x0[coupling.flat_index], coupling, cfg)
         res = compute_direction(ws, sched)
         assert res.converged
-        # every inner prox output lies in the null space; the returned
-        # averaged slices satisfy the constraint only to the primal tolerance
-        assert res.max_eq_violation <= 1e-9
+        # every prox output meets its rows, here A ds = 0; the returned
+        # averaged slices satisfy them only to the primal tolerance
+        assert_prox_outputs_meet_the_rows(prob, ws, x0[coupling.flat_index], res)
         slack = np.sqrt(cfg.eps_pri / prob.n_agents)
         for blk, ds in zip(prob.blocks, np.split(res.dz, coupling.offsets[1:-1])):
             norm_A = np.abs(blk.A_eq).sum(axis=1).max()
@@ -385,7 +414,7 @@ class TestGroups:
         res = compute_direction(ws, sched)
         assert res.converged
         assert np.abs(res.dz - dx[coupling.flat_index]).max() <= 1e-8
-        assert res.max_eq_violation <= 1e-9
+        assert_prox_outputs_meet_the_rows(prob, ws, x0[coupling.flat_index], res)
 
     def test_failure_in_the_second_group_names_its_agent(self):
         # agent 6 is row 1 of the group (3, 1)
@@ -723,7 +752,7 @@ class TestStep:
             v_star[grp.pos] = (Hdz + grp.grad) / cfg.rho
         assert np.abs(owner_average(v_star, coupling)).max() <= 1e-12
         v = v_star.copy()
-        ds, dz_new = ws.step(dz, v, sched)
+        ds, dz_new, _ = ws.step(dz, v, sched)
         for got, want in ((ds, dz), (dz_new, dz), (v, v_star)):
             assert np.abs(got - want).max() <= 1e-12
 
@@ -756,7 +785,7 @@ class TestStep:
         by_hand = RoundScheduler(coupling)
         dz, v, vote = np.zeros(size), np.zeros(size), None
         for k in range(1, cfg.admm_max_iter + 1):
-            ds, dz_new = ws.step(dz, v, by_hand, vote)
+            ds, dz_new, _ = ws.step(dz, v, by_hand, vote)
             e_pri, e_dual = np.empty(n_agents), np.empty(n_agents)
             for grp in ws.groups:
                 e_pri[grp.members] = ((ds - dz_new) ** 2)[grp.pos].sum(axis=1)

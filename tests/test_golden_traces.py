@@ -20,7 +20,8 @@ splitting iteration's cold start as well. The ``mixed_`` fixtures pin what
 the two benchmark workloads do not reach: a coupling graph with cycles,
 local sizes 2 to 4, quadratic and softplus objectives side by side in one
 group of agents, equality rows on some agents, and inequalities in
-differing numbers.
+differing numbers. ``equality_ipm_seed3`` pins a barrier solve with
+equality rows.
 """
 
 import csv
@@ -71,6 +72,15 @@ def _three_owner_newton(seed):
 def _three_owner_ipm(seed, warm_start=True):
     problem, x0 = random_qp(seed, n_agents=6, block_size=3, overlap=2, n_ineq=1)
     result, _ = solve_ipm(problem, x0, SolverConfig(warm_start=warm_start))
+    return result.rows
+
+
+# equality rows under the barrier: every direction aims at its stage's
+# equality residual through the saddle solve's bottom block, a path that
+# neither the equality-free barrier fixtures nor the Newton ones reach
+def _equality_ipm(seed):
+    problem, x0 = random_qp(seed, n_agents=5, block_size=3, overlap=1, n_eq=1, n_ineq=2)
+    result, _ = solve_ipm(problem, x0, SolverConfig())
     return result.rows
 
 
@@ -143,6 +153,7 @@ RUNS = {
     "three_owner_ipm_seed0_cold.trace.csv": (partial(_three_owner_ipm, warm_start=False), 0),
     "mixed_newton_seed0.trace.csv": (_mixed_newton, 0),
     "mixed_ipm_seed0.trace.csv": (_mixed_ipm, 0),
+    "equality_ipm_seed3.trace.csv": (_equality_ipm, 3),
 }
 
 

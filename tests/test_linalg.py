@@ -401,6 +401,25 @@ class TestCertificate:
         f.solve(np.array([1.0, -2.0, 0.5]))
         assert bounds == []
 
+    def test_a_solve_with_a_bottom_runs_the_check(self, monkeypatch):
+        # the certificate covers a zero bottom only; with one, the same
+        # handle checks the solve, which meets A ds = bottom
+        f = factor_kkt(np.eye(3), 1.0, np.array([[1.0, 1.0, 0.0]]))
+        assert f.covers_all is False and f.cap[0] > 2.0
+        bounds = recorded_bounds(monkeypatch)
+        ds, u = f.solve(np.array([1.0, -2.0, 0.5]), np.array([0.25]))
+        assert len(bounds) == 2
+        assert abs(ds[0] + ds[1] - 0.25) <= 1e-15
+        K = np.block([[2.0 * np.eye(3), f.A[0].T], [f.A[0], np.zeros((1, 1))]])
+        want = np.linalg.solve(K, [1.0, -2.0, 0.5, 0.25])
+        np.testing.assert_allclose(np.concatenate([ds, u]), want, atol=1e-15)
+
+    @pytest.mark.parametrize("bottom", [np.zeros(2), np.zeros((2, 1))])
+    def test_a_bottom_of_the_wrong_shape_is_refused(self, bottom):
+        f = factor_kkt(np.eye(3), 1.0, np.array([[1.0, 1.0, 0.0]]))
+        with pytest.raises(StructureError, match=r"right-hand side of shape \(2"):
+            f.solve(np.zeros(3), bottom)
+
     def test_handles_are_read_only(self):
         G = np.eye(3)
         f = KKTFactorization(G, np.array([[1.0, 1.0, 0.0]]))

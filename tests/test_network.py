@@ -924,24 +924,32 @@ class TestShapedSolves:
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_barrier_solve_meets_the_gap_bound(self, shape):
         # six agents (a 2 x 3 grid), each with one halfspace strictly feasible
-        # at x0 and no equality rows; every solve runs at least three stages,
-        # so from the third on the point and the splitting duals start
-        # extrapolated along the central path
+        # at x0, and on each even agent with two entries or more one equality
+        # row through x0; every solve runs at least three stages, so from the
+        # third on the point and the splitting duals start extrapolated along
+        # the central path
         rng = np.random.default_rng(0)
         prob = spd_problem_on(SHAPES[shape](6, rng), rng)
         x0 = rng.standard_normal(prob.n)
         blocks = []
-        for blk in prob.blocks:
+        for i, blk in enumerate(prob.blocks):
             d, s0 = len(blk.index_set), x0[list(blk.index_set)]
             a = rng.standard_normal(d)
             halfspace = QuadraticFunction(np.zeros((d, d)), a, -(a @ s0) - rng.uniform(0.2, 1.0))
-            blocks.append(replace(blk, inequality=(halfspace,)))
+            A = rng.standard_normal((1, d)) if i % 2 == 0 and d >= 2 else None
+            blocks.append(replace(blk, inequality=(halfspace,), A_eq=A,
+                                  b_eq=None if A is None else A @ s0))
         prob = LooselyCoupledProblem(n=prob.n, blocks=tuple(blocks))
+        assert any(blk.A_eq is not None for blk in prob.blocks)
         result, sched = solve_ipm(prob, x0, SolverConfig())
         assert result.rows[-1].stage >= 2
         dense = assemble_dense(prob)
-        x_ref = centralized_ipm(dense, x0, eps_p=1e-7, eps_nt=1e-9)
-        assert dense.value(result.x) - dense.value(x_ref) <= prob.m_total / result.t_final + 1e-6
+        x_ref = centralized_ipm(dense, x0, eps_p=1e-9, eps_nt=1e-10)
+        gap = dense.value(result.x) - dense.value(x_ref)
+        assert abs(gap) <= prob.m_total / result.t_final + 1e-6
+        for blk, s in zip(prob.blocks, np.split(result.s, sched.coupling.offsets[1:-1])):
+            if blk.A_eq is not None:
+                assert np.abs(blk.A_eq @ s - blk.b_eq).max() <= 1e-9
         assert result.max_dual_average <= 1e-10
         assert result.max_consistency_error == 0.0
         assert consistency_error(result.s, sched.coupling) == 0.0

@@ -112,7 +112,7 @@ def agent_step_size(h, inequality, s, h0, ds, grad_dot, config):
     """One agent's accepted step (None when none is) on the group ladder, as a stack of one."""
     group = BlockGroup(members=np.array([0]), pos=np.arange(len(s))[None], f=None,
                        inequality=tuple(stack_functions([g]) for g in inequality), A_eq=None,
-                       objective=stack_functions([h]))
+                       b_eq=None, objective=stack_functions([h]))
     step = ladder_steps(group, s[None], ds[None], config, np.array([h0]), np.array([grad_dot]))
     return None if np.isnan(step[0]) else float(step[0])
 
@@ -562,26 +562,23 @@ class TestNewtonSolve:
             newton_solve(stage, bad, SolverConfig(), coupling, scheduler)
 
     @pytest.mark.parametrize("drift", [1e-6, 1e-4])
-    def test_continued_stage_admits_only_the_inner_drift(self, drift):
-        # a first stage is held to the start tolerance, a continued one to
-        # the equality drift its steps can leave behind
+    def test_continued_stage_closes_the_drift_of_its_start(self, drift):
+        # a first stage is held to the start tolerance; a continued one starts
+        # from its record's solution, and its directions remove the drift
         prob = tied_chain()
         coupling = build_coupling(prob)
         scheduler = RoundScheduler(coupling)
         stage, config = plain_stage(prob), SolverConfig()
         first = newton_solve(stage, scatter(np.zeros(3), coupling), config, coupling, scheduler)
         drifted = scatter(np.array([drift, 0.0, 0.0]), coupling)
-        with pytest.raises(InfeasibleStartError, match="starting point is infeasible"):
+        with pytest.raises(InfeasibleStartError) as err:
             newton_solve(stage, drifted, config, coupling, scheduler)
-        # a continued stage starts from its record's solution
+        assert err.value.violations == [f"agent 0 equality residual {drift:.3e} exceeds 1e-09"]
         first.s = np.concatenate(drifted)
-        if drift < 1e-5:
-            result = newton_solve(stage, None, config, coupling, scheduler, earlier=first)
-            assert result.rows[-1].stage == 1
-        else:
-            with pytest.raises(InfeasibleStartError) as err:
-                newton_solve(stage, None, config, coupling, scheduler, earlier=first)
-            assert err.value.violations == ["agent 0 equality residual 1.000e-04 exceeds 1e-05"]
+        result = newton_solve(stage, None, config, coupling, scheduler, earlier=first)
+        assert result.rows[-1].stage == 1
+        blk = prob.blocks[0]
+        assert np.abs(blk.A_eq @ result.s[:2] - blk.b_eq).max() <= 1e-9
 
     def test_nonfinite_start_rejected_before_iterating(self):
         x0 = np.array([np.nan, 0.0, 0.0])
