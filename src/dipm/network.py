@@ -84,6 +84,7 @@ synchronization point. Received values are reduced in ascending sender
 order, so reductions are reproducible.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -397,18 +398,26 @@ def min_consensus(scheduler, values):
     not one scalar or row per agent, raise ``StructureError``.
     """
     values = _per_agent(scheduler, values, float, rows=True)
-    if not np.isfinite(values).all():
+    settled = _uniform(values)
+    first = values[0].reshape(-1).tolist()
+    # equal to the bit on every agent, the values are finite if the first agent's are
+    if not (all(map(math.isfinite, first)) if settled else np.isfinite(values).all()):
         raise StructureError("consensus values must be finite")
     _require_connected(scheduler)
     plan = scheduler.plan
-    payload = values[plan.edge_src]
-    # equal to the bit, a uniform state is a fixed point of np.minimum
-    settled = _uniform(values)
+    payload = values.take(plan.edge_src, axis=0)
+    if settled:
+        # a uniform state is a fixed point of np.minimum: round 1 is news on
+        # every edge, and nothing is recombined
+        for _ in range(scheduler.diameter):
+            scheduler.deliver_round(payload, KIND_MIN)
+        scheduler.count_messages(KIND_MIN, 1)
+        return first[0] if values.ndim == 1 else tuple(first)
     state, live = values, slice(None)
-    if values.ndim == 2 and not settled:
+    if values.ndim == 2:
         # and so is a uniform column, never news after round 1: later rounds
         # carry and recombine only the others, a single one as a vector
-        live = [c for c, column in enumerate(values.T) if not _uniform(column)]
+        live = _live_columns(values)
         live = live[0] if len(live) == 1 else live
         state = values[:, live]
     # what the agents hold at the start of each round until it is settled
@@ -423,24 +432,33 @@ def min_consensus(scheduler, values):
         if r < scheduler.diameter:
             settled = _uniform(state)
             held.append(state)
-            payload = state[plan.edge_src]
+            payload = state.take(plan.edge_src, axis=0)
     sent = 1  # every value is below +inf, so round 1 is news on every edge
     if len(held) > 1:
         # from round 2 on, news is below the values both ends held a round before
         held = np.array(held)
-        payloads = np.take(held, plan.edge_src, axis=1)
-        ends = np.take(held[:-1], plan.edge_dst, axis=1)
+        payloads = held.take(plan.edge_src, axis=1)
+        ends = held[:-1].take(plan.edge_dst, axis=1)
         news = payloads[1:] < np.minimum(payloads[:-1], ends, out=ends)
         if news.ndim == 3:
             # an edge sends when any value of its row is news
-            news = news.any(axis=2)
-        sent = news.sum(axis=0, initial=sent)
+            news = np.logical_or.reduce(news, axis=2)
+        sent = np.add.reduce(news, axis=0, initial=sent)
     scheduler.count_messages(KIND_MIN, sent)
     if values.ndim == 1:
         return float(state[0])
     row = values[0].copy()
     row[live] = state[0]
     return tuple(row.tolist())
+
+
+def _live_columns(values):
+    """The columns of ``values`` (N, k) not equal to the bit on every agent."""
+    n, k = values.shape
+    columns = values.T.tobytes()
+    size = n * values.itemsize
+    return [c for c in range(k) if columns[c * size:(c + 1) * size]
+            != columns[c * size:c * size + values.itemsize] * n]
 
 
 def _uniform(values):

@@ -1,10 +1,18 @@
 """Factorization layer: residual contracts, error reporting, determinism."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dtrtrs
 
+import dipm
 from dipm import linalg
 from dipm.errors import FactorizationError, RankError, StructureError
 from dipm.linalg import KKTFactorization, factor_kkt, factor_spd, factorization_count
@@ -288,13 +296,13 @@ class TestStacks:
         rng = np.random.default_rng(11)
         pivots = rng.uniform(1.0, 2.0, 100_000) * 2.0 ** rng.integers(-1000, 1000, 100_000)
         one = np.ones((1, 1))
-        by_lapack = np.array([linalg.dtrtrs(np.full((1, 1), p), one, lower=0, trans=1)[0][0, 0]
+        by_lapack = np.array([dtrtrs(np.full((1, 1), p), one, lower=0, trans=1)[0][0, 0]
                               for p in pivots])
         assert (by_lapack == 1.0 / pivots).all()
         assert by_lapack.tobytes() == (1.0 / pivots).tobytes()
         # the stacked inverse L^-T L^-1 of 1 x 1 matrices, squares in range
         M = rng.uniform(1.0, 2.0, (2000, 1, 1)) * 2.0 ** rng.integers(-400, 400, (2000, 1, 1))
-        Linv = np.array([linalg.dtrtrs(np.sqrt(m), one, lower=0, trans=1)[0] for m in M])
+        Linv = np.array([dtrtrs(np.sqrt(m), one, lower=0, trans=1)[0] for m in M])
         assert linalg._spd_inverse(M).tobytes() == np.matmul(Linv, Linv).tobytes()
 
     def test_single_right_hand_side_needs_a_stack_of_one(self):
@@ -427,3 +435,90 @@ class TestCertificate:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] *= 2.0
         G[0, 0] = 2.0   # the caller's matrix is copied, not frozen
+
+
+def lapack_lower_inverse(L):
+    """L^-1 of each factor of a stack by one ``dtrtrs`` call per matrix, the
+    call ``scipy.linalg.solve_triangular`` makes for a C-ordered lower factor."""
+    eye = np.eye(L.shape[1])
+    return np.stack([dtrtrs(l.T, eye, lower=0, trans=1)[0] for l in L])
+
+
+@st.composite
+def spd_stacks(draw, sizes):
+    """1-40 symmetric positive definite matrices of one size drawn from ``sizes``,
+    each with its own condition number in 10^[0, 8] and scale in 2^[-20, 20]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g, n = draw(st.integers(1, 40)), draw(st.sampled_from(sizes))
+    M = np.stack([random_spd(rng, n, cond=10.0 ** rng.uniform(0.0, 8.0)) for _ in range(g)])
+    M *= 2.0 ** rng.integers(-20, 21, (g, 1, 1))
+    return 0.5 * (M + M.swapaxes(1, 2))
+
+
+class TestTriangularKernel:
+    # up to KERNEL_ROWS rows the stacked kernel inverts the factors with
+    # LAPACK's bits; beyond, the factors still go to dtrtrs one at a time
+    @settings(deadline=None, database=None)
+    @given(spd_stacks(sizes=range(1, linalg.KERNEL_ROWS + 1)))
+    def test_kernel_matches_dtrtrs_bitwise(self, M):
+        L = linalg._cholesky_lower(M)
+        Linv = linalg._lower_inverse(L)
+        assert Linv.tobytes() == lapack_lower_inverse(L).tobytes()
+        for k in range(len(L)):
+            assert linalg._lower_inverse(L[k:k + 1]).tobytes() == Linv[k:k + 1].tobytes()
+
+    @settings(deadline=None, database=None)
+    @given(spd_stacks(sizes=range(linalg.KERNEL_ROWS + 1, 9)))
+    def test_larger_factors_take_the_lapack_path(self, M):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return dtrtrs(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scipy.linalg.lapack, "dtrtrs", counting)
+            f = factor_spd(M)
+        assert len(calls) == len(M)
+        Linv = lapack_lower_inverse(linalg._cholesky_lower(f.G))
+        assert f.Ginv.tobytes() == np.matmul(Linv.swapaxes(1, 2), Linv).tobytes()
+
+
+# run in a fresh interpreter: solves whose blocks and equality rows have at
+# most KERNEL_ROWS entries, through the API and the command line, load no
+# scipy module; a 6-entry block then loads LAPACK on first use and solves
+NO_SCIPY_SCRIPT = """
+import json, sys
+from dipm import cli, random_qp, solve_ipm, solve_newton
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out = sys.argv[1]
+solve_newton(*random_qp(0, 5, 4, overlap=1, n_eq=2))
+solve_newton(*random_qp(1, 6, 3, overlap=1))
+solve_ipm(*random_qp(2, 5, 3, overlap=1, n_eq=1, n_ineq=2))
+assert cli.main(["generate", "--seed", "0", "--agents", "4", "--inequalities", "1",
+                 "--out", f"{out}/small.json"]) == 0
+assert cli.main(["run", "--mode", "compare", "--problem", f"{out}/small.json",
+                 "--out", f"{out}/small"]) == 0
+assert not scipy_modules(), scipy_modules()
+assert cli.main(["generate", "--seed", "0", "--agents", "4", "--block-size", "6",
+                 "--overlap", "2", "--out", f"{out}/large.json"]) == 0
+assert cli.main(["run", "--mode", "compare", "--problem", f"{out}/large.json",
+                 "--out", f"{out}/large"]) == 0
+assert "scipy.linalg.lapack" in sys.modules
+gap = json.load(open(f"{out}/large/summary.json"))["gap_inf"]
+assert gap < 1e-6, gap
+print("ok")
+"""
+
+
+def test_small_blocks_solve_without_loading_scipy(tmp_path):
+    src = str(pathlib.Path(dipm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "ok"

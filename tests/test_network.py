@@ -206,6 +206,21 @@ class TestConsensus:
         with pytest.raises(StructureError, match="finite"):
             min_consensus(sched, [1.0, float("nan")])
 
+    @pytest.mark.parametrize("values", [[np.inf, 1.0], [np.nan, np.nan],
+                                        [[1.0, 2.0], [-np.inf, np.inf]],
+                                        [[np.inf, 1.0], [np.inf, 1.0]],
+                                        [[1e308, np.nan], [1e308, 1.0]]])
+    def test_every_nonfinite_value_is_rejected_before_a_round(self, values):
+        # finite values pass, however large; an infinity or a NaN in any
+        # column raises and takes no round, whether or not every agent
+        # holds the same bits
+        sched = RoundScheduler(chain_coupling(2))
+        assert min_consensus(sched, [[1e308, 1.0], [1e308, -1e308]]) == (1e308, -1e308)
+        rounds = sched.round_index
+        with pytest.raises(StructureError, match="finite"):
+            min_consensus(sched, values)
+        assert sched.round_index == rounds
+
     @pytest.mark.parametrize("length", [3, 5], ids=["short", "long"])
     def test_consensus_takes_one_value_per_agent(self, length):
         sched = RoundScheduler(chain_coupling(4))
