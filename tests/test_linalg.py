@@ -515,9 +515,9 @@ print("ok")
 
 
 def test_small_blocks_solve_without_loading_scipy(tmp_path):
-    src = str(pathlib.Path(dipm.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    # the interpreter imports the dipm these tests import
+    path = [str(pathlib.Path(dipm.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
