@@ -17,12 +17,19 @@ whole stack at once, one step per factor row: the reciprocal pivots
 its dot products one stacked ``np.matmul`` and the division a product
 with the reciprocal pivot. That is the arithmetic of LAPACK's ``dtrtrs``
 (on the transposed factor, as ``scipy.linalg.solve_triangular`` calls it
-for a C-ordered lower factor), bit for bit: over 20,000 random factors
-per size, with condition numbers up to 1e8, no entry differs for 1 to 4
-rows, while from 5 rows on OpenBLAS's blocked kernel rounds differently
-(4,997 of the 20,000 factors differ at 5 rows, 15,155 at 6, all at 12;
-numpy 2.4.6, scipy 1.17.1). A factor of more rows is inverted one matrix
-at a time by ``dtrtrs`` itself, so its bits are LAPACK's too; scipy is
+for a C-ordered lower factor). That the two also round alike, bit for
+bit, is a measured property of a build, not a guarantee: with numpy
+2.4.6 (OpenBLAS 0.3.31) and scipy 1.17.1 (OpenBLAS 0.3.30) on x86-64,
+over 20,000 random factors per size with condition numbers up to 1e8,
+no entry differs for 1 to 4 rows, while from 5 rows on OpenBLAS's
+blocked kernel rounds differently (4,997 of the 20,000 factors differ at
+5 rows, 15,155 at 6, all at 12). A build whose small stacked ``matmul``
+rounds otherwise (another inner loop, or fused multiply-adds) still
+inverts correctly, but may differ from ``dtrtrs`` in the last bit, and
+so from the recorded golden traces; the ``hypothesis`` property
+``test_kernel_matches_dtrtrs_bitwise`` in ``tests/test_linalg.py`` is
+what checks the match on a given build. A factor of more rows is
+inverted one matrix at a time by ``dtrtrs`` itself; scipy is
 imported on that path's first use, and a solver whose local blocks all
 have at most 4 entries (and so at most 4 equality rows each) never loads
 it. Neither path checks its input; finiteness is checked once per stack,
@@ -211,7 +218,7 @@ def require_full_row_rank(A):
 
 
 def _lower_inverse(L):
-    """L^-1 of each lower triangular factor of a stack (g, n, n), as ``dtrtrs`` computes it.
+    """L^-1 of each lower triangular factor of a stack (g, n, n), by ``dtrtrs``'s arithmetic.
 
     Up to ``KERNEL_ROWS`` rows, one stacked step per row (module
     docstring); beyond, one ``dtrtrs`` call per matrix on the

@@ -84,7 +84,6 @@ synchronization point. Received values are reduced in ascending sender
 order, so reductions are reproducible.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -398,23 +397,16 @@ def min_consensus(scheduler, values):
     not one scalar or row per agent, raise ``StructureError``.
     """
     values = _per_agent(scheduler, values, float, rows=True)
+    # equal to the bit, a uniform state is a fixed point of np.minimum, and
+    # finite if the first agent's row is
     settled = _uniform(values)
-    first = values[0].reshape(-1).tolist()
-    # equal to the bit on every agent, the values are finite if the first agent's are
-    if not (all(map(math.isfinite, first)) if settled else np.isfinite(values).all()):
+    if not np.isfinite(values[:1] if settled else values).all():
         raise StructureError("consensus values must be finite")
     _require_connected(scheduler)
     plan = scheduler.plan
     payload = values.take(plan.edge_src, axis=0)
-    if settled:
-        # a uniform state is a fixed point of np.minimum: round 1 is news on
-        # every edge, and nothing is recombined
-        for _ in range(scheduler.diameter):
-            scheduler.deliver_round(payload, KIND_MIN)
-        scheduler.count_messages(KIND_MIN, 1)
-        return first[0] if values.ndim == 1 else tuple(first)
     state, live = values, slice(None)
-    if values.ndim == 2:
+    if values.ndim == 2 and not settled:
         # and so is a uniform column, never news after round 1: later rounds
         # carry and recombine only the others, a single one as a vector
         live = _live_columns(values)
